@@ -147,8 +147,10 @@ Executor::runTransfer(const VpcBatch &batch, Tick ready)
         breakdown_.readTicks += read_time;
         breakdown_.writeTicks += write_time;
     }
-    transferSpans_.push_back({rd.start, rd.end});
-    transferSpans_.push_back({wr.start, wr.end});
+    coverage_.add(CoverageKind::Transfer, batch.subarray, rd.start,
+                  rd.end);
+    coverage_.add(CoverageKind::Transfer, batch.dstSubarray, wr.start,
+                  wr.end);
     return wr.end;
 }
 
@@ -259,44 +261,16 @@ Executor::runCompute(const VpcBatch &batch, Tick ready)
     // categories — the arithmetic is real either way).
     if (batch.recovery)
         breakdown_.recoveryTicks += process_time;
-    processSpans_.push_back(
-        {span.start + fill_time, span.start + fill_time + process_time});
-    if (fill_time)
-        transferSpans_.push_back({span.start, span.start + fill_time});
-    if (transfer_time)
-        transferSpans_.push_back({span.end - transfer_time, span.end});
+    // Within the grant: bus fill, then processing, then the
+    // serialized tail (corrections, re-deposits, conversion).
+    coverage_.add(CoverageKind::Transfer, batch.subarray, span.start,
+                  span.start + fill_time);
+    coverage_.add(CoverageKind::Process, batch.subarray,
+                  span.start + fill_time,
+                  span.start + fill_time + process_time);
+    coverage_.add(CoverageKind::Transfer, batch.subarray,
+                  span.end - transfer_time, span.end);
     return span.end;
-}
-
-Tick
-Executor::unionTicks(std::vector<Span> &spans)
-{
-    std::sort(spans.begin(), spans.end(),
-              [](const Span &a, const Span &b) {
-                  return a.start < b.start;
-              });
-    Tick total = 0;
-    Tick cur_start = 0;
-    Tick cur_end = 0;
-    bool open = false;
-    for (const Span &s : spans) {
-        if (s.end <= s.start)
-            continue;
-        if (!open) {
-            cur_start = s.start;
-            cur_end = s.end;
-            open = true;
-        } else if (s.start <= cur_end) {
-            cur_end = std::max(cur_end, s.end);
-        } else {
-            total += cur_end - cur_start;
-            cur_start = s.start;
-            cur_end = s.end;
-        }
-    }
-    if (open)
-        total += cur_end - cur_start;
-    return total;
 }
 
 ExecutionReport
@@ -315,17 +289,12 @@ Executor::run(const VpcSchedule &schedule)
     deviceBusRet_.reset();
     hostLink_.reset();
     breakdown_ = TimeBreakdown{};
-    transferSpans_.clear();
-    processSpans_.clear();
-    // Each batch contributes at most one process span and a handful
-    // of transfer spans; reserving up front keeps the hot loop free
-    // of reallocation.
-    transferSpans_.reserve(4 * schedule.batches.size());
-    processSpans_.reserve(schedule.batches.size());
-    maxEnd_ = 0;
+    coverage_.reset(subarrays_.size());
 
     done_.assign(schedule.batches.size(), 0);
     Tick all_done = 0;
+    std::uint64_t pim_vpcs = 0;
+    std::uint64_t move_vpcs = 0;
 
     for (std::size_t i = 0; i < schedule.batches.size(); ++i) {
         const VpcBatch &b = schedule.batches[i];
@@ -347,9 +316,10 @@ Executor::run(const VpcSchedule &schedule)
             ready = std::max(ready, done_[b.depB]);
         }
 
-        Tick end = (b.kind == VpcKind::Tran)
-            ? runTransfer(b, ready)
-            : runCompute(b, ready);
+        const bool pim = isPimVpc(b.kind);
+        (pim ? pim_vpcs : move_vpcs) += b.vpcCount;
+        const Tick end =
+            pim ? runCompute(b, ready) : runTransfer(b, ready);
         done_[i] = end;
         all_done = std::max(all_done, end);
     }
@@ -357,8 +327,8 @@ Executor::run(const VpcSchedule &schedule)
     ExecutionReport report;
     report.makespan = all_done;
     report.energy = meter_;
-    report.pimVpcs = schedule.pimVpcs();
-    report.moveVpcs = schedule.moveVpcs();
+    report.pimVpcs = pim_vpcs;
+    report.moveVpcs = move_vpcs;
     report.batches = schedule.batches.size();
     for (const auto &s : subarrays_)
         report.maxSubarrayBusy =
@@ -375,24 +345,11 @@ Executor::run(const VpcSchedule &schedule)
 
     // Coverage breakdown (Fig. 19): union lengths of transfer and
     // process spans, their intersection via inclusion-exclusion.
-    Tick transfer_cover = unionTicks(transferSpans_);
-    Tick process_cover = unionTicks(processSpans_);
-    std::vector<Span> both;
-    both.reserve(transferSpans_.size() + processSpans_.size());
-    both.insert(both.end(), transferSpans_.begin(),
-                transferSpans_.end());
-    both.insert(both.end(), processSpans_.begin(),
-                processSpans_.end());
-    Tick either_cover = unionTicks(both);
-
-    breakdown_.overlapped =
-        transfer_cover + process_cover - either_cover;
-    breakdown_.exclusiveTransfer =
-        transfer_cover - breakdown_.overlapped;
-    breakdown_.exclusiveProcess =
-        process_cover - breakdown_.overlapped;
-    breakdown_.idle =
-        all_done > either_cover ? all_done - either_cover : 0;
+    const Coverage cov = coverage_.finish();
+    breakdown_.overlapped = cov.transfer + cov.process - cov.either;
+    breakdown_.exclusiveTransfer = cov.transfer - breakdown_.overlapped;
+    breakdown_.exclusiveProcess = cov.process - breakdown_.overlapped;
+    breakdown_.idle = all_done > cov.either ? all_done - cov.either : 0;
     report.breakdown = breakdown_;
     return report;
 }

@@ -42,6 +42,7 @@
 #include "rm/energy.hh"
 #include "runtime/schedule.hh"
 #include "sim/clocked.hh"
+#include "sim/coverage.hh"
 #include "sim/resource.hh"
 
 namespace streampim
@@ -97,12 +98,6 @@ class Executor
     ExecutionReport run(const VpcSchedule &schedule);
 
   private:
-    struct Span
-    {
-        Tick start;
-        Tick end;
-    };
-
     /** Handle one TRAN batch; returns completion tick. */
     Tick runTransfer(const VpcBatch &batch, Tick ready);
 
@@ -116,9 +111,6 @@ class Executor
     std::uint64_t resultElementsPerVpc(const VpcBatch &batch) const;
 
     unsigned bankOf(std::uint32_t subarray) const;
-
-    /** Sum of the lengths of the union of @p spans (sorted copy). */
-    static Tick unionTicks(std::vector<Span> &spans);
 
     SystemConfig cfg_;
     ClockDomain clock_;
@@ -155,9 +147,8 @@ class Executor
     TickResource hostLink_;
     std::vector<Tick> done_;
     TimeBreakdown breakdown_;
-    std::vector<Span> transferSpans_;
-    std::vector<Span> processSpans_;
-    Tick maxEnd_ = 0;
+    /** Fig. 19 coverage of transfer and process spans per subarray. */
+    CoverageUnion coverage_;
 };
 
 } // namespace streampim
