@@ -205,11 +205,9 @@ sameCampaign(const FaultCampaignResult &x,
 SweepCellResult
 campaignCell(unsigned col)
 {
-    ShardedCampaignConfig cfg;
-    cfg.base = campaignBase();
-    cfg.devices = kDeviceCounts[col];
+    const FaultCampaignConfig base = campaignBase();
     const ShardedFaultCampaignResult res =
-        runShardedFaultCampaign(cfg);
+        runShardedFaultCampaign(base, kDeviceCounts[col]);
 
     if (!res.invariantHolds())
         throw std::runtime_error(
@@ -218,7 +216,7 @@ campaignCell(unsigned col)
     // routing through the sharded path must not perturb the
     // unsharded campaign's trajectory.
     if (!sameCampaign(res.perDevice.at(0),
-                      runFaultCampaign(cfg.base)))
+                      runFaultCampaign(base)))
         throw std::runtime_error(
             "device 0 diverged from the unsharded campaign");
 

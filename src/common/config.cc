@@ -1,124 +1,11 @@
 #include "common/config.hh"
 
 #include <cstdlib>
-#include <sstream>
 
 #include "common/log.hh"
 
 namespace streampim
 {
-
-void
-Config::set(const std::string &key, const std::string &value)
-{
-    values_[key] = value;
-}
-
-void
-Config::setInt(const std::string &key, std::int64_t value)
-{
-    values_[key] = std::to_string(value);
-}
-
-void
-Config::setDouble(const std::string &key, double value)
-{
-    std::ostringstream os;
-    os << value;
-    values_[key] = os.str();
-}
-
-void
-Config::setBool(const std::string &key, bool value)
-{
-    values_[key] = value ? "true" : "false";
-}
-
-bool
-Config::has(const std::string &key) const
-{
-    return values_.count(key) != 0;
-}
-
-std::string
-Config::getString(const std::string &key, const std::string &def) const
-{
-    auto it = values_.find(key);
-    return it == values_.end() ? def : it->second;
-}
-
-std::int64_t
-Config::getInt(const std::string &key, std::int64_t def) const
-{
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    try {
-        return std::stoll(it->second);
-    } catch (...) {
-        SPIM_FATAL("config key '", key, "' is not an integer: '",
-                   it->second, "'");
-    }
-}
-
-double
-Config::getDouble(const std::string &key, double def) const
-{
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    try {
-        return std::stod(it->second);
-    } catch (...) {
-        SPIM_FATAL("config key '", key, "' is not a number: '",
-                   it->second, "'");
-    }
-}
-
-bool
-Config::getBool(const std::string &key, bool def) const
-{
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    const std::string &v = it->second;
-    if (v == "true" || v == "1" || v == "yes")
-        return true;
-    if (v == "false" || v == "0" || v == "no")
-        return false;
-    SPIM_FATAL("config key '", key, "' is not a boolean: '", v, "'");
-}
-
-std::size_t
-Config::parse(const std::string &text)
-{
-    std::size_t parsed = 0;
-    std::string line;
-    std::istringstream is(text);
-    auto handle_line = [&](std::string l) {
-        // Trim whitespace.
-        auto b = l.find_first_not_of(" \t\r");
-        auto e = l.find_last_not_of(" \t\r");
-        if (b == std::string::npos)
-            return;
-        l = l.substr(b, e - b + 1);
-        if (l.empty() || l[0] == '#')
-            return;
-        auto eq = l.find('=');
-        if (eq == std::string::npos || eq == 0)
-            SPIM_FATAL("malformed config line: '", l, "'");
-        set(l.substr(0, eq), l.substr(eq + 1));
-        parsed++;
-    };
-    while (std::getline(is, line)) {
-        // Allow ';' as an additional separator within a line.
-        std::istringstream ls(line);
-        std::string piece;
-        while (std::getline(ls, piece, ';'))
-            handle_line(piece);
-    }
-    return parsed;
-}
 
 std::int64_t
 Config::envInt(const std::string &env, std::int64_t def)

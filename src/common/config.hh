@@ -1,50 +1,26 @@
 /**
  * @file
- * A small typed key/value configuration store.
+ * Environment overrides (STREAMPIM_DIM, STREAMPIM_JOBS, ...).
  *
- * Benches and examples build a SystemConfig programmatically; this
- * store exists for the bits that want to be overridable from the
- * environment (e.g. STREAMPIM_DIM) or an INI-style string, without
- * pulling in a configuration library.
+ * Benches and examples build a SystemConfig programmatically; these
+ * helpers read the few knobs that want to be overridable from the
+ * environment, without pulling in a configuration library.
  */
 
 #ifndef STREAMPIM_COMMON_CONFIG_HH_
 #define STREAMPIM_COMMON_CONFIG_HH_
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 namespace streampim
 {
 
-/** String-keyed configuration with typed accessors and defaults. */
+/** Typed readers of environment variables, with defaults. */
 class Config
 {
   public:
-    Config() = default;
-
-    /** Set (or overwrite) a key. */
-    void set(const std::string &key, const std::string &value);
-    void setInt(const std::string &key, std::int64_t value);
-    void setDouble(const std::string &key, double value);
-    void setBool(const std::string &key, bool value);
-
-    bool has(const std::string &key) const;
-
-    /** Typed getters returning @p def when the key is absent. */
-    std::string getString(const std::string &key,
-                          const std::string &def = "") const;
-    std::int64_t getInt(const std::string &key, std::int64_t def) const;
-    double getDouble(const std::string &key, double def) const;
-    bool getBool(const std::string &key, bool def) const;
-
-    /**
-     * Parse "key=value" lines separated by newlines or semicolons.
-     * Lines starting with '#' and blank lines are ignored.
-     * @return number of keys parsed; fatal() on malformed input.
-     */
-    std::size_t parse(const std::string &text);
+    Config() = delete;
 
     /**
      * Read an integer from environment variable @p env, falling back
@@ -61,9 +37,6 @@ class Config
      */
     static std::string envString(const std::string &env,
                                  const std::string &def = "");
-
-  private:
-    std::map<std::string, std::string> values_;
 };
 
 } // namespace streampim

@@ -142,211 +142,22 @@ campaignFaultConfig(const FaultCampaignConfig &cfg)
 }
 
 /**
- * Post-run verification readout of one golden/faulty pair: per-VPC
- * destination comparison against the golden bytes plus the status
- * tally. The caller must have disabled the faulty system's
- * injection first — host reads must not sample further faults.
+ * The campaign protocol (see runEnduranceCampaign). When @p perVpc
+ * is non-null it receives the last round's per-VPC details.
  */
-FaultCampaignResult
-verifyCampaign(StreamPimSystem &golden, StreamPimSystem &faulty,
-               std::vector<FaultCampaignVpc> program,
-               const std::vector<VpcExecutionRecord> &records)
-{
-    SPIM_ASSERT(records.size() == program.size(),
-                "campaign run lost VPCs");
-    FaultCampaignResult res;
-    res.stats = faulty.totalFaultStats();
-    res.health = faulty.bankHealth();
-    res.perVpc = std::move(program);
-    for (std::size_t i = 0; i < res.perVpc.size(); ++i) {
-        FaultCampaignVpc &entry = res.perVpc[i];
-        entry.fault = records[i].fault;
-        entry.status = entry.fault.status;
-        auto g = golden.read(entry.vpc.dst, entry.resultLen);
-        auto f = faulty.read(entry.vpc.dst, entry.resultLen);
-        entry.bitExact = g == f;
-        switch (entry.status) {
-          case FaultStatus::Clean:
-            res.clean++;
-            break;
-          case FaultStatus::Corrected:
-            res.corrected++;
-            break;
-          case FaultStatus::Retried:
-            res.retried++;
-            break;
-          case FaultStatus::Failed:
-            res.failed++;
-            break;
-        }
-        if (entry.status != FaultStatus::Failed && !entry.bitExact)
-            res.mismatchedRecovered++;
-        if (entry.status == FaultStatus::Failed && entry.bitExact)
-            res.failedButIntact++;
-    }
-    return res;
-}
-
-} // namespace
-
-FaultCampaignResult
-runFaultCampaign(const FaultCampaignConfig &cfg)
-{
-    SPIM_ASSERT(cfg.vpcs >= 1 && cfg.vpcs <= 128,
-                "campaign program size out of range");
-    SPIM_ASSERT(cfg.vectorLen >= 1 && cfg.vectorLen <= 48,
-                "vector length must fit a destination slice");
-
-    RmParams params = campaignParams(cfg);
-
-    const std::uint64_t per_sub = params.bytesPerSubarray();
-    const CampaignHomes homes = {0, 1};
-    auto program = buildProgram(cfg, per_sub, homes);
-
-    StreamPimSystem golden(params);
-    StreamPimSystem faulty(params);
-    stageInputs(golden, per_sub, cfg.seed, homes);
-    stageInputs(faulty, per_sub, cfg.seed, homes);
-
-    faulty.enableFaultInjection(campaignFaultConfig(cfg));
-
-    for (const auto &entry : program) {
-        bool ok = golden.submit(entry.vpc);
-        ok = faulty.submit(entry.vpc) && ok;
-        SPIM_ASSERT(ok, "campaign program overflowed the VPC queue");
-    }
-    golden.processQueue(cfg.engineJobs);
-    auto faulty_records = faulty.processQueue(cfg.engineJobs);
-
-    // Verification readout must not sample further faults.
-    faulty.disableFaultInjection();
-
-    return verifyCampaign(golden, faulty, std::move(program),
-                          faulty_records);
-}
-
-ShardedFaultCampaignResult
-runShardedFaultCampaign(const ShardedCampaignConfig &cfg)
-{
-    const FaultCampaignConfig &base = cfg.base;
-    SPIM_ASSERT(base.vpcs >= 1 && base.vpcs <= 128,
-                "campaign program size out of range");
-    SPIM_ASSERT(base.vectorLen >= 1 && base.vectorLen <= 48,
-                "vector length must fit a destination slice");
-    SPIM_ASSERT(cfg.devices >= 1 && cfg.devices <= 64,
-                "sharded campaign device count out of range");
-
-    RmParams params = campaignParams(base);
-    const std::uint64_t per_sub = params.bytesPerSubarray();
-    const CampaignHomes homes = {0, 1};
-    const auto program = buildProgram(base, per_sub, homes);
-
-    // Two fleets, drained through the two-level engine. The faulty
-    // fleet's enableFaultInjection derives device d's injector seeds
-    // from deviceSeed(base.seed, d): device 0 IS runFaultCampaign's
-    // single device, and every device's sample path is a pure
-    // function of (base config, d) — never of the fleet size or the
-    // (deviceJobs x engineJobs) schedule.
-    ShardedSystem golden(params, cfg.devices);
-    ShardedSystem faulty(params, cfg.devices);
-    for (unsigned d = 0; d < cfg.devices; ++d) {
-        stageInputs(golden.device(d), per_sub, base.seed, homes);
-        stageInputs(faulty.device(d), per_sub, base.seed, homes);
-        for (const auto &entry : program) {
-            bool ok = golden.submit(d, entry.vpc);
-            ok = faulty.submit(d, entry.vpc) && ok;
-            SPIM_ASSERT(ok,
-                        "campaign program overflowed the VPC queue");
-        }
-    }
-    faulty.enableFaultInjection(campaignFaultConfig(base));
-
-    std::vector<std::vector<VpcExecutionRecord>> golden_records;
-    std::vector<std::vector<VpcExecutionRecord>> faulty_records;
-    golden.processAll(golden_records, cfg.deviceJobs,
-                      base.engineJobs);
-    faulty.processAll(faulty_records, cfg.deviceJobs,
-                      base.engineJobs);
-
-    // Verification readout must not sample further faults.
-    faulty.disableFaultInjection();
-
-    ShardedFaultCampaignResult res;
-    res.perDevice.reserve(cfg.devices);
-    for (unsigned d = 0; d < cfg.devices; ++d) {
-        res.perDevice.push_back(
-            verifyCampaign(golden.device(d), faulty.device(d),
-                           program, faulty_records[d]));
-        const FaultCampaignResult &dev = res.perDevice.back();
-        res.clean += dev.clean;
-        res.corrected += dev.corrected;
-        res.retried += dev.retried;
-        res.failed += dev.failed;
-        res.mismatchedRecovered += dev.mismatchedRecovered;
-        res.failedButIntact += dev.failedButIntact;
-    }
-    res.stats = faulty.totalFaultStats();
-    return res;
-}
-
-ShardedEnduranceCampaignResult
-runShardedEnduranceCampaign(const EnduranceCampaignConfig &cfg,
-                            unsigned devices, unsigned deviceJobs)
-{
-    SPIM_ASSERT(devices >= 1 && devices <= 64,
-                "sharded campaign device count out of range");
-
-    // Each device's golden/faulty pair is a self-contained lifetime
-    // protocol (wear accrues inside the pair), so the fleet variant
-    // is D independent sample paths fanned across the device-level
-    // pool, each seeded with deviceSeed(base.seed, d).
-    const ThreadPool::JobSplit split = ShardedSystem::resolveSplit(
-        devices, deviceJobs, cfg.base.engineJobs);
-
-    ShardedEnduranceCampaignResult res;
-    res.perDevice.resize(devices);
-
-    auto runOne = [&](unsigned d) {
-        EnduranceCampaignConfig dev_cfg = cfg;
-        dev_cfg.base.seed =
-            ShardedSystem::deviceSeed(cfg.base.seed, d);
-        dev_cfg.base.engineJobs = split.inner;
-        res.perDevice[d] = runEnduranceCampaign(dev_cfg);
-    };
-
-    if (split.outer == 1) {
-        for (unsigned d = 0; d < devices; ++d)
-            runOne(d);
-    } else {
-        ThreadPool pool(split.outer);
-        for (unsigned d = 0; d < devices; ++d)
-            pool.submit([&runOne, d] { runOne(d); });
-        pool.wait();
-    }
-
-    for (const EnduranceCampaignResult &dev : res.perDevice) {
-        res.clean += dev.clean;
-        res.corrected += dev.corrected;
-        res.retried += dev.retried;
-        res.failed += dev.failed;
-        res.mismatchedRecovered += dev.mismatchedRecovered;
-        res.recovered += dev.recovered;
-        res.unrecoverable += dev.unrecoverable;
-        res.stats.merge(dev.stats);
-    }
-    return res;
-}
-
 EnduranceCampaignResult
-runEnduranceCampaign(const EnduranceCampaignConfig &cfg)
+runProtocol(const EnduranceCampaignConfig &cfg,
+            std::vector<FaultCampaignVpc> *perVpc)
 {
     const FaultCampaignConfig &base = cfg.base;
-    SPIM_ASSERT(base.vpcs >= 1 && base.vpcs <= 128,
-                "campaign program size out of range");
-    SPIM_ASSERT(base.vectorLen >= 1 && base.vectorLen <= 48,
-                "vector length must fit a destination slice");
-    SPIM_ASSERT(cfg.rounds >= 1 && cfg.rounds <= 512,
-                "endurance campaign rounds out of range");
+    if (base.vpcs < 1 || base.vpcs > 128)
+        SPIM_FATAL("campaign program size out of range: ", base.vpcs);
+    if (base.vectorLen < 1 || base.vectorLen > 48)
+        SPIM_FATAL("vector length must fit a destination slice: ",
+                   base.vectorLen);
+    if (cfg.rounds < 1 || cfg.rounds > 512)
+        SPIM_FATAL("endurance campaign rounds out of range: ",
+                   cfg.rounds);
 
     cfg.adaptive.validate();
 
@@ -498,24 +309,18 @@ runEnduranceCampaign(const EnduranceCampaignConfig &cfg)
                     FaultStatus::Failed)
                     continue;
                 outcomes[i] = recovery.recoverVpc(i, journal, hooks);
-                if (outcomes[i].recovered()) {
-                    rr.recoveredVpcs++;
-                    res.recovered++;
-                    switch (outcomes[i].rung) {
-                      case RecoveryRung::RetryInPlace:
-                        res.recoveredByRetry++;
-                        break;
-                      case RecoveryRung::Rehome:
-                        res.recoveredByRehome++;
-                        break;
-                      case RecoveryRung::Replan:
-                        res.recoveredByReplan++;
-                        break;
-                      default:
-                        break;
-                    }
-                } else {
-                    rr.unrecoverableVpcs++;
+                switch (outcomes[i].rung) {
+                  case RecoveryRung::RetryInPlace:
+                    res.recoveredByRetry++;
+                    break;
+                  case RecoveryRung::Rehome:
+                    res.recoveredByRehome++;
+                    break;
+                  case RecoveryRung::Replan:
+                    res.recoveredByReplan++;
+                    break;
+                  default:
+                    break;
                 }
             }
             rr.recoveryDeposits =
@@ -527,6 +332,9 @@ runEnduranceCampaign(const EnduranceCampaignConfig &cfg)
         // host reads do not wear tracks: only deposits do).
         faulty.disableFaultInjection();
 
+        StatusTally tally;
+        if (perVpc != nullptr)
+            perVpc->clear();
         for (std::size_t i = 0; i < program.size(); ++i) {
             const VpcFaultInfo &fault = faulty_records[i].fault;
             deposits_seen += fault.depositPulses;
@@ -535,29 +343,6 @@ runEnduranceCampaign(const EnduranceCampaignConfig &cfg)
             auto f = faulty.read(program[i].vpc.dst,
                                  program[i].resultLen);
             const bool exact = g == f;
-            switch (fault.status) {
-              case FaultStatus::Clean:
-                res.clean++;
-                break;
-              case FaultStatus::Corrected:
-                res.corrected++;
-                break;
-              case FaultStatus::Retried:
-                res.retried++;
-                break;
-              case FaultStatus::Failed:
-                res.failed++;
-                rr.failed++;
-                if (res.firstFailedVpc < 0) {
-                    res.firstFailedVpc =
-                        long(round) * long(program.size()) + long(i);
-                    res.firstFailedRound = long(round);
-                    res.firstFailedDeposits = deposits_seen;
-                    res.firstFailedProgramDeposits =
-                        deposits_seen - migration_deposits;
-                }
-                break;
-            }
             // Post-ladder truth: a VPC is lost only when it came
             // back Failed AND the ladder could not save it. With
             // recovery disabled every Failed VPC is lost, so
@@ -565,25 +350,42 @@ runEnduranceCampaign(const EnduranceCampaignConfig &cfg)
             // failed/firstFailed* exactly.
             const bool lost = fault.status == FaultStatus::Failed &&
                               !outcomes[i].recovered();
-            if (lost) {
-                res.unrecoverable++;
-                if (res.firstUnrecoverableVpc < 0) {
-                    res.firstUnrecoverableVpc =
-                        long(round) * long(program.size()) + long(i);
-                    res.firstUnrecoverableRound = long(round);
-                    // Ladder pulses of the current round are
-                    // accounted after the readout, so these match
-                    // firstFailedDeposits' accounting exactly.
-                    res.firstUnrecoverableDeposits = deposits_seen;
-                    res.firstUnrecoverableProgramDeposits =
-                        deposits_seen - migration_deposits -
-                        recovery_deposits;
-                }
+            tally.count(fault.status, lost, exact);
+            if (fault.status == FaultStatus::Failed &&
+                res.firstFailedVpc < 0) {
+                res.firstFailedVpc =
+                    long(round) * long(program.size()) + long(i);
+                res.firstFailedRound = long(round);
+                res.firstFailedDeposits = deposits_seen;
+                res.firstFailedProgramDeposits =
+                    deposits_seen - migration_deposits;
             }
-            if (!lost && !exact)
-                res.mismatchedRecovered++;
-            if (lost && exact)
-                res.failedButIntact++;
+            if (lost && res.firstUnrecoverableVpc < 0) {
+                res.firstUnrecoverableVpc =
+                    long(round) * long(program.size()) + long(i);
+                res.firstUnrecoverableRound = long(round);
+                // Ladder pulses of the current round are accounted
+                // after the readout, so these match
+                // firstFailedDeposits' accounting exactly.
+                res.firstUnrecoverableDeposits = deposits_seen;
+                res.firstUnrecoverableProgramDeposits =
+                    deposits_seen - migration_deposits -
+                    recovery_deposits;
+            }
+            if (perVpc != nullptr) {
+                FaultCampaignVpc entry = program[i];
+                entry.fault = fault;
+                entry.status = fault.status;
+                entry.bitExact = exact;
+                perVpc->push_back(entry);
+            }
+        }
+        res += tally;
+        rr.failed = tally.failed;
+        // The round's ladder counters stay zero without a ladder.
+        if (cfg.recovery.enabled) {
+            rr.recoveredVpcs = tally.recovered;
+            rr.unrecoverableVpcs = tally.unrecoverable;
         }
         deposits_seen += rr.recoveryDeposits;
         recovery_deposits += rr.recoveryDeposits;
@@ -691,6 +493,132 @@ runEnduranceCampaign(const EnduranceCampaignConfig &cfg)
     res.recoveryStats = recovery.stats();
     res.recoveryDeposits = recovery_deposits;
     return res;
+}
+
+FaultCampaignConfig &
+baseOf(FaultCampaignConfig &cfg)
+{
+    return cfg;
+}
+
+FaultCampaignConfig &
+baseOf(EnduranceCampaignConfig &cfg)
+{
+    return cfg.base;
+}
+
+/**
+ * The fleet fan-out: device d runs @p run on @p cfg reseeded with
+ * deviceSeed(seed, d), across the device-level pool; the fleet's
+ * tally and stats are the per-device sums.
+ */
+template <class CampaignConfig, class Result>
+FleetCampaignResult<Result>
+runFleet(CampaignConfig cfg, unsigned devices, unsigned deviceJobs,
+         Result (*run)(const CampaignConfig &))
+{
+    if (devices < 1 || devices > 64)
+        SPIM_FATAL("sharded campaign device count out of range: ",
+                   devices);
+    FaultCampaignConfig &base = baseOf(cfg);
+    const std::uint64_t seed = base.seed;
+    const ThreadPool::JobSplit split = ShardedSystem::resolveSplit(
+        devices, deviceJobs, base.engineJobs);
+    base.engineJobs = split.inner;
+
+    FleetCampaignResult<Result> res;
+    res.perDevice.resize(devices);
+    parallelFor(devices, split.outer, [&](std::size_t d) {
+        CampaignConfig dev = cfg;
+        baseOf(dev).seed =
+            ShardedSystem::deviceSeed(seed, unsigned(d));
+        res.perDevice[d] = run(dev);
+    });
+    for (const Result &dev : res.perDevice) {
+        res += dev;
+        res.stats.merge(dev.stats);
+    }
+    return res;
+}
+
+} // namespace
+
+void
+StatusTally::count(FaultStatus status, bool lost, bool exact)
+{
+    SPIM_ASSERT(!lost || status == FaultStatus::Failed,
+                "only a Failed VPC can be lost");
+    switch (status) {
+      case FaultStatus::Clean:
+        clean++;
+        break;
+      case FaultStatus::Corrected:
+        corrected++;
+        break;
+      case FaultStatus::Retried:
+        retried++;
+        break;
+      case FaultStatus::Failed:
+        failed++;
+        if (lost)
+            unrecoverable++;
+        else
+            recovered++;
+        break;
+    }
+    if (!lost && !exact)
+        mismatchedRecovered++;
+    if (lost && exact)
+        failedButIntact++;
+}
+
+StatusTally &
+StatusTally::operator+=(const StatusTally &other)
+{
+    clean += other.clean;
+    corrected += other.corrected;
+    retried += other.retried;
+    failed += other.failed;
+    recovered += other.recovered;
+    unrecoverable += other.unrecoverable;
+    mismatchedRecovered += other.mismatchedRecovered;
+    failedButIntact += other.failedButIntact;
+    return *this;
+}
+
+EnduranceCampaignResult
+runEnduranceCampaign(const EnduranceCampaignConfig &cfg)
+{
+    return runProtocol(cfg, nullptr);
+}
+
+FaultCampaignResult
+runFaultCampaign(const FaultCampaignConfig &cfg)
+{
+    // Default adaptive and recovery configs: policy and ladder off.
+    EnduranceCampaignConfig one;
+    one.base = cfg;
+    one.rounds = 1;
+    FaultCampaignResult res;
+    EnduranceCampaignResult run = runProtocol(one, &res.perVpc);
+    static_cast<StatusTally &>(res) = run;
+    res.stats = run.stats;
+    res.health = std::move(run.health);
+    return res;
+}
+
+ShardedFaultCampaignResult
+runShardedFaultCampaign(const FaultCampaignConfig &cfg,
+                        unsigned devices, unsigned deviceJobs)
+{
+    return runFleet(cfg, devices, deviceJobs, &runFaultCampaign);
+}
+
+ShardedEnduranceCampaignResult
+runShardedEnduranceCampaign(const EnduranceCampaignConfig &cfg,
+                            unsigned devices, unsigned deviceJobs)
+{
+    return runFleet(cfg, devices, deviceJobs, &runEnduranceCampaign);
 }
 
 } // namespace streampim

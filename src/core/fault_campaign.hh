@@ -23,6 +23,10 @@
  * comparison of its neighbours. Everything is seeded: the same
  * FaultCampaignConfig always produces the same result, regardless
  * of sweep parallelism.
+ *
+ * There is one protocol, runEnduranceCampaign's round loop:
+ * runFaultCampaign is its one-round case, and the two fleet drivers
+ * run a single-device driver once per device.
  */
 
 #ifndef STREAMPIM_CORE_FAULT_CAMPAIGN_HH_
@@ -52,9 +56,10 @@ struct FaultCampaignConfig
     unsigned realignRetryBudget = 4;
     /** Bus segment size (must divide the small geometry's 512). */
     unsigned busSegmentSize = 128;
-    /** VPCs in the campaign program (Add/Smul/Mul/Tran mix). */
+    /** VPCs in the campaign program (Add/Smul/Mul/Tran mix;
+     * 1..128, fatal() otherwise). */
     unsigned vpcs = 12;
-    /** Elements per VPC (<= 48 so slices stay disjoint). */
+    /** Elements per VPC (1..48 so slices stay disjoint). */
     std::uint32_t vectorLen = 48;
     /** Master seed: drives input data and per-subarray injectors. */
     std::uint64_t seed = 0x5eed;
@@ -82,6 +87,47 @@ struct FaultCampaignConfig
     unsigned engineJobs = 0;
 };
 
+/**
+ * Outcome tally of a campaign's verified VPCs — the one place a
+ * VPC's (status, lost, bit-exact) verdict is counted. Every campaign
+ * result, single-device or fleet, inherits it, and a fleet's tally
+ * is the += of its devices' tallies.
+ */
+struct StatusTally
+{
+    /** Pre-recovery FaultStatus counts. @{ */
+    unsigned clean = 0;
+    unsigned corrected = 0;
+    unsigned retried = 0;
+    unsigned failed = 0;
+    /** @} */
+    /** Failed VPCs the recovery ladder returned to a bit-exact
+     * state (always zero with recovery disabled). */
+    unsigned recovered = 0;
+    /** Failed VPCs that stayed lost after every budget (equals
+     * `failed` with recovery disabled). */
+    unsigned unrecoverable = 0;
+    /** VPCs not lost whose destination differs from golden — the
+     * recovery invariant requires this to be zero. */
+    unsigned mismatchedRecovered = 0;
+    /** Lost VPCs whose destination still matches golden (the
+     * escalation was conservative). */
+    unsigned failedButIntact = 0;
+
+    /**
+     * Count one verified VPC: its pre-recovery @p status, whether it
+     * stayed @p lost after the recovery ladder (only a Failed VPC
+     * can be), and whether its destination is bit-exact against the
+     * golden run.
+     */
+    void count(FaultStatus status, bool lost, bool exact);
+
+    StatusTally &operator+=(const StatusTally &other);
+
+    /** The end-to-end recovery invariant held for every VPC. */
+    bool invariantHolds() const { return mismatchedRecovered == 0; }
+};
+
 /** Outcome of one VPC in the campaign. */
 struct FaultCampaignVpc
 {
@@ -94,18 +140,8 @@ struct FaultCampaignVpc
 };
 
 /** Aggregate outcome of one campaign cell. */
-struct FaultCampaignResult
+struct FaultCampaignResult : StatusTally
 {
-    unsigned clean = 0;
-    unsigned corrected = 0;
-    unsigned retried = 0;
-    unsigned failed = 0;
-    /** Non-Failed VPCs whose destination differs from golden —
-     * the recovery invariant requires this to be zero. */
-    unsigned mismatchedRecovered = 0;
-    /** Failed VPCs whose destination still matches golden (the
-     * escalation was conservative). */
-    unsigned failedButIntact = 0;
     /** Sampled-fault statistics of the faulty system. */
     FaultStats stats;
     /** Final SMART-style per-bank health of the faulty system. */
@@ -114,16 +150,7 @@ struct FaultCampaignResult
     std::vector<FaultCampaignVpc> perVpc;
 
     unsigned vpcs() const { return unsigned(perVpc.size()); }
-
-    /** The end-to-end recovery invariant held for every VPC. */
-    bool invariantHolds() const { return mismatchedRecovered == 0; }
 };
-
-/**
- * Run one campaign cell (golden + faulty system, full program,
- * bit-exact comparison). Deterministic in @p cfg.
- */
-FaultCampaignResult runFaultCampaign(const FaultCampaignConfig &cfg);
 
 /**
  * A lifetime (endurance) campaign: the FaultCampaignConfig program
@@ -140,7 +167,8 @@ struct EnduranceCampaignConfig
     /** Per-round program + fault knobs (write faults usually on,
      * shift faults usually off so failures are endurance-driven). */
     FaultCampaignConfig base;
-    /** Program repetitions; wear carries over between rounds. */
+    /** Program repetitions (1..512); wear carries over between
+     * rounds. */
     unsigned rounds = 8;
     /**
      * Closed-loop health policy (runtime/health_policy.hh). With
@@ -216,17 +244,13 @@ struct EnduranceRound
     std::uint64_t recoveryDeposits = 0;
 };
 
-/** Aggregate outcome of one endurance campaign. */
-struct EnduranceCampaignResult
+/**
+ * Aggregate outcome of one endurance campaign. The tally counts
+ * every VPC of every round; `mismatchedRecovered` also counts
+ * non-Failed migrations whose copy differs from golden.
+ */
+struct EnduranceCampaignResult : StatusTally
 {
-    unsigned clean = 0;
-    unsigned corrected = 0;
-    unsigned retried = 0;
-    unsigned failed = 0;
-    /** Non-Failed VPCs that differed from golden (invariant: 0). */
-    unsigned mismatchedRecovered = 0;
-    /** Failed VPCs whose destination still matched golden. */
-    unsigned failedButIntact = 0;
     /** Global sequence index (round * vpcs + i) of the first Failed
      * VPC, or -1 when every VPC survived. */
     long firstFailedVpc = -1;
@@ -262,13 +286,11 @@ struct EnduranceCampaignResult
     // --- Recovery-ladder summary. With recovery disabled,
     // --- recovered* stay zero and unrecoverable/firstUnrecoverable*
     // --- mirror failed/firstFailed* (every Failed VPC is lost).
-    /** Failed VPCs the ladder returned to a bit-exact state. */
-    unsigned recovered = 0;
+    /** `recovered`, split by the rung that saved the VPC. @{ */
     unsigned recoveredByRetry = 0;
     unsigned recoveredByRehome = 0;
     unsigned recoveredByReplan = 0;
-    /** Failed VPCs that stayed lost after every budget. */
-    unsigned unrecoverable = 0;
+    /** @} */
     /** Ladder-internal counters (snapshots, rollbacks, ...). */
     RecoveryStats recoveryStats;
     /**
@@ -286,102 +308,67 @@ struct EnduranceCampaignResult
     std::uint64_t recoveryDeposits = 0;
 
     unsigned rounds() const { return unsigned(perRound.size()); }
-    bool invariantHolds() const { return mismatchedRecovered == 0; }
 };
 
-/** Run one endurance campaign. Deterministic in @p cfg. */
+/**
+ * Run one endurance campaign — the one golden/faulty campaign
+ * protocol: stage both systems, then per round submit the program to
+ * both, drain, run the recovery ladder (when enabled), read every
+ * destination back with injection detached, tally, and apply the
+ * health policy between rounds. Deterministic in @p cfg.
+ */
 EnduranceCampaignResult
 runEnduranceCampaign(const EnduranceCampaignConfig &cfg);
 
 /**
- * A fleet-level fault campaign routed through ShardedSystem: the
- * same program runs on every device of a D-device golden fleet and
- * a D-device faulty fleet, the faulty fleet's injectors seeded per
- * device with ShardedSystem::deviceSeed(base.seed, d), and both
- * fleets drain through the two-level (device x subarray) engine.
+ * Run one campaign cell: runEnduranceCampaign's protocol for a single
+ * round with the recovery ladder and the health policy off, plus the
+ * per-VPC details of that round. Deterministic in @p cfg.
  */
-struct ShardedCampaignConfig
-{
-    /** Per-device program + fault knobs (engineJobs is the inner
-     * level of the two-level drain budget). */
-    FaultCampaignConfig base;
-    /**
-     * Fleet size (>= 1). Device 0 keeps the master seed, so
-     * perDevice[0] reproduces runFaultCampaign(base) bit-exact; and
-     * because device d's seed depends only on (base.seed, d), its
-     * whole trajectory is invariant under fleet resizing.
-     */
-    unsigned devices = 1;
-    /** Device-level fan-out of the drain (0 = derive the split). */
-    unsigned deviceJobs = 0;
-};
+FaultCampaignResult runFaultCampaign(const FaultCampaignConfig &cfg);
 
-/** Aggregate outcome of one sharded fault campaign. */
-struct ShardedFaultCampaignResult
+/**
+ * Aggregate outcome of one fleet campaign: D independent devices,
+ * each a full single-device campaign. The tally and `stats` are the
+ * sums over perDevice.
+ */
+template <class DeviceResult>
+struct FleetCampaignResult : StatusTally
 {
     /** Full per-device campaign results, in device order. */
-    std::vector<FaultCampaignResult> perDevice;
-
-    // --- Fleet totals (sums over perDevice). ---
-    unsigned clean = 0;
-    unsigned corrected = 0;
-    unsigned retried = 0;
-    unsigned failed = 0;
-    unsigned mismatchedRecovered = 0;
-    unsigned failedButIntact = 0;
+    std::vector<DeviceResult> perDevice;
     /** Sampled-fault statistics merged over the faulty fleet. */
     FaultStats stats;
 
     unsigned devices() const { return unsigned(perDevice.size()); }
-
-    /** The recovery invariant held on EVERY device. */
-    bool invariantHolds() const { return mismatchedRecovered == 0; }
 };
 
+using ShardedFaultCampaignResult =
+    FleetCampaignResult<FaultCampaignResult>;
+using ShardedEnduranceCampaignResult =
+    FleetCampaignResult<EnduranceCampaignResult>;
+
 /**
- * Run one sharded campaign cell. Deterministic in @p cfg — results
- * are byte-identical at any (deviceJobs x engineJobs), and each
- * device's result is invariant under the fleet size.
+ * Fleet campaigns: run @p cfg once per device of a @p devices fleet
+ * (1..64), fanned across the device-level pool. Device d runs the
+ * single-device driver with seed ShardedSystem::deviceSeed(seed, d)
+ * — inputs and injectors alike — so perDevice[0] reproduces the
+ * single-device run bit-exact and each device's path is invariant
+ * under fleet resizing. @p deviceJobs is the device-level fan-out
+ * (0 = derive the split; ShardedSystem::resolveSplit) and the
+ * config's engineJobs the inner level; results are byte-identical
+ * at any (deviceJobs x engineJobs).
+ * @{
  */
 ShardedFaultCampaignResult
-runShardedFaultCampaign(const ShardedCampaignConfig &cfg);
+runShardedFaultCampaign(const FaultCampaignConfig &cfg,
+                        unsigned devices, unsigned deviceJobs = 0);
 
-/** Aggregate outcome of one sharded endurance campaign. */
-struct ShardedEnduranceCampaignResult
-{
-    /** Full per-device campaign results, in device order. */
-    std::vector<EnduranceCampaignResult> perDevice;
-
-    // --- Fleet totals (sums over perDevice). ---
-    unsigned clean = 0;
-    unsigned corrected = 0;
-    unsigned retried = 0;
-    unsigned failed = 0;
-    unsigned mismatchedRecovered = 0;
-    unsigned recovered = 0;
-    unsigned unrecoverable = 0;
-    /** Sampled-fault statistics merged over the faulty fleet. */
-    FaultStats stats;
-
-    unsigned devices() const { return unsigned(perDevice.size()); }
-
-    bool invariantHolds() const { return mismatchedRecovered == 0; }
-};
-
-/**
- * Run @p cfg's endurance campaign once per device of a @p devices
- * fleet, fanned across the device-level pool (each device's golden/
- * faulty pair is a self-contained lifetime protocol, so the fleet
- * variant runs D independent sample paths). Device d's campaign
- * runs with seed ShardedSystem::deviceSeed(cfg.base.seed, d) —
- * perDevice[0] reproduces runEnduranceCampaign(cfg) bit-exact and
- * each device's path is invariant under fleet resizing. @p
- * deviceJobs as in ShardedCampaignConfig.
- */
 ShardedEnduranceCampaignResult
 runShardedEnduranceCampaign(const EnduranceCampaignConfig &cfg,
                             unsigned devices,
                             unsigned deviceJobs = 0);
+/** @} */
 
 } // namespace streampim
 

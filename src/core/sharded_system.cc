@@ -158,58 +158,6 @@ ShardedSystem::processAll(
     pool_->wait();
 }
 
-void
-ShardedSystem::enableFaultInjection(const FaultConfig &cfg)
-{
-    for (unsigned d = 0; d < devices(); ++d) {
-        FaultConfig derived = cfg;
-        derived.seed = deviceSeed(cfg.seed, d);
-        devices_[d]->enableFaultInjection(derived);
-    }
-}
-
-void
-ShardedSystem::disableFaultInjection()
-{
-    for (auto &dev : devices_)
-        dev->disableFaultInjection();
-}
-
-void
-ShardedSystem::resumeFaultInjection()
-{
-    for (auto &dev : devices_)
-        dev->resumeFaultInjection();
-}
-
-FaultStats
-ShardedSystem::totalFaultStats() const
-{
-    FaultStats total;
-    for (const auto &dev : devices_)
-        total.merge(dev->totalFaultStats());
-    return total;
-}
-
-EnergyMeter
-ShardedSystem::totalEnergy() const
-{
-    EnergyMeter total;
-    for (const auto &dev : devices_)
-        total.merge(dev->totalEnergy());
-    return total;
-}
-
-std::vector<std::vector<BankHealth>>
-ShardedSystem::bankHealth() const
-{
-    std::vector<std::vector<BankHealth>> out;
-    out.reserve(devices_.size());
-    for (const auto &dev : devices_)
-        out.push_back(dev->bankHealth());
-    return out;
-}
-
 double
 ShardedMatmulStats::utilization() const
 {
@@ -269,15 +217,8 @@ runShardedMatmul(ShardedSystem &sys,
         st.deviceSeconds[d] = secondsSince(t0);
     };
 
-    if (split.outer == 1) {
-        for (unsigned d = 0; d < count; ++d)
-            runOne(d);
-    } else {
-        ThreadPool pool(split.outer);
-        for (unsigned d = 0; d < count; ++d)
-            pool.submit([&runOne, d] { runOne(d); });
-        pool.wait();
-    }
+    parallelFor(count, split.outer,
+                [&](std::size_t d) { runOne(unsigned(d)); });
 
     for (const TiledMatmulStats &ts : st.perDevice) {
         st.vpcs += ts.vpcs;

@@ -17,11 +17,12 @@
  * is byte-identical at any engine job count (DESIGN.md §6), and
  * per-device records merge back in device order — so every record,
  * fault trajectory, wear counter and memory image is byte-identical
- * at any (deviceJobs x engineJobs) combination. Fault-injection
- * seeds derive per device with deviceSeed(): device d's injector
- * streams depend only on (seed, d), never on the device count, so
- * a device's fault trajectory is invariant under fleet resizing
- * (and devices == 1 reproduces the single-device system bit-exact).
+ * at any (deviceJobs x engineJobs) combination. Per-device seeds
+ * derive with deviceSeed(): device d's seed depends only on
+ * (seed, d), never on the device count, so a device's fault
+ * trajectory is invariant under fleet resizing (and device 0
+ * reproduces the single-device system bit-exact). Fault injection
+ * is enabled per device through device(d).
  *
  * The row-block workload runners (runShardedMatmul,
  * runShardedVectorAdd) sit on top: a ShardPlanner slices the row
@@ -63,7 +64,8 @@ class ShardedSystem
     static unsigned defaultDevices();
 
     /**
-     * Injector seed of device @p device derived from master @p seed:
+     * Seed of device @p device derived from master @p seed (the
+     * fleet campaigns use it for inputs and injectors alike):
      * device 0 keeps the master seed (a 1-device fleet reproduces
      * the single-device system bit-exact), higher devices mix in a
      * splitmix-style odd multiple of their index — a pure function
@@ -116,26 +118,6 @@ class ShardedSystem
                         &records,
                     unsigned deviceJobs = 0, unsigned engineJobs = 0,
                     std::vector<double> *deviceSeconds = nullptr);
-
-    /**
-     * Fleet-wide fault injection: every device gets the same knobs
-     * with its seed derived by deviceSeed(), so device streams are
-     * decorrelated yet individually invariant under fleet resizing.
-     * @{
-     */
-    void enableFaultInjection(const FaultConfig &cfg);
-    void disableFaultInjection();
-    void resumeFaultInjection();
-    /** @} */
-
-    /** Sampled-fault statistics summed over the fleet. */
-    FaultStats totalFaultStats() const;
-
-    /** Aggregate energy summed over the fleet. */
-    EnergyMeter totalEnergy() const;
-
-    /** Per-device SMART bank-health snapshots, in device order. */
-    std::vector<std::vector<BankHealth>> bankHealth() const;
 
   private:
     /** Lazily (re)build the device-level pool for @p jobs. */

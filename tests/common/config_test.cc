@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the configuration store and RNG.
+ * Tests for the environment helpers and RNG.
  */
 
 #include <gtest/gtest.h>
@@ -16,77 +16,6 @@ namespace streampim
 namespace
 {
 
-TEST(Config, TypedSettersAndGetters)
-{
-    Config c;
-    c.setInt("dim", 2000);
-    c.setDouble("freq", 3.7e9);
-    c.setBool("pipelined", true);
-    c.set("name", "streampim");
-
-    EXPECT_EQ(c.getInt("dim", 0), 2000);
-    EXPECT_DOUBLE_EQ(c.getDouble("freq", 0), 3.7e9);
-    EXPECT_TRUE(c.getBool("pipelined", false));
-    EXPECT_EQ(c.getString("name"), "streampim");
-}
-
-TEST(Config, DefaultsWhenAbsent)
-{
-    Config c;
-    EXPECT_EQ(c.getInt("missing", 7), 7);
-    EXPECT_FALSE(c.has("missing"));
-}
-
-TEST(Config, ParseMultilineAndSemicolons)
-{
-    Config c;
-    std::size_t n = c.parse("a=1\n# comment\nb=two; c=3.5\n\n");
-    EXPECT_EQ(n, 3u);
-    EXPECT_EQ(c.getInt("a", 0), 1);
-    EXPECT_EQ(c.getString("b"), "two");
-    EXPECT_DOUBLE_EQ(c.getDouble("c", 0), 3.5);
-}
-
-TEST(Config, BoolSpellings)
-{
-    Config c;
-    c.set("t1", "true");
-    c.set("t2", "1");
-    c.set("t3", "yes");
-    c.set("f1", "false");
-    c.set("f2", "0");
-    c.set("f3", "no");
-    EXPECT_TRUE(c.getBool("t1", false));
-    EXPECT_TRUE(c.getBool("t2", false));
-    EXPECT_TRUE(c.getBool("t3", false));
-    EXPECT_FALSE(c.getBool("f1", true));
-    EXPECT_FALSE(c.getBool("f2", true));
-    EXPECT_FALSE(c.getBool("f3", true));
-}
-
-TEST(Config, OverwriteTakesLastValue)
-{
-    Config c;
-    c.setInt("x", 1);
-    c.setInt("x", 2);
-    EXPECT_EQ(c.getInt("x", 0), 2);
-}
-
-TEST(ConfigDeath, MalformedLineIsFatal)
-{
-    Config c;
-    EXPECT_DEATH(c.parse("notakeyvalue"), "malformed");
-    EXPECT_DEATH(c.parse("=value"), "malformed");
-}
-
-TEST(ConfigDeath, WrongTypeIsFatal)
-{
-    Config c;
-    c.set("x", "abc");
-    EXPECT_DEATH(c.getInt("x", 0), "not an integer");
-    EXPECT_DEATH(c.getBool("x", false), "not a boolean");
-}
-
 TEST(Config, EnvHelpers)
 {
     ::setenv("SPIM_TEST_ENV_INT", "123", 1);
@@ -100,6 +29,13 @@ TEST(Config, EnvHelpers)
     EXPECT_FALSE(Config::envFlag("SPIM_TEST_ENV_FLAG"));
     ::unsetenv("SPIM_TEST_ENV_FLAG");
     EXPECT_FALSE(Config::envFlag("SPIM_TEST_ENV_FLAG"));
+
+    ::setenv("SPIM_TEST_ENV_STR", "dir", 1);
+    EXPECT_EQ(Config::envString("SPIM_TEST_ENV_STR", "x"), "dir");
+    ::setenv("SPIM_TEST_ENV_STR", "", 1);
+    EXPECT_EQ(Config::envString("SPIM_TEST_ENV_STR", "x"), "x");
+    ::unsetenv("SPIM_TEST_ENV_STR");
+    EXPECT_EQ(Config::envString("SPIM_TEST_ENV_STR"), "");
 }
 
 TEST(Rng, Deterministic)

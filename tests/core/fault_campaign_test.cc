@@ -208,6 +208,96 @@ TEST(FaultCampaign, ResultsIdenticalAcrossSweepJobCounts)
         EXPECT_EQ(a.perVpc[i].status, b.perVpc[i].status);
 }
 
+TEST(FaultCampaign, IsTheOneRoundEnduranceCampaign)
+{
+    // runFaultCampaign is the endurance protocol's one-round case
+    // (recovery ladder and health policy off): every tally field,
+    // the sampled statistics and the final bank health agree across
+    // a grid of shift x write fault rates and seeds.
+    std::vector<EnduranceCampaignConfig> grid;
+    for (double p_step : {0.0, 1e-4, 1e-3})
+        for (double p_write0 : {0.0, 1e-3})
+            for (std::uint64_t seed : {1u, 0x5eedu}) {
+                EnduranceCampaignConfig one;
+                one.base.pStep = p_step;
+                one.base.pWrite0 = p_write0;
+                one.base.writeEndurance = 400.0;
+                one.base.seed = seed;
+                one.rounds = 1;
+                grid.push_back(one);
+            }
+
+    for (const EnduranceCampaignConfig &one : grid) {
+        SCOPED_TRACE(testing::Message()
+                     << "pStep=" << one.base.pStep
+                     << " pWrite0=" << one.base.pWrite0
+                     << " seed=" << one.base.seed);
+        const FaultCampaignResult f = runFaultCampaign(one.base);
+        const EnduranceCampaignResult e = runEnduranceCampaign(one);
+
+        EXPECT_EQ(f.clean, e.clean);
+        EXPECT_EQ(f.corrected, e.corrected);
+        EXPECT_EQ(f.retried, e.retried);
+        EXPECT_EQ(f.failed, e.failed);
+        EXPECT_EQ(f.recovered, e.recovered);
+        EXPECT_EQ(f.unrecoverable, e.unrecoverable);
+        EXPECT_EQ(f.mismatchedRecovered, e.mismatchedRecovered);
+        EXPECT_EQ(f.failedButIntact, e.failedButIntact);
+        EXPECT_EQ(f.vpcs(), one.base.vpcs);
+
+        EXPECT_EQ(f.stats.pulses, e.stats.pulses);
+        EXPECT_EQ(f.stats.faultsInjected, e.stats.faultsInjected);
+        EXPECT_EQ(f.stats.guardChecks, e.stats.guardChecks);
+        EXPECT_EQ(f.stats.correctionShifts, e.stats.correctionShifts);
+        EXPECT_EQ(f.stats.depositPulses, e.stats.depositPulses);
+        EXPECT_EQ(f.stats.writeFaultsInjected,
+                  e.stats.writeFaultsInjected);
+        EXPECT_EQ(f.stats.redeposits, e.stats.redeposits);
+        EXPECT_EQ(f.stats.trackRemaps, e.stats.trackRemaps);
+        EXPECT_EQ(f.stats.writeFailures, e.stats.writeFailures);
+
+        ASSERT_EQ(f.health.size(), e.health.size());
+        for (std::size_t b = 0; b < f.health.size(); ++b) {
+            const BankHealth &x = f.health[b];
+            const BankHealth &y = e.health[b];
+            EXPECT_EQ(x.deposits, y.deposits) << "bank " << b;
+            EXPECT_EQ(x.maxWear, y.maxWear) << "bank " << b;
+            EXPECT_EQ(x.trackRemaps, y.trackRemaps) << "bank " << b;
+            EXPECT_EQ(x.sparesUsed, y.sparesUsed) << "bank " << b;
+            EXPECT_EQ(x.redeposits, y.redeposits) << "bank " << b;
+            EXPECT_EQ(x.writeFailures, y.writeFailures)
+                << "bank " << b;
+        }
+
+        // The per-VPC details recount to the same tally.
+        unsigned failed = 0, intact = 0;
+        for (const FaultCampaignVpc &v : f.perVpc) {
+            failed += v.status == FaultStatus::Failed;
+            intact += v.status == FaultStatus::Failed && v.bitExact;
+        }
+        EXPECT_EQ(failed, f.failed);
+        EXPECT_EQ(intact, f.failedButIntact);
+    }
+}
+
+TEST(FaultCampaignDeath, BadCampaignInputIsFatal)
+{
+    // Caller input errors exit through fatal() (status 1), not a
+    // panic abort.
+    FaultCampaignConfig cfg;
+    cfg.vpcs = 0;
+    EXPECT_EXIT(runFaultCampaign(cfg), testing::ExitedWithCode(1),
+                "program size");
+    cfg = FaultCampaignConfig{};
+    cfg.vectorLen = 49;
+    EXPECT_EXIT(runFaultCampaign(cfg), testing::ExitedWithCode(1),
+                "destination slice");
+    EnduranceCampaignConfig endurance;
+    endurance.rounds = 513;
+    EXPECT_EXIT(runEnduranceCampaign(endurance),
+                testing::ExitedWithCode(1), "rounds out of range");
+}
+
 TEST(FaultCampaignDeath, RejectsOversizedPrograms)
 {
     FaultCampaignConfig cfg;

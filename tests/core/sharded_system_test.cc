@@ -100,6 +100,39 @@ expectEnduranceEq(const EnduranceCampaignResult &x,
     EXPECT_EQ(x.rounds(), y.rounds()) << what;
 }
 
+/** Every StatusTally field of a fleet is the per-device sum. */
+template <class Fleet>
+void
+expectFleetSums(const Fleet &fleet)
+{
+    unsigned clean = 0, corrected = 0, retried = 0, failed = 0;
+    unsigned recovered = 0, unrecoverable = 0, mismatched = 0;
+    unsigned intact = 0;
+    std::uint64_t pulses = 0, deposits = 0;
+    for (const auto &dev : fleet.perDevice) {
+        clean += dev.clean;
+        corrected += dev.corrected;
+        retried += dev.retried;
+        failed += dev.failed;
+        recovered += dev.recovered;
+        unrecoverable += dev.unrecoverable;
+        mismatched += dev.mismatchedRecovered;
+        intact += dev.failedButIntact;
+        pulses += dev.stats.pulses;
+        deposits += dev.stats.depositPulses;
+    }
+    EXPECT_EQ(fleet.clean, clean);
+    EXPECT_EQ(fleet.corrected, corrected);
+    EXPECT_EQ(fleet.retried, retried);
+    EXPECT_EQ(fleet.failed, failed);
+    EXPECT_EQ(fleet.recovered, recovered);
+    EXPECT_EQ(fleet.unrecoverable, unrecoverable);
+    EXPECT_EQ(fleet.mismatchedRecovered, mismatched);
+    EXPECT_EQ(fleet.failedButIntact, intact);
+    EXPECT_EQ(fleet.stats.pulses, pulses);
+    EXPECT_EQ(fleet.stats.depositPulses, deposits);
+}
+
 /** Shift+write fault knobs that actually fire on the campaign. */
 FaultCampaignConfig
 faultyBase()
@@ -111,6 +144,19 @@ faultyBase()
     base.weibullShape = 3.0;
     base.seed = 0x5eed5;
     return base;
+}
+
+/** Write-fault knobs that wear the campaign out in a few rounds. */
+EnduranceCampaignConfig
+wearOutCampaign()
+{
+    EnduranceCampaignConfig cfg;
+    cfg.base.pStep = 0.0;
+    cfg.base.pWrite0 = 1e-4;
+    cfg.base.writeEndurance = 500.0;
+    cfg.base.weibullShape = 6.0;
+    cfg.rounds = 6;
+    return cfg;
 }
 
 } // namespace
@@ -262,8 +308,10 @@ TEST(ShardedSystem, ProcessAllByteIdenticalAcrossSplits)
         fc.pStep = 2e-4;
         fc.pWrite0 = 1e-3;
         fc.writeEndurance = 400.0;
-        fc.seed = 77;
-        sys.enableFaultInjection(fc);
+        for (unsigned d = 0; d < 4; ++d) {
+            fc.seed = ShardedSystem::deviceSeed(77, d);
+            sys.device(d).enableFaultInjection(fc);
+        }
         for (unsigned d = 0; d < 4; ++d)
             for (unsigned i = 0; i < 16; ++i) {
                 Vpc v;
@@ -277,7 +325,6 @@ TEST(ShardedSystem, ProcessAllByteIdenticalAcrossSplits)
             }
         std::vector<std::vector<VpcExecutionRecord>> records;
         sys.processAll(records, sp.deviceJobs, sp.engineJobs);
-        sys.disableFaultInjection();
 
         struct Snapshot
         {
@@ -285,14 +332,16 @@ TEST(ShardedSystem, ProcessAllByteIdenticalAcrossSplits)
             std::vector<FaultStatus> statuses;
             std::uint64_t pulses, deposits;
         } snap;
+        FaultStats stats;
         for (unsigned d = 0; d < 4; ++d) {
+            sys.device(d).disableFaultInjection();
             auto img = sys.device(d).read(0, 8192);
             snap.memory.insert(snap.memory.end(), img.begin(),
                                img.end());
             for (const VpcExecutionRecord &r : records[d])
                 snap.statuses.push_back(r.fault.status);
+            stats.merge(sys.device(d).totalFaultStats());
         }
-        const FaultStats stats = sys.totalFaultStats();
         snap.pulses = stats.pulses;
         snap.deposits = stats.depositPulses;
         return snap;
@@ -315,39 +364,38 @@ TEST(ShardedSystem, ProcessAllByteIdenticalAcrossSplits)
 
 TEST(ShardedSystem, CampaignDeviceZeroIsTheUnshardedRun)
 {
-    ShardedCampaignConfig cfg;
-    cfg.base = faultyBase();
-    cfg.devices = 4;
     const ShardedFaultCampaignResult fleet =
-        runShardedFaultCampaign(cfg);
+        runShardedFaultCampaign(faultyBase(), 4);
     ASSERT_EQ(fleet.devices(), 4u);
     EXPECT_TRUE(fleet.invariantHolds());
     // The fleet exercised the fault machinery.
     EXPECT_GT(fleet.stats.depositPulses, 0u);
 
-    const FaultCampaignResult single = runFaultCampaign(cfg.base);
+    const FaultCampaignResult single = runFaultCampaign(faultyBase());
     expectCampaignEq(fleet.perDevice[0], single, "device 0");
+    expectFleetSums(fleet);
+}
 
-    // Aggregates are the per-device sums.
-    unsigned clean = 0, failed = 0;
-    for (const FaultCampaignResult &dev : fleet.perDevice) {
-        clean += dev.clean;
-        failed += dev.failed;
+TEST(ShardedSystem, CampaignEveryDeviceIsTheSingleDeviceRun)
+{
+    // Device d runs the single-device campaign at deviceSeed(seed,
+    // d): inputs and injectors alike.
+    const FaultCampaignConfig base = faultyBase();
+    const ShardedFaultCampaignResult fleet =
+        runShardedFaultCampaign(base, 4);
+    for (unsigned d = 1; d < 4; ++d) {
+        FaultCampaignConfig dev = base;
+        dev.seed = ShardedSystem::deviceSeed(base.seed, d);
+        SCOPED_TRACE(testing::Message() << "device " << d);
+        expectCampaignEq(fleet.perDevice[d], runFaultCampaign(dev),
+                         "fleet device");
     }
-    EXPECT_EQ(fleet.clean, clean);
-    EXPECT_EQ(fleet.failed, failed);
 }
 
 TEST(ShardedSystem, CampaignTrajectoriesInvariantUnderFleetSize)
 {
-    ShardedCampaignConfig small_cfg;
-    small_cfg.base = faultyBase();
-    small_cfg.devices = 2;
-    ShardedCampaignConfig big_cfg = small_cfg;
-    big_cfg.devices = 4;
-
-    const auto small_fleet = runShardedFaultCampaign(small_cfg);
-    const auto big_fleet = runShardedFaultCampaign(big_cfg);
+    const auto small_fleet = runShardedFaultCampaign(faultyBase(), 2);
+    const auto big_fleet = runShardedFaultCampaign(faultyBase(), 4);
     // Growing the fleet from 2 to 4 devices must not perturb the
     // first two devices' trajectories: seeds are pure functions of
     // (master seed, device index).
@@ -363,16 +411,12 @@ TEST(ShardedSystem, CampaignTrajectoriesInvariantUnderFleetSize)
 
 TEST(ShardedSystem, CampaignIdenticalAcrossDrainSchedules)
 {
-    ShardedCampaignConfig cfg;
-    cfg.base = faultyBase();
-    cfg.devices = 3;
-    cfg.deviceJobs = 1;
-    cfg.base.engineJobs = 1;
-    const auto serial = runShardedFaultCampaign(cfg);
+    FaultCampaignConfig base = faultyBase();
+    base.engineJobs = 1;
+    const auto serial = runShardedFaultCampaign(base, 3, 1);
 
-    cfg.deviceJobs = 3;
-    cfg.base.engineJobs = 8;
-    const auto parallel = runShardedFaultCampaign(cfg);
+    base.engineJobs = 8;
+    const auto parallel = runShardedFaultCampaign(base, 3, 3);
 
     for (unsigned d = 0; d < 3; ++d)
         expectCampaignEq(serial.perDevice[d],
@@ -381,13 +425,7 @@ TEST(ShardedSystem, CampaignIdenticalAcrossDrainSchedules)
 
 TEST(ShardedSystem, EnduranceDeviceZeroIsTheUnshardedRun)
 {
-    EnduranceCampaignConfig cfg;
-    cfg.base.pStep = 0.0;
-    cfg.base.pWrite0 = 1e-4;
-    cfg.base.writeEndurance = 500.0;
-    cfg.base.weibullShape = 6.0;
-    cfg.rounds = 6;
-
+    const EnduranceCampaignConfig cfg = wearOutCampaign();
     const ShardedEnduranceCampaignResult fleet =
         runShardedEnduranceCampaign(cfg, 2);
     ASSERT_EQ(fleet.devices(), 2u);
@@ -396,8 +434,7 @@ TEST(ShardedSystem, EnduranceDeviceZeroIsTheUnshardedRun)
     const EnduranceCampaignResult single =
         runEnduranceCampaign(cfg);
     expectEnduranceEq(fleet.perDevice[0], single, "device 0");
-    EXPECT_EQ(fleet.clean,
-              fleet.perDevice[0].clean + fleet.perDevice[1].clean);
+    expectFleetSums(fleet);
 
     // And the fan-out schedule does not matter either.
     const ShardedEnduranceCampaignResult serial =
@@ -405,6 +442,51 @@ TEST(ShardedSystem, EnduranceDeviceZeroIsTheUnshardedRun)
     for (unsigned d = 0; d < 2; ++d)
         expectEnduranceEq(fleet.perDevice[d], serial.perDevice[d],
                           "endurance fan-out");
+}
+
+TEST(ShardedSystem, EnduranceEveryDeviceIsTheSingleDeviceRun)
+{
+    const EnduranceCampaignConfig cfg = wearOutCampaign();
+    const ShardedEnduranceCampaignResult fleet =
+        runShardedEnduranceCampaign(cfg, 3);
+    for (unsigned d = 1; d < 3; ++d) {
+        EnduranceCampaignConfig dev = cfg;
+        dev.base.seed = ShardedSystem::deviceSeed(cfg.base.seed, d);
+        SCOPED_TRACE(testing::Message() << "device " << d);
+        expectEnduranceEq(fleet.perDevice[d],
+                          runEnduranceCampaign(dev), "fleet device");
+    }
+}
+
+TEST(ShardedSystem, FleetSumsEveryTallyFieldUnderRecovery)
+{
+    // Wear-out with the recovery ladder on, so recovered,
+    // unrecoverable and failedButIntact are all in play.
+    EnduranceCampaignConfig cfg;
+    cfg.base.pStep = 1e-4;
+    cfg.base.pWrite0 = 1e-4;
+    cfg.base.writeEndurance = 500.0;
+    cfg.base.weibullShape = 6.0;
+    cfg.base.spareTracks = 0;
+    cfg.rounds = 16;
+    cfg.recovery.enabled = true;
+    const ShardedEnduranceCampaignResult fleet =
+        runShardedEnduranceCampaign(cfg, 3);
+    EXPECT_GT(fleet.failed, 0u);
+    expectFleetSums(fleet);
+}
+
+TEST(ShardedSystemDeath, CampaignRejectsDeviceCountOutOfRange)
+{
+    const FaultCampaignConfig base;
+    EnduranceCampaignConfig cfg;
+    cfg.rounds = 1;
+    for (unsigned devices : {0u, 65u}) {
+        EXPECT_EXIT(runShardedFaultCampaign(base, devices),
+                    testing::ExitedWithCode(1), "device count");
+        EXPECT_EXIT(runShardedEnduranceCampaign(cfg, devices),
+                    testing::ExitedWithCode(1), "device count");
+    }
 }
 
 } // namespace streampim
