@@ -116,9 +116,10 @@ timedSnapshotOverhead(double *makespan, double *recovery_ticks)
         moves.push_back({compute[i], staging[i % staging.size()]});
     const std::uint64_t per_move =
         (snapshot_bytes + moves.size() - 1) / moves.size();
-    for (const VpcBatch &b :
-         planner.planRecovery(moves, per_move).batches)
-        sched.push(b);
+    planner.planRecovery(moves, per_move)
+        .forEachBatch([&sched](std::uint32_t, const VpcBatch &b) {
+            sched.push(b);
+        });
 
     Executor exec(cfg);
     ExecutionReport rep = exec.run(sched);

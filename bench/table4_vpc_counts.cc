@@ -46,7 +46,7 @@ main(int argc, char **argv)
             res.value = double(sched.pimVpcs());
             res.metrics["pim_vpcs"] = double(sched.pimVpcs());
             res.metrics["move_vpcs"] = double(sched.moveVpcs());
-            res.metrics["batches"] = double(sched.batches.size());
+            res.metrics["batches"] = double(sched.batchCount());
             // Reserved perf metric: VPCs planned is the functional
             // unit of work this trace-generation bench performs.
             res.metrics["functional_ops"] =

@@ -44,12 +44,13 @@ main(int argc, char **argv)
     const std::string path = std::string("/tmp/") + trace.workload +
                              ".stpim";
     saveTraceFile(trace, path);
-    std::printf("trace: %s (%llu PIM VPCs, %llu move VPCs, %zu "
+    std::printf("trace: %s (%llu PIM VPCs, %llu move VPCs, %llu "
                 "batches) -> %s\n",
                 trace.workload.c_str(),
                 (unsigned long long)trace.schedule.pimVpcs(),
                 (unsigned long long)trace.schedule.moveVpcs(),
-                trace.schedule.batches.size(), path.c_str());
+                (unsigned long long)trace.schedule.batchCount(),
+                path.c_str());
 
     // 2. Reload and replay on two hardware configurations.
     VpcTrace loaded = loadTraceFile(path);

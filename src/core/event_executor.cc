@@ -142,7 +142,7 @@ EventExecutor::run(const VpcSchedule &schedule)
     // Host link: a serial prefix independent of everything else.
     Tick host_clock = 0;
 
-    std::vector<int> done_node(schedule.batches.size(), -1);
+    std::vector<int> done_node(schedule.batchCount(), -1);
     // Chain node tracking "everything done so far" for barriers.
     int all_done_prev = -1;
 
@@ -150,8 +150,7 @@ EventExecutor::run(const VpcSchedule &schedule)
         return s / rm.subarraysPerBank;
     };
 
-    for (std::size_t i = 0; i < schedule.batches.size(); ++i) {
-        const VpcBatch &b = schedule.batches[i];
+    schedule.forEachBatch([&](std::uint32_t i, const VpcBatch &b) {
         host_clock += Tick(b.vpcCount) * cfg_.vpcIssueTicks;
         const Tick ready_base = host_clock;
 
@@ -265,7 +264,7 @@ EventExecutor::run(const VpcSchedule &schedule)
         g.addEndEdge(final_node, chain);
         g.addEndEdge(all_done_prev, chain);
         all_done_prev = chain;
-    }
+    });
 
     g.resolve();
 
@@ -273,8 +272,8 @@ EventExecutor::run(const VpcSchedule &schedule)
     // read off the simulated clock (and event ordering is checked).
     EventQueue eq;
     EventExecutionResult result;
-    result.batchDone.resize(schedule.batches.size());
-    for (std::size_t i = 0; i < schedule.batches.size(); ++i) {
+    result.batchDone.resize(done_node.size());
+    for (std::size_t i = 0; i < done_node.size(); ++i) {
         Tick end = g.node(done_node[i]).end;
         result.batchDone[i] = end;
         eq.schedule(end, [] {});

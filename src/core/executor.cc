@@ -291,14 +291,12 @@ Executor::run(const VpcSchedule &schedule)
     breakdown_ = TimeBreakdown{};
     coverage_.reset(subarrays_.size());
 
-    done_.assign(schedule.batches.size(), 0);
+    done_.assign(schedule.batchCount(), 0);
     Tick all_done = 0;
     std::uint64_t pim_vpcs = 0;
     std::uint64_t move_vpcs = 0;
 
-    for (std::size_t i = 0; i < schedule.batches.size(); ++i) {
-        const VpcBatch &b = schedule.batches[i];
-
+    schedule.forEachBatch([&](std::uint32_t i, const VpcBatch &b) {
         // Host link: commands stream to the device asynchronously;
         // each VPC costs a fixed serialization slot.
         TickSpan host = hostLink_.acquire(
@@ -322,14 +320,14 @@ Executor::run(const VpcSchedule &schedule)
             pim ? runCompute(b, ready) : runTransfer(b, ready);
         done_[i] = end;
         all_done = std::max(all_done, end);
-    }
+    });
 
     ExecutionReport report;
     report.makespan = all_done;
     report.energy = meter_;
     report.pimVpcs = pim_vpcs;
     report.moveVpcs = move_vpcs;
-    report.batches = schedule.batches.size();
+    report.batches = schedule.batchCount();
     for (const auto &s : subarrays_)
         report.maxSubarrayBusy =
             std::max(report.maxSubarrayBusy, s.busyTicks());

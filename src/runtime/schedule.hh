@@ -13,6 +13,15 @@
  * because command issue is in-order per bank with head-of-line
  * blocking (Sec. IV-C), which is precisely what the unblock
  * optimization manipulates.
+ *
+ * Batches themselves stream row after row over a fixed set of
+ * subarrays (Sec. IV-C, Fig. 15), so the schedule stores them as
+ * run-length descriptors: one VpcBatch with `repeat` > 1 stands for
+ * `repeat` consecutive logical batches whose subarray, destination
+ * and dependencies each advance by a constant step. push() coalesces
+ * as batches arrive; every index (push's return value, depA/depB,
+ * opResultBatch) is a logical batch index, and forEachBatch() is the
+ * one way to walk the logical batches.
  */
 
 #ifndef STREAMPIM_RUNTIME_SCHEDULE_HH_
@@ -20,6 +29,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/log.hh"
@@ -32,7 +42,11 @@ namespace streampim
 inline constexpr std::uint32_t kNoBatch =
     std::numeric_limits<std::uint32_t>::max();
 
-/** A run of identical VPCs (or one batched transfer). */
+/**
+ * A run of identical VPCs (or one batched transfer), repeated
+ * @c repeat times along an affine pattern of subarrays and
+ * dependencies.
+ */
 struct VpcBatch
 {
     VpcKind kind = VpcKind::Mul;
@@ -79,17 +93,41 @@ struct VpcBatch
      */
     bool recovery = false;
 
-    /** Total elements touched by the batch. */
+    /**
+     * Run length: this descriptor stands for @c repeat logical
+     * batches. Kind, vpcCount, vectorLen and the migration/recovery
+     * flags are shared by the whole run; only the first batch carries
+     * @c barrier. Logical batch r of the run has subarray
+     * `subarray + r * subarrayStep` (likewise dstSubarray, depA,
+     * depB, all modulo 2^32); a kNoBatch dependency has step 0 and
+     * stays kNoBatch.
+     */
+    std::uint32_t repeat = 1;
+    std::int32_t subarrayStep = 0;
+    std::int32_t dstSubarrayStep = 0;
+    std::int32_t depAStep = 0;
+    std::int32_t depBStep = 0;
+
+    /** Logical index of the run's first batch; push() assigns it. */
+    std::uint32_t first = 0;
+
+    /** Total elements touched by one logical batch. */
     std::uint64_t
     elements() const
     {
         return std::uint64_t(vpcCount) * vectorLen;
     }
+
+    bool operator==(const VpcBatch &) const = default;
 };
 
 /** A complete schedule plus its Table IV-style counters. */
 struct VpcSchedule
 {
+    /**
+     * Run descriptors in issue order, appended by push(). Each
+     * descriptor's @c first is the sum of the repeats before it.
+     */
     std::vector<VpcBatch> batches;
 
     /**
@@ -101,6 +139,15 @@ struct VpcSchedule
      */
     std::vector<std::uint32_t> opResultBatch;
 
+    /** Number of logical batches (not descriptors). */
+    std::uint64_t
+    batchCount() const
+    {
+        return batches.empty()
+            ? 0
+            : std::uint64_t(batches.back().first) + batches.back().repeat;
+    }
+
     /** Count PIM (MUL/SMUL/ADD) VPCs. */
     std::uint64_t
     pimVpcs() const
@@ -108,7 +155,7 @@ struct VpcSchedule
         std::uint64_t n = 0;
         for (const auto &b : batches)
             if (isPimVpc(b.kind))
-                n += b.vpcCount;
+                n += std::uint64_t(b.vpcCount) * b.repeat;
         return n;
     }
 
@@ -119,22 +166,93 @@ struct VpcSchedule
         std::uint64_t n = 0;
         for (const auto &b : batches)
             if (!isPimVpc(b.kind))
-                n += b.vpcCount;
+                n += std::uint64_t(b.vpcCount) * b.repeat;
         return n;
     }
 
-    /** Append a batch, returning its index for dependency wiring. */
+    /**
+     * Call @p fn(index, batch) for every logical batch in issue
+     * order. Each batch comes as a run of one (repeat 1, steps 0,
+     * first == index), exactly as it was pushed.
+     */
+    template <typename Fn>
+    void
+    forEachBatch(Fn &&fn) const
+    {
+        for (const VpcBatch &run : batches) {
+            VpcBatch b = run;
+            b.repeat = 1;
+            b.subarrayStep = b.dstSubarrayStep = 0;
+            b.depAStep = b.depBStep = 0;
+            for (std::uint32_t r = 0; r < run.repeat; ++r) {
+                fn(b.first, std::as_const(b));
+                b.barrier = false;
+                ++b.first;
+                b.subarray += std::uint32_t(run.subarrayStep);
+                b.dstSubarray += std::uint32_t(run.dstSubarrayStep);
+                b.depA += std::uint32_t(run.depAStep);
+                b.depB += std::uint32_t(run.depBStep);
+            }
+        }
+    }
+
+    /**
+     * Append one logical batch, returning its index for dependency
+     * wiring. The batch extends the last descriptor when it continues
+     * that run's affine pattern exactly, and opens a new descriptor
+     * otherwise.
+     */
     std::uint32_t
     push(const VpcBatch &batch)
     {
-        SPIM_ASSERT(batch.depA == kNoBatch ||
-                        batch.depA < batches.size(),
+        SPIM_ASSERT(batch.repeat == 1, "push takes one logical batch, "
+                    "not a run of ", batch.repeat);
+        const std::uint64_t index = batchCount();
+        if (index >= kNoBatch)
+            SPIM_FATAL("schedule holds ", index, " batches, the most a "
+                       "32-bit batch index can address");
+        SPIM_ASSERT(batch.depA == kNoBatch || batch.depA < index,
                     "dependency on a future batch");
-        SPIM_ASSERT(batch.depB == kNoBatch ||
-                        batch.depB < batches.size(),
+        SPIM_ASSERT(batch.depB == kNoBatch || batch.depB < index,
                     "dependency on a future batch");
-        batches.push_back(batch);
-        return std::uint32_t(batches.size() - 1);
+        if (batches.empty() || !extend(batches.back(), batch)) {
+            batches.push_back(batch);
+            batches.back().first = std::uint32_t(index);
+        }
+        return std::uint32_t(index);
+    }
+
+  private:
+    /** Grow @p run by @p b if b is the run's next batch. */
+    static bool
+    extend(VpcBatch &run, const VpcBatch &b)
+    {
+        if (b.barrier || b.kind != run.kind ||
+            b.vpcCount != run.vpcCount || b.vectorLen != run.vectorLen ||
+            b.migration != run.migration || b.recovery != run.recovery ||
+            (b.depA == kNoBatch) != (run.depA == kNoBatch) ||
+            (b.depB == kNoBatch) != (run.depB == kNoBatch))
+            return false;
+        if (run.repeat == 1) {
+            // The second batch fixes the steps.
+            run.subarrayStep = std::int32_t(b.subarray - run.subarray);
+            run.dstSubarrayStep =
+                std::int32_t(b.dstSubarray - run.dstSubarray);
+            run.depAStep = std::int32_t(b.depA - run.depA);
+            run.depBStep = std::int32_t(b.depB - run.depB);
+        } else {
+            auto at = [&run](std::uint32_t base, std::int32_t step) {
+                return base + run.repeat * std::uint32_t(step);
+            };
+            if (at(run.subarray, run.subarrayStep) != b.subarray ||
+                at(run.dstSubarray, run.dstSubarrayStep) !=
+                    b.dstSubarray ||
+                at(run.depA, run.depAStep) != b.depA ||
+                at(run.depB, run.depBStep) != b.depB)
+                return false;
+        }
+        ++run.repeat;
+        return true;
     }
 };
 

@@ -58,14 +58,15 @@ writeTrace(const VpcTrace &trace, std::ostream &os)
     os << "workload " << (trace.workload.empty() ? "unnamed"
                                                  : trace.workload)
        << "\n";
-    os << "batches " << trace.schedule.batches.size() << "\n";
-    for (const VpcBatch &b : trace.schedule.batches) {
+    os << "batches " << trace.schedule.batchCount() << "\n";
+    trace.schedule.forEachBatch([&os](std::uint32_t,
+                                      const VpcBatch &b) {
         os << "B " << kindMnemonic(b.kind) << ' ' << b.subarray
            << ' ' << b.dstSubarray << ' ' << b.vpcCount << ' '
            << b.vectorLen << ' ' << depField(b.depA) << ' '
            << depField(b.depB) << ' ' << (b.barrier ? 1 : 0)
            << '\n';
-    }
+    });
 }
 
 std::string
@@ -114,22 +115,21 @@ readTrace(std::istream &is)
             b.depA = parseDep(dep_a);
             b.depB = parseDep(dep_b);
             b.barrier = barrier != 0;
-            if ((b.depA != kNoBatch &&
-                 b.depA >= trace.schedule.batches.size()) ||
-                (b.depB != kNoBatch &&
-                 b.depB >= trace.schedule.batches.size()))
+            const std::uint64_t index = trace.schedule.batchCount();
+            if ((b.depA != kNoBatch && b.depA >= index) ||
+                (b.depB != kNoBatch && b.depB >= index))
                 SPIM_FATAL("forward dependency in trace line: '",
                            line, "'");
-            trace.schedule.batches.push_back(b);
+            trace.schedule.push(b);
         } else {
             SPIM_FATAL("unknown trace directive '", tag, "'");
         }
     }
     if (!header_seen)
         SPIM_FATAL("empty trace input");
-    if (declared != trace.schedule.batches.size())
+    if (declared != trace.schedule.batchCount())
         SPIM_FATAL("trace declares ", declared, " batches but has ",
-                   trace.schedule.batches.size());
+                   trace.schedule.batchCount());
     return trace;
 }
 

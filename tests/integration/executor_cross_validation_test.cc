@@ -12,6 +12,7 @@
 #include "core/event_executor.hh"
 #include "core/executor.hh"
 #include "runtime/planner.hh"
+#include "support/schedules.hh"
 #include "workloads/polybench.hh"
 
 namespace streampim
@@ -157,6 +158,51 @@ TEST_P(RandomScheduleSweep, SweepMatchesReference)
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomScheduleSweep,
                          ::testing::Range(0u, 12u));
 
+/**
+ * Schedules of long affine runs (with barriers and flag flips that
+ * break them): the sweep executor walks the descriptors, the
+ * reference walks the same expansion, and every batch must complete
+ * at the same tick in both.
+ */
+class LongRunSweep : public ::testing::TestWithParam<unsigned>
+{};
+
+TEST_P(LongRunSweep, SweepMatchesReferencePerBatch)
+{
+    Rng rng(GetParam() * 6151 + 29);
+    for (OptLevel level : {OptLevel::Distribute, OptLevel::Unblock}) {
+        SystemConfig cfg = SystemConfig::paperDefault();
+        cfg.optLevel = level;
+        VpcSchedule s;
+        for (const VpcBatch &b :
+             runHeavyBatches(rng, 1500, cfg.rm.totalSubarrays()))
+            s.push(b);
+        ASSERT_LT(s.batches.size(), s.batchCount() / 4);
+        EventExecutionResult ref = EventExecutor(cfg).run(s);
+        Executor fast(cfg);
+        ASSERT_EQ(fast.run(s).makespan, ref.makespan)
+            << "seed " << GetParam() << " level "
+            << optLevelName(level);
+
+        // Per batch: the makespan of every prefix ending inside a
+        // run equals the reference's latest completion up to it.
+        for (std::uint32_t k : {1u, 37u, 500u, 1499u}) {
+            VpcSchedule prefix;
+            s.forEachBatch([&](std::uint32_t i, const VpcBatch &b) {
+                if (i < k)
+                    prefix.push(b);
+            });
+            Tick expect = 0;
+            for (std::uint32_t i = 0; i < k; ++i)
+                expect = std::max(expect, ref.batchDone[i]);
+            EXPECT_EQ(fast.run(prefix).makespan, expect) << k;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LongRunSweep,
+                         ::testing::Range(0u, 6u));
+
 TEST(ExecutorCrossValidation, BatchCompletionTimesAgree)
 {
     // Beyond the makespan: per-batch completion times must match,
@@ -171,11 +217,13 @@ TEST(ExecutorCrossValidation, BatchCompletionTimesAgree)
     // makespan of the first k batches equals the max completion of
     // those batches in the reference run.
     Executor fast(cfg);
-    for (std::size_t k : {std::size_t(1), s.batches.size() / 2,
-                          s.batches.size()}) {
+    for (std::size_t k : {std::size_t(1), s.batchCount() / 2,
+                          s.batchCount()}) {
         VpcSchedule prefix;
-        prefix.batches.assign(s.batches.begin(),
-                              s.batches.begin() + k);
+        s.forEachBatch([&](std::uint32_t i, const VpcBatch &b) {
+            if (i < k)
+                prefix.push(b);
+        });
         Tick expect = 0;
         for (std::size_t i = 0; i < k; ++i)
             expect = std::max(expect, ref.batchDone[i]);

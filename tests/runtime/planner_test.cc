@@ -11,6 +11,7 @@
 
 #include "core/executor.hh"
 #include "runtime/planner.hh"
+#include "support/schedules.hh"
 #include "workloads/polybench.hh"
 
 namespace streampim
@@ -42,8 +43,9 @@ tinyMatVec(unsigned rows = 64, unsigned cols = 48)
 void
 checkWellFormed(const VpcSchedule &s, const SystemConfig &cfg)
 {
-    for (std::size_t i = 0; i < s.batches.size(); ++i) {
-        const VpcBatch &b = s.batches[i];
+    const std::vector<VpcBatch> batches = expandedBatches(s);
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+        const VpcBatch &b = batches[i];
         if (b.depA != kNoBatch) {
             EXPECT_LT(b.depA, i);
         }
@@ -66,7 +68,7 @@ TEST(Planner, BaseUsesOneSubarray)
     EXPECT_EQ(p.computeSet().size(), 1u);
     VpcSchedule s = p.plan(tinyMatVec());
     checkWellFormed(s, cfg);
-    for (const auto &b : s.batches) {
+    for (const auto &b : expandedBatches(s)) {
         if (isPimVpc(b.kind)) {
             EXPECT_EQ(b.subarray, p.computeSet()[0]);
         }
@@ -124,11 +126,12 @@ TEST(Planner, ComputeBatchesDependOnTheirCopies)
     SystemConfig cfg = cfgWith(OptLevel::Unblock);
     Planner p(cfg);
     VpcSchedule s = p.plan(tinyMatVec());
-    for (const auto &b : s.batches) {
+    const std::vector<VpcBatch> batches = expandedBatches(s);
+    for (const auto &b : batches) {
         if (b.kind != VpcKind::Mul)
             continue;
         ASSERT_NE(b.depA, kNoBatch);
-        const VpcBatch &dep = s.batches[b.depA];
+        const VpcBatch &dep = batches[b.depA];
         EXPECT_EQ(dep.kind, VpcKind::Tran);
         EXPECT_EQ(dep.dstSubarray, b.subarray);
     }
@@ -141,14 +144,15 @@ TEST(Planner, DistributePairsComputeWithCollect)
     SystemConfig cfg = cfgWith(OptLevel::Distribute);
     Planner p(cfg);
     VpcSchedule s = p.plan(tinyMatVec(512, 64));
-    for (std::size_t i = 0; i < s.batches.size(); ++i) {
-        if (s.batches[i].kind != VpcKind::Mul)
+    const std::vector<VpcBatch> batches = expandedBatches(s);
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+        if (batches[i].kind != VpcKind::Mul)
             continue;
-        ASSERT_LT(i + 1, s.batches.size());
-        const VpcBatch &next = s.batches[i + 1];
+        ASSERT_LT(i + 1, batches.size());
+        const VpcBatch &next = batches[i + 1];
         EXPECT_EQ(next.kind, VpcKind::Tran);
         EXPECT_EQ(next.depA, std::uint32_t(i));
-        EXPECT_EQ(next.subarray, s.batches[i].subarray);
+        EXPECT_EQ(next.subarray, batches[i].subarray);
     }
 }
 
@@ -159,10 +163,11 @@ TEST(Planner, UnblockSeparatesComputeAndCollectPhases)
     VpcSchedule s = p.plan(tinyMatVec(512, 64));
     // Under unblock, no MUL batch is immediately followed by its
     // own collect.
-    for (std::size_t i = 0; i + 1 < s.batches.size(); ++i) {
-        if (s.batches[i].kind != VpcKind::Mul)
+    const std::vector<VpcBatch> batches = expandedBatches(s);
+    for (std::size_t i = 0; i + 1 < batches.size(); ++i) {
+        if (batches[i].kind != VpcKind::Mul)
             continue;
-        const VpcBatch &next = s.batches[i + 1];
+        const VpcBatch &next = batches[i + 1];
         if (next.kind == VpcKind::Tran) {
             EXPECT_NE(next.depA, std::uint32_t(i));
         }
@@ -176,7 +181,7 @@ TEST(Planner, SlicingSplitsOversizedVectors)
     Planner p(cfg);
     VpcSchedule s = p.plan(tinyMatVec(4, 50)); // 50 > 16
     EXPECT_GT(p.stats().slicedVpcs, 0u);
-    for (const auto &b : s.batches) {
+    for (const auto &b : expandedBatches(s)) {
         if (isPimVpc(b.kind)) {
             EXPECT_LE(b.vectorLen, 16u);
         }
@@ -192,7 +197,7 @@ TEST(Planner, StatsMatchScheduleCounters)
     VpcSchedule s = p.plan(g);
     EXPECT_EQ(p.stats().pimVpcs, s.pimVpcs());
     EXPECT_EQ(p.stats().moveVpcs, s.moveVpcs());
-    EXPECT_EQ(p.stats().batches, s.batches.size());
+    EXPECT_EQ(p.stats().batches, s.batchCount());
 }
 
 TEST(Planner, EveryPolybenchKernelLowersCleanly)
@@ -242,7 +247,8 @@ TEST(PlannerRegression, MatMulResultIsPublishedByFinalCollect)
 
         const std::uint32_t pub = s.opResultBatch[0];
         ASSERT_NE(pub, kNoBatch);
-        const VpcBatch &b = s.batches[pub];
+        const std::vector<VpcBatch> batches = expandedBatches(s);
+        const VpcBatch &b = batches[pub];
         EXPECT_EQ(b.kind, VpcKind::Tran) << optLevelName(level);
         // The collect lands on B1's home subarray.
         const std::uint32_t home =
@@ -264,13 +270,14 @@ TEST(PlannerRegression, ProducedBAssemblyWaitsForCollects)
     // row-distributed placement (the gathers) depends on the final
     // collect of the first op.
     unsigned gathers_checked = 0;
-    for (std::uint32_t i = pub + 1; i < s.batches.size(); ++i) {
-        const VpcBatch &b = s.batches[i];
+    const std::vector<VpcBatch> batches = expandedBatches(s);
+    for (std::uint32_t i = pub + 1; i < batches.size(); ++i) {
+        const VpcBatch &b = batches[i];
         if (b.kind != VpcKind::Tran || b.vectorLen != 1)
             continue; // not a per-element gather
         if (b.depA == kNoBatch)
             continue;
-        if (s.batches[b.depA].kind == VpcKind::Mul)
+        if (batches[b.depA].kind == VpcKind::Mul)
             continue; // a collect of the second op itself
         EXPECT_EQ(b.depA, pub);
         gathers_checked++;
@@ -301,9 +308,10 @@ TEST(PlannerRegression, ConsumerOfResultBatchExtendsMakespan)
     VpcSchedule s = p.plan(g);
     const std::uint32_t pub = s.opResultBatch[0];
     std::uint32_t last_mul = kNoBatch;
-    for (std::uint32_t i = 0; i < s.batches.size(); ++i)
-        if (s.batches[i].kind == VpcKind::Mul)
+    s.forEachBatch([&last_mul](std::uint32_t i, const VpcBatch &b) {
+        if (b.kind == VpcKind::Mul)
             last_mul = i;
+    });
     ASSERT_NE(last_mul, kNoBatch);
 
     // A downstream compute consuming C, placed on a compute slot,
@@ -351,13 +359,14 @@ TEST(PlannerRegression, VectorAddDependsOnBothOperandCopies)
     // dependencies (later slices chain on their predecessor), so
     // look at Adds whose depA is a transfer.
     unsigned adds = 0;
-    for (const auto &b : s.batches) {
+    const std::vector<VpcBatch> batches = expandedBatches(s);
+    for (const auto &b : batches) {
         if (b.kind != VpcKind::Add || b.depA == kNoBatch ||
-            s.batches[b.depA].kind != VpcKind::Tran)
+            batches[b.depA].kind != VpcKind::Tran)
             continue;
-        const VpcBatch &ca = s.batches[b.depA];
+        const VpcBatch &ca = batches[b.depA];
         ASSERT_NE(b.depB, kNoBatch);
-        const VpcBatch &cb = s.batches[b.depB];
+        const VpcBatch &cb = batches[b.depB];
         EXPECT_EQ(cb.kind, VpcKind::Tran);
         EXPECT_EQ(ca.subarray, home_x);
         EXPECT_EQ(cb.subarray, home_y);
@@ -384,7 +393,7 @@ TEST(Planner, OpResultBatchWellFormed)
                     EXPECT_EQ(s.opResultBatch[i], kNoBatch);
                     continue;
                 }
-                ASSERT_LT(s.opResultBatch[i], s.batches.size());
+                ASSERT_LT(s.opResultBatch[i], s.batchCount());
             }
         }
     }
@@ -575,8 +584,9 @@ TEST(Planner, PlanRecoveryEmitsRecoveryFlaggedTrans)
     SystemConfig cfg = cfgWith(OptLevel::Distribute);
     Planner p(cfg);
     VpcSchedule s = p.planRecovery({{0, 2}, {1, 3}}, 4096);
-    ASSERT_EQ(s.batches.size(), 2u);
-    for (const VpcBatch &b : s.batches) {
+    const std::vector<VpcBatch> batches = expandedBatches(s);
+    ASSERT_EQ(batches.size(), 2u);
+    for (const VpcBatch &b : batches) {
         EXPECT_EQ(b.kind, VpcKind::Tran);
         EXPECT_TRUE(b.recovery);
         EXPECT_FALSE(b.migration);
@@ -591,8 +601,9 @@ TEST(Planner, PlanMigrationEmitsFlaggedIndependentTrans)
     Planner p(cfg);
     VpcSchedule s =
         p.planMigration({{0, 2}, {1, 3}}, 4096);
-    ASSERT_EQ(s.batches.size(), 2u);
-    for (const VpcBatch &b : s.batches) {
+    const std::vector<VpcBatch> batches = expandedBatches(s);
+    ASSERT_EQ(batches.size(), 2u);
+    for (const VpcBatch &b : batches) {
         EXPECT_EQ(b.kind, VpcKind::Tran);
         EXPECT_TRUE(b.migration);
         EXPECT_EQ(b.vpcCount, 1u);
@@ -600,10 +611,10 @@ TEST(Planner, PlanMigrationEmitsFlaggedIndependentTrans)
         EXPECT_EQ(b.depA, kNoBatch);
         EXPECT_EQ(b.depB, kNoBatch);
     }
-    EXPECT_EQ(s.batches[0].subarray, 0u);
-    EXPECT_EQ(s.batches[0].dstSubarray, 2u);
-    EXPECT_EQ(s.batches[1].subarray, 1u);
-    EXPECT_EQ(s.batches[1].dstSubarray, 3u);
+    EXPECT_EQ(batches[0].subarray, 0u);
+    EXPECT_EQ(batches[0].dstSubarray, 2u);
+    EXPECT_EQ(batches[1].subarray, 1u);
+    EXPECT_EQ(batches[1].dstSubarray, 3u);
     EXPECT_EQ(s.moveVpcs(), 2u);
     EXPECT_EQ(s.pimVpcs(), 0u);
 }

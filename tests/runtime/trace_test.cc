@@ -8,6 +8,7 @@
 #include "core/executor.hh"
 #include "runtime/planner.hh"
 #include "runtime/trace.hh"
+#include "support/schedules.hh"
 #include "workloads/polybench.hh"
 
 namespace streampim
@@ -31,11 +32,12 @@ TEST(Trace, RoundTripPreservesEveryBatch)
     VpcTrace t = sampleTrace();
     VpcTrace back = traceFromString(traceToString(t));
     EXPECT_EQ(back.workload, "atax");
-    ASSERT_EQ(back.schedule.batches.size(),
-              t.schedule.batches.size());
-    for (std::size_t i = 0; i < t.schedule.batches.size(); ++i) {
-        const auto &a = t.schedule.batches[i];
-        const auto &b = back.schedule.batches[i];
+    const std::vector<VpcBatch> want = expandedBatches(t.schedule);
+    const std::vector<VpcBatch> got = expandedBatches(back.schedule);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        const auto &a = want[i];
+        const auto &b = got[i];
         EXPECT_EQ(a.kind, b.kind) << i;
         EXPECT_EQ(a.subarray, b.subarray) << i;
         EXPECT_EQ(a.dstSubarray, b.dstSubarray) << i;
@@ -64,8 +66,7 @@ TEST(Trace, FileRoundTrip)
     const std::string path = "/tmp/streampim_trace_test.stpim";
     saveTraceFile(t, path);
     VpcTrace loaded = loadTraceFile(path);
-    EXPECT_EQ(loaded.schedule.batches.size(),
-              t.schedule.batches.size());
+    EXPECT_EQ(loaded.schedule.batchCount(), t.schedule.batchCount());
     EXPECT_EQ(loaded.schedule.pimVpcs(), t.schedule.pimVpcs());
 }
 
@@ -82,8 +83,8 @@ TEST(Trace, CommentsAndBlankLinesIgnored)
     std::string text = traceToString(t);
     text = "# a comment\n\n" + text + "# trailing\n";
     VpcTrace back = traceFromString(text);
-    ASSERT_EQ(back.schedule.batches.size(), 1u);
-    EXPECT_EQ(back.schedule.batches[0].vectorLen, 7u);
+    ASSERT_EQ(back.schedule.batchCount(), 1u);
+    EXPECT_EQ(expandedBatches(back.schedule)[0].vectorLen, 7u);
 }
 
 TEST(TraceDeath, RejectsBadHeader)
