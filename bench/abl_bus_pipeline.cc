@@ -55,7 +55,8 @@ main(int argc, char **argv)
                 for (unsigned i = 0; i < words; ++i)
                     payload[i] = i & 0xFF;
                 Cycle piped = 0;
-                auto arrived = bus.transferAll(payload, piped);
+                std::vector<std::uint64_t> arrived;
+                bus.transferAllInto(payload, arrived, piped);
                 if (arrived.size() != payload.size())
                     throw std::runtime_error("bus lost data");
                 Cycle serial = unpipelinedCycles(words, seg_count);

@@ -27,6 +27,7 @@
 #include "bench_util.hh"
 #include "common/config.hh"
 #include "common/json.hh"
+#include "common/log.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "core/executor.hh"
@@ -135,7 +136,9 @@ BM_BusFunctionalTransfer(benchmark::State &state)
     for (auto _ : state) {
         RmBus bus(64, 8);
         Cycle cycles = 0;
-        benchmark::DoNotOptimize(bus.transferAll(payload, cycles));
+        std::vector<std::uint64_t> arrived;
+        bus.transferAllInto(payload, arrived, cycles);
+        benchmark::DoNotOptimize(arrived.data());
     }
     state.SetItemsProcessed(state.iterations() * words);
 }
@@ -362,12 +365,13 @@ main(int argc, char **argv)
             std::int64_t(Config::envInt("STREAMPIM_DEVICES", 1));
         doc["perf"] = std::move(perf);
         std::ofstream out(json_path);
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         json_path.c_str());
-            return 1;
-        }
+        if (!out)
+            SPIM_FATAL("micro_components: cannot write ", json_path);
         out << doc.dump(2);
+        out.close();
+        if (!out)
+            SPIM_FATAL("micro_components: writing ", json_path,
+                       " failed");
         std::printf("\nwrote %s\n", json_path.c_str());
     }
     return agree ? 0 : 1;

@@ -253,17 +253,6 @@ RmBus::step(FaultInjector *faults, unsigned segment_domains)
     return moved;
 }
 
-std::vector<std::uint64_t>
-RmBus::transferAll(const std::vector<std::uint64_t> &words,
-                   Cycle &cycles_taken, FaultInjector *faults,
-                   unsigned segment_domains)
-{
-    std::vector<std::uint64_t> arrived;
-    transferAllInto(words, arrived, cycles_taken, faults,
-                    segment_domains);
-    return arrived;
-}
-
 void
 RmBus::transferAllInto(std::span<const std::uint64_t> words,
                        std::vector<std::uint64_t> &arrived,

@@ -211,17 +211,11 @@ class RmBus
      * run after every bus cycle, words leave through the exact
      * egress checkpoint, and each compensating realignment shift
      * costs one extra bus cycle (charged into @p cycles_taken).
+     *
+     * A reused @p arrived with capacity performs no heap allocation.
+     * @param[out] arrived the words in arrival order (cleared first).
      * @param[out] cycles_taken number of bus cycles consumed.
-     * @return the words in arrival order.
      */
-    std::vector<std::uint64_t>
-    transferAll(const std::vector<std::uint64_t> &words,
-                Cycle &cycles_taken, FaultInjector *faults = nullptr,
-                unsigned segment_domains = 0);
-
-    /** transferAll collecting into @p arrived (cleared first) —
-     * the allocation-free hot-path variant: a reused @p arrived
-     * with capacity performs no heap allocation. */
     void transferAllInto(std::span<const std::uint64_t> words,
                          std::vector<std::uint64_t> &arrived,
                          Cycle &cycles_taken,

@@ -460,6 +460,7 @@ StreamPimSystem::journalVpc(BatchJournal &journal, const Vpc &vpc)
         r.addr = addr;
         r.len = std::uint32_t(len);
         r.bytes = journal.arena_.alloc(len).data();
+        std::vector<std::uint8_t> bytes;
         std::size_t done = 0;
         while (done < len) {
             AddrPlace p = place(addr + done);
@@ -467,8 +468,9 @@ StreamPimSystem::journalVpc(BatchJournal &journal, const Vpc &vpc)
                 params_.bytesPerSubarray() - p.offset;
             const std::uint64_t chunk =
                 std::min<std::uint64_t>(room, len - done);
-            auto bytes = subarrays_[p.globalSubarray]->hostRead(
-                p.offset, chunk);
+            bytes.clear();
+            subarrays_[p.globalSubarray]->hostReadInto(p.offset,
+                                                       chunk, bytes);
             std::copy(bytes.begin(), bytes.end(), r.bytes + done);
             done += chunk;
         }

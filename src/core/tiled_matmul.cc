@@ -26,6 +26,129 @@ struct TiledLayout
 };
 
 /**
+ * One run's VPC stream into the device's finite queue, plus the
+ * run's counters. The queue is flushed through the parallel engine
+ * whenever submission backs up; conflicting VPCs keep submit order
+ * across rounds, so accumulator and staging-buffer reuse is safe by
+ * construction.
+ */
+struct TileStream
+{
+    StreamPimSystem &device;
+    const TiledMatmulConfig &config;
+    const MatmulTiling &t;
+    const TiledLayout &lay;
+    TiledMatmulStats &st;
+    /** A drained VPC came back Failed (cleared per recoverable
+     * slice). */
+    bool failed = false;
+
+    void
+    drain()
+    {
+        auto records = device.processQueue(config.jobs);
+        if (!records.empty())
+            st.rounds++;
+        for (const auto &rec : records) {
+            st.worstFault = std::max(st.worstFault, rec.fault.status);
+            if (rec.fault.status == FaultStatus::Failed)
+                failed = true;
+        }
+    }
+
+    void
+    issue(const Vpc &vpc)
+    {
+        if (!device.submit(vpc)) {
+            drain();
+            const bool ok = device.submit(vpc);
+            SPIM_ASSERT(ok, "VPC rejected by a drained queue");
+        }
+        st.vpcs++;
+        if (isPimVpc(vpc.kind))
+            st.pimVpcs++;
+    }
+
+    /**
+     * Issue the [kpos, kpos + tk) k-slice of C tile (i, j) on
+     * compute subarray @p sub, staged through buffer @p buffer
+     * (0 or 1; always 0 when single-buffered).
+     */
+    void
+    issueSlice(unsigned sub, std::uint32_t i, std::uint32_t j,
+               std::uint32_t kpos, std::uint32_t tk, unsigned buffer)
+    {
+        const Addr compute_base = Addr(sub) * lay.subBytes;
+        const std::uint32_t tr = t.rowsOf(i);
+        const std::uint32_t tc = t.colsOf(j);
+        const Addr buf =
+            lay.stageBase +
+            (config.doubleBuffer ? buffer : 0) * lay.stageBytes;
+
+        // Gather the tile slices into the staging buffer: A rows
+        // first, then B columns, densely packed.
+        for (std::uint32_t r = 0; r < tr; ++r)
+            issue({VpcKind::Tran,
+                   lay.aBase +
+                       std::uint64_t(i * t.tileRows + r) * t.k + kpos,
+                   0, buf + std::uint64_t(r) * tk, tk});
+        for (std::uint32_t c = 0; c < tc; ++c)
+            issue({VpcKind::Tran,
+                   lay.btBase +
+                       std::uint64_t(j * t.tileCols + c) * t.k + kpos,
+                   0,
+                   buf + std::uint64_t(tr) * tk +
+                       std::uint64_t(c) * tk,
+                   tk});
+
+        // Spread the packed tiles to the compute subarray.
+        issue({VpcKind::Tran, buf, 0, compute_base + lay.aOff,
+               tr * tk});
+        issue({VpcKind::Tran, buf + std::uint64_t(tr) * tk, 0,
+               compute_base + lay.bOff, tc * tk});
+
+        // Partial dot products over this k-slice.
+        for (std::uint32_t r = 0; r < tr; ++r)
+            for (std::uint32_t c = 0; c < tc; ++c)
+                issue({VpcKind::Mul,
+                       compute_base + lay.aOff +
+                           std::uint64_t(r) * tk,
+                       compute_base + lay.bOff +
+                           std::uint64_t(c) * tk,
+                       compute_base + lay.partialOff +
+                           4ull * (r * tc + c),
+                       tk});
+
+        // Output-stationary accumulation of the partial low bytes;
+        // the first k-slice initializes device-side.
+        for (std::uint32_t r = 0; r < tr; ++r)
+            for (std::uint32_t c = 0; c < tc; ++c) {
+                const Addr partial = compute_base + lay.partialOff +
+                                     4ull * (r * tc + c);
+                const Addr acc = compute_base + lay.accOff +
+                                 std::uint64_t(r) * tc + c;
+                if (kpos == 0)
+                    issue({VpcKind::Tran, partial, 0, acc, 1});
+                else
+                    issue({VpcKind::Add, acc, partial, acc, 1});
+            }
+
+        // Last k-slice: the C tile is final; collect it row by row
+        // to the backing store.
+        if (kpos + tk == t.k)
+            for (std::uint32_t r = 0; r < tr; ++r)
+                issue({VpcKind::Tran,
+                       compute_base + lay.accOff +
+                           std::uint64_t(r) * tc,
+                       0,
+                       lay.cBase +
+                           std::uint64_t(i * t.tileRows + r) * t.m +
+                           std::uint64_t(j) * t.tileCols,
+                       tc});
+    }
+};
+
+/**
  * Transactional, task-granular dataflow (config.recovery.enabled;
  * DESIGN.md §10). The only state a k-slice task carries forward is
  * its C-tile accumulator (plus the C rows on the collecting slice):
@@ -49,12 +172,13 @@ struct TiledLayout
  * journal/rollback/evacuation traffic runs injection-detached.
  */
 void
-runRecoverableTasks(StreamPimSystem &device,
-                    const TiledMatmulConfig &config,
-                    const MatmulTiling &t, const TiledLayout &lay,
-                    std::uint32_t k, std::uint32_t m,
-                    TiledMatmulStats &st)
+runRecoverableTasks(TileStream &run)
 {
+    StreamPimSystem &device = run.device;
+    const TiledMatmulConfig &config = run.config;
+    const MatmulTiling &t = run.t;
+    const TiledLayout &lay = run.lay;
+    TiledMatmulStats &st = run.st;
     config.recovery.validate();
     BatchJournal journal;
     RecoveryStats &rs = st.recovery;
@@ -62,28 +186,6 @@ runRecoverableTasks(StreamPimSystem &device,
     unsigned lost_subs = 0;
     std::uint32_t cur_tile_k = t.tileK;
     std::uint64_t attempt = 0; // staging-buffer parity
-
-    bool slice_failed = false;
-    auto drain = [&]() {
-        auto records = device.processQueue(config.jobs);
-        if (!records.empty())
-            st.rounds++;
-        for (const auto &rec : records) {
-            st.worstFault = std::max(st.worstFault, rec.fault.status);
-            if (rec.fault.status == FaultStatus::Failed)
-                slice_failed = true;
-        }
-    };
-    auto issue = [&](const Vpc &vpc) {
-        if (!device.submit(vpc)) {
-            drain();
-            const bool ok = device.submit(vpc);
-            SPIM_ASSERT(ok, "VPC rejected by a drained queue");
-        }
-        st.vpcs++;
-        if (isPimVpc(vpc.kind))
-            st.pimVpcs++;
-    };
 
     // Least-worn live compute subarray other than @p avoid, or
     // computeSubs when none survive — the same total order as
@@ -107,68 +209,15 @@ runRecoverableTasks(StreamPimSystem &device,
     };
 
     // One attempt at the [kpos, kpos + tk) slice of tile (i, j) on
-    // compute subarray @p sub; true when no VPC came back Failed.
+    // compute subarray @p sub, drained on its own; true when no VPC
+    // came back Failed.
     auto runSlice = [&](unsigned sub, std::uint32_t i,
                         std::uint32_t j, std::uint32_t kpos,
-                        std::uint32_t tk, bool collect) {
-        const Addr compute_base = Addr(sub) * lay.subBytes;
-        const std::uint32_t tr = t.rowsOf(i);
-        const std::uint32_t tc = t.colsOf(j);
-        const Addr buf =
-            lay.stageBase +
-            (config.doubleBuffer ? (attempt & 1) : 0) * lay.stageBytes;
-        attempt++;
-        slice_failed = false;
-        for (std::uint32_t r = 0; r < tr; ++r)
-            issue({VpcKind::Tran,
-                   lay.aBase +
-                       std::uint64_t(i * t.tileRows + r) * k + kpos,
-                   0, buf + std::uint64_t(r) * tk, tk});
-        for (std::uint32_t c = 0; c < tc; ++c)
-            issue({VpcKind::Tran,
-                   lay.btBase +
-                       std::uint64_t(j * t.tileCols + c) * k + kpos,
-                   0,
-                   buf + std::uint64_t(tr) * tk +
-                       std::uint64_t(c) * tk,
-                   tk});
-        issue({VpcKind::Tran, buf, 0, compute_base + lay.aOff,
-               tr * tk});
-        issue({VpcKind::Tran, buf + std::uint64_t(tr) * tk, 0,
-               compute_base + lay.bOff, tc * tk});
-        for (std::uint32_t r = 0; r < tr; ++r)
-            for (std::uint32_t c = 0; c < tc; ++c)
-                issue({VpcKind::Mul,
-                       compute_base + lay.aOff +
-                           std::uint64_t(r) * tk,
-                       compute_base + lay.bOff +
-                           std::uint64_t(c) * tk,
-                       compute_base + lay.partialOff +
-                           4ull * (r * tc + c),
-                       tk});
-        for (std::uint32_t r = 0; r < tr; ++r)
-            for (std::uint32_t c = 0; c < tc; ++c) {
-                const Addr partial = compute_base + lay.partialOff +
-                                     4ull * (r * tc + c);
-                const Addr acc = compute_base + lay.accOff +
-                                 std::uint64_t(r) * tc + c;
-                if (kpos == 0)
-                    issue({VpcKind::Tran, partial, 0, acc, 1});
-                else
-                    issue({VpcKind::Add, acc, partial, acc, 1});
-            }
-        if (collect)
-            for (std::uint32_t r = 0; r < tr; ++r)
-                issue({VpcKind::Tran,
-                       compute_base + lay.accOff +
-                           std::uint64_t(r) * tc,
-                       0,
-                       lay.cBase +
-                           std::uint64_t(i * t.tileRows + r) * m +
-                           std::uint64_t(j) * t.tileCols,
-                       tc});
-        drain();
-        return !slice_failed;
+                        std::uint32_t tk) {
+        run.failed = false;
+        run.issueSlice(sub, i, j, kpos, tk, unsigned(attempt++ & 1));
+        run.drain();
+        return !run.failed;
     };
 
     for (std::uint32_t i = 0; i < t.iTiles; ++i) {
@@ -196,10 +245,10 @@ runRecoverableTasks(StreamPimSystem &device,
             bool episode_retiled = false;
             bool episode_escalated = false;
             bool tile_lost = false;
-            while (kpos < k) {
+            while (kpos < t.k) {
                 const std::uint32_t tk =
-                    std::min(cur_tile_k, k - kpos);
-                const bool collect = kpos + tk == k;
+                    std::min(cur_tile_k, t.k - kpos);
+                const bool collect = kpos + tk == t.k;
                 if (!episode)
                     st.tileTasks++;
 
@@ -218,14 +267,14 @@ runRecoverableTasks(StreamPimSystem &device,
                             journal, 0,
                             lay.cBase +
                                 std::uint64_t(i * t.tileRows + r) *
-                                    m +
+                                    t.m +
                                 std::uint64_t(j) * t.tileCols,
                             tc);
                 rs.batches++;
                 rs.snapshots += journal.regionCount();
                 rs.snapshotBytes += journal.snapshotBytes();
 
-                bool ok = runSlice(sub, i, j, kpos, tk, collect);
+                bool ok = runSlice(sub, i, j, kpos, tk);
                 if (!ok) {
                     if (!episode) {
                         rs.failedVpcs++;
@@ -239,7 +288,7 @@ runRecoverableTasks(StreamPimSystem &device,
                          r < config.recovery.retryBudget && !ok;
                          ++r) {
                         rs.retries++;
-                        ok = runSlice(sub, i, j, kpos, tk, collect);
+                        ok = runSlice(sub, i, j, kpos, tk);
                         if (!ok) {
                             rs.rollbacks++;
                             rs.rollbackBytes +=
@@ -374,19 +423,9 @@ runTiledMatmul(StreamPimSystem &device,
     // Tile grid: a square edge sized so one tile's full working set
     // (A tile + B tile + 4-byte partial dots + accumulator) fits a
     // compute subarray with headroom — footprint 8 bytes/element.
-    MatmulTiling t;
-    t.n = n;
-    t.k = k;
-    t.m = m;
-    const std::uint32_t edge = Tiler::tileEdgeForBudget(sub_bytes, 8);
-    t.tileRows = std::min(
-        n, config.tileRows != 0 ? config.tileRows : edge);
-    t.tileK = std::min(k, config.tileK != 0 ? config.tileK : edge);
-    t.tileCols = std::min(
-        m, config.tileCols != 0 ? config.tileCols : edge);
-    t.iTiles = (n + t.tileRows - 1) / t.tileRows;
-    t.kTiles = (k + t.tileK - 1) / t.tileK;
-    t.jTiles = (m + t.tileCols - 1) / t.tileCols;
+    const MatmulTiling t = MatmulTiling::build(
+        n, k, m, config.tileRows, config.tileK, config.tileCols,
+        Tiler::tileEdgeForBudget(sub_bytes, 8));
 
     // Per-compute-subarray layout for one tile task. The trailing 64
     // bytes stay free: executeOne stages remote operands into the
@@ -435,6 +474,18 @@ runTiledMatmul(StreamPimSystem &device,
         SPIM_ASSERT(2 * stage_bytes + 64 <= sub_bytes,
                     "staging buffers do not fit their subarray");
 
+    const TiledLayout lay{.subBytes = sub_bytes,
+                          .computeSubs = compute_subs,
+                          .aOff = a_off,
+                          .bOff = b_off,
+                          .partialOff = partial_off,
+                          .accOff = acc_off,
+                          .aBase = a_base,
+                          .btBase = bt_base,
+                          .cBase = c_base,
+                          .stageBase = stage_base,
+                          .stageBytes = stage_bytes};
+
     // Load the operands: A as-is, B transposed.
     device.write(a_base, a);
     {
@@ -447,139 +498,23 @@ runTiledMatmul(StreamPimSystem &device,
     }
 
     TiledMatmulStats st;
-
+    TileStream run{device, config, t, lay, st};
     if (config.recovery.enabled) {
-        const TiledLayout lay{.subBytes = sub_bytes,
-                              .computeSubs = compute_subs,
-                              .aOff = a_off,
-                              .bOff = b_off,
-                              .partialOff = partial_off,
-                              .accOff = acc_off,
-                              .aBase = a_base,
-                              .btBase = bt_base,
-                              .cBase = c_base,
-                              .stageBase = stage_base,
-                              .stageBytes = stage_bytes};
-        runRecoverableTasks(device, config, t, lay, k, m, st);
-        std::vector<std::uint8_t> c = device.read(c_base, c_bytes);
-        if (stats != nullptr)
-            *stats = st;
-        return c;
-    }
-
-    st.tileTasks = t.tasks();
-
-    // The queue is finite: flush through the parallel engine
-    // whenever submission backs up (and once at the end). Conflicting
-    // VPCs keep submit order across rounds, so accumulator and
-    // staging-buffer reuse is safe by construction.
-    auto drain = [&]() {
-        auto records = device.processQueue(config.jobs);
-        if (!records.empty())
-            st.rounds++;
-        for (const auto &rec : records)
-            st.worstFault = std::max(st.worstFault, rec.fault.status);
-    };
-    auto issue = [&](const Vpc &vpc) {
-        if (!device.submit(vpc)) {
-            drain();
-            const bool ok = device.submit(vpc);
-            SPIM_ASSERT(ok, "VPC rejected by a drained queue");
-        }
-        st.vpcs++;
-        if (isPimVpc(vpc.kind))
-            st.pimVpcs++;
-    };
-
-    std::uint64_t task = 0;
-    for (std::uint32_t i = 0; i < t.iTiles; ++i) {
-        for (std::uint32_t j = 0; j < t.jTiles; ++j) {
-            const unsigned sub =
-                (std::uint64_t(i) * t.jTiles + j) % compute_subs;
-            const Addr compute_base = Addr(sub) * sub_bytes;
-            const std::uint32_t tr = t.rowsOf(i);
-            const std::uint32_t tc = t.colsOf(j);
-            for (std::uint32_t kk = 0; kk < t.kTiles;
-                 ++kk, ++task) {
-                const std::uint32_t tk = t.kOf(kk);
-                const Addr buf =
-                    stage_base +
-                    (config.doubleBuffer ? (task & 1) : 0) *
-                        stage_bytes;
-
-                // Gather the tile slices into the staging buffer:
-                // A rows first, then B columns, densely packed.
-                for (std::uint32_t r = 0; r < tr; ++r)
-                    issue({VpcKind::Tran,
-                           a_base +
-                               std::uint64_t(i * t.tileRows + r) *
-                                   k +
-                               std::uint64_t(kk) * t.tileK,
-                           0, buf + std::uint64_t(r) * tk, tk});
-                for (std::uint32_t c = 0; c < tc; ++c)
-                    issue({VpcKind::Tran,
-                           bt_base +
-                               std::uint64_t(j * t.tileCols + c) *
-                                   k +
-                               std::uint64_t(kk) * t.tileK,
-                           0,
-                           buf + std::uint64_t(tr) * tk +
-                               std::uint64_t(c) * tk,
-                           tk});
-
-                // Spread the packed tiles to the compute subarray.
-                issue({VpcKind::Tran, buf, 0, compute_base + a_off,
-                       tr * tk});
-                issue({VpcKind::Tran, buf + std::uint64_t(tr) * tk,
-                       0, compute_base + b_off, tc * tk});
-
-                // Partial dot products over this k-slice.
-                for (std::uint32_t r = 0; r < tr; ++r)
-                    for (std::uint32_t c = 0; c < tc; ++c)
-                        issue({VpcKind::Mul,
-                               compute_base + a_off +
-                                   std::uint64_t(r) * tk,
-                               compute_base + b_off +
-                                   std::uint64_t(c) * tk,
-                               compute_base + partial_off +
-                                   4ull * (r * tc + c),
-                               tk});
-
-                // Output-stationary accumulation of the partial low
-                // bytes; the first k-tile initializes device-side.
-                for (std::uint32_t r = 0; r < tr; ++r)
-                    for (std::uint32_t c = 0; c < tc; ++c) {
-                        const Addr partial =
-                            compute_base + partial_off +
-                            4ull * (r * tc + c);
-                        const Addr acc = compute_base + acc_off +
-                                         std::uint64_t(r) * tc + c;
-                        if (kk == 0)
-                            issue({VpcKind::Tran, partial, 0, acc,
-                                   1});
-                        else
-                            issue({VpcKind::Add, acc, partial, acc,
-                                   1});
-                    }
-
-                // Last k-tile: the C tile is final; collect it row
-                // by row to the backing store.
-                if (kk + 1 == t.kTiles)
-                    for (std::uint32_t r = 0; r < tr; ++r)
-                        issue({VpcKind::Tran,
-                               compute_base + acc_off +
-                                   std::uint64_t(r) * tc,
-                               0,
-                               c_base +
-                                   std::uint64_t(i * t.tileRows +
-                                                 r) *
-                                       m +
-                                   std::uint64_t(j) * t.tileCols,
-                               tc});
+        runRecoverableTasks(run);
+    } else {
+        st.tileTasks = t.tasks();
+        std::uint64_t task = 0;
+        for (std::uint32_t i = 0; i < t.iTiles; ++i)
+            for (std::uint32_t j = 0; j < t.jTiles; ++j) {
+                const unsigned sub =
+                    (std::uint64_t(i) * t.jTiles + j) % compute_subs;
+                for (std::uint32_t kk = 0; kk < t.kTiles;
+                     ++kk, ++task)
+                    run.issueSlice(sub, i, j, kk * t.tileK, t.kOf(kk),
+                                   unsigned(task & 1));
             }
-        }
+        run.drain();
     }
-    drain();
 
     std::vector<std::uint8_t> c = device.read(c_base, c_bytes);
     if (stats != nullptr)

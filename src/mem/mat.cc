@@ -253,15 +253,6 @@ Mat::writeBytes(std::uint64_t offset,
     }
 }
 
-std::vector<std::uint8_t>
-Mat::readBytes(std::uint64_t offset, std::uint64_t count)
-{
-    std::vector<std::uint8_t> out;
-    out.reserve(count);
-    readBytesInto(offset, count, out);
-    return out;
-}
-
 void
 Mat::readBytesInto(std::uint64_t offset, std::uint64_t count,
                    std::vector<std::uint8_t> &out)
@@ -281,15 +272,6 @@ Mat::readBytesInto(std::uint64_t offset, std::uint64_t count,
         activity_.portReads += 1;
         out.push_back(byte);
     }
-}
-
-std::vector<std::uint8_t>
-Mat::copyOutViaTransferTracks(std::uint64_t offset,
-                              std::uint64_t count)
-{
-    std::vector<std::uint8_t> out(count);
-    copyOutViaTransferTracksInto(offset, out);
-    return out;
 }
 
 void
@@ -332,14 +314,6 @@ Mat::copyOutViaTransferTracksInto(std::uint64_t offset,
         }
         out[i] = byte;
     }
-}
-
-std::vector<std::uint8_t>
-Mat::shiftOutDestructive(std::uint64_t offset, std::uint64_t count)
-{
-    std::vector<std::uint8_t> out(count);
-    shiftOutDestructiveInto(offset, out);
-    return out;
 }
 
 void

@@ -87,16 +87,6 @@ FunctionalSubarray::hostWrite(std::uint64_t offset,
     }
 }
 
-std::vector<std::uint8_t>
-FunctionalSubarray::hostRead(std::uint64_t offset,
-                             std::uint64_t count)
-{
-    std::vector<std::uint8_t> out;
-    out.reserve(count);
-    hostReadInto(offset, count, out);
-    return out;
-}
-
 void
 FunctionalSubarray::hostReadInto(std::uint64_t offset,
                                  std::uint64_t count,
@@ -179,16 +169,6 @@ FunctionalSubarray::streamIn(std::uint64_t offset,
 
     Location loc = locate(offset);
     mats_[loc.mat]->shiftInFromBus(loc.offset, delivered);
-}
-
-SubarrayVpcResult
-FunctionalSubarray::executeVpc(VpcKind kind, std::uint64_t src1,
-                               std::uint64_t src2, std::uint64_t dst,
-                               std::uint32_t size)
-{
-    SubarrayVpcResult res;
-    executeVpcInto(kind, src1, src2, dst, size, res);
-    return res;
 }
 
 void
@@ -278,7 +258,7 @@ FunctionalSubarray::executeVpcInto(VpcKind kind, std::uint64_t src1,
     if (fallible) {
         // Charge the recovery overhead: every compensating shift
         // burns shift energy (its bus-cycle cost is already inside
-        // busCycles via transferAll), every guard check one sense,
+        // busCycles via transferAllInto), every guard check one sense,
         // every re-driven deposit a write quantum, and every remap
         // migration one read + write pass over the retired track.
         const FaultStats &after = faults_->stats();

@@ -298,12 +298,14 @@ SweepRunner::writeReport() const
     if (reportPath_.empty())
         return false;
     std::ofstream out(reportPath_);
-    if (!out) {
-        std::fprintf(stderr, "SweepRunner: cannot write %s\n",
-                     reportPath_.c_str());
-        return false;
-    }
+    if (!out)
+        SPIM_FATAL("SweepRunner(", name_, "): cannot write ",
+                   reportPath_);
     out << report().dump(2);
+    out.close();
+    if (!out)
+        SPIM_FATAL("SweepRunner(", name_, "): writing ", reportPath_,
+                   " failed");
     std::printf("\nwrote %s\n", reportPath_.c_str());
     return true;
 }

@@ -174,8 +174,8 @@ class SweepRunner
 
     /**
      * Write BENCH_<name>.json when requested; prints the path on
-     * success. @return false when not requested or the file could
-     * not be written.
+     * success. A requested path that cannot be written is fatal.
+     * @return false when no report was requested.
      */
     bool writeReport() const;
 

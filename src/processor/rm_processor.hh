@@ -59,12 +59,10 @@ class RmProcessor
      * commit per call; STREAMPIM_STRICT_GATES walks the full
      * component netlist. Values, counters, cycles and energy are
      * identical in both modes.
+     *
+     * Writes into @p res, reusing its values storage
+     * (allocation-free once warm).
      */
-    ProcessorResult dotProduct(std::span<const std::uint8_t> a,
-                               std::span<const std::uint8_t> b);
-
-    /** dotProduct writing into @p res, reusing its values storage
-     * (allocation-free once warm). */
     void dotProductInto(std::span<const std::uint8_t> a,
                         std::span<const std::uint8_t> b,
                         ProcessorResult &res);
@@ -73,23 +71,16 @@ class RmProcessor
      * Scalar-vector multiplication: scalar * v (SMUL VPC).
      * Products are truncated to 8 bits for storage back into mats,
      * after the runtime's fixed-point convention; the full 16-bit
-     * products are returned.
+     * products are written into @p res (reusing its storage).
      */
-    ProcessorResult scalarVectorMul(std::uint8_t scalar,
-                                    std::span<const std::uint8_t> v);
-
-    /** scalarVectorMul writing into @p res (reuses its storage). */
     void scalarVectorMulInto(std::uint8_t scalar,
                              std::span<const std::uint8_t> v,
                              ProcessorResult &res);
 
     /**
-     * Element-wise vector addition (ADD VPC); 9-bit sums returned.
+     * Element-wise vector addition (ADD VPC); the 9-bit sums are
+     * written into @p res (reusing its storage).
      */
-    ProcessorResult vectorAdd(std::span<const std::uint8_t> a,
-                              std::span<const std::uint8_t> b);
-
-    /** vectorAdd writing into @p res (reuses its storage). */
     void vectorAddInto(std::span<const std::uint8_t> a,
                        std::span<const std::uint8_t> b,
                        ProcessorResult &res);

@@ -2,9 +2,9 @@
  * @file
  * End-to-end shift-fault injection state for the functional datapath.
  *
- * The ShiftFaultModel (rm/fault.hh) and SegmentGuard (rm/redundancy.hh)
- * describe fault statistics in closed form; this header supplies the
- * machinery that threads *sampled* faults through the real datapath:
+ * The ShiftFaultModel (rm/fault.hh) describes fault statistics in
+ * closed form; this header supplies the machinery that threads
+ * *sampled* faults through the real datapath:
  * Nanowire::tryShift, the segmented RM bus, mat save/transfer-track
  * movement, and the RM processor's operand streaming all draw pulse
  * outcomes from one FaultInjector, and the subarray controller uses

@@ -56,26 +56,31 @@ Tiler::needsTiling(const TaskGraph &graph, const MatrixOp &op) const
 }
 
 MatmulTiling
-Tiler::tile(std::uint32_t n, std::uint32_t k, std::uint32_t m) const
+MatmulTiling::build(std::uint32_t n, std::uint32_t k, std::uint32_t m,
+                    std::uint32_t tile_rows, std::uint32_t tile_k,
+                    std::uint32_t tile_cols, std::uint32_t edge)
 {
     SPIM_ASSERT(n > 0 && k > 0 && m > 0,
                 "degenerate matmul shape ", n, "x", k, "x", m);
-    const std::uint32_t edge = tileEdgeForBudget(budget_);
-
     MatmulTiling t;
     t.n = n;
     t.k = k;
     t.m = m;
-    t.tileRows = std::min(
-        n, tilerCfg_.tileRows != 0 ? tilerCfg_.tileRows : edge);
-    t.tileK = std::min(
-        k, tilerCfg_.tileK != 0 ? tilerCfg_.tileK : edge);
-    t.tileCols = std::min(
-        m, tilerCfg_.tileCols != 0 ? tilerCfg_.tileCols : edge);
+    t.tileRows = std::min(n, tile_rows != 0 ? tile_rows : edge);
+    t.tileK = std::min(k, tile_k != 0 ? tile_k : edge);
+    t.tileCols = std::min(m, tile_cols != 0 ? tile_cols : edge);
     t.iTiles = (n + t.tileRows - 1) / t.tileRows;
     t.kTiles = (k + t.tileK - 1) / t.tileK;
     t.jTiles = (m + t.tileCols - 1) / t.tileCols;
     return t;
+}
+
+MatmulTiling
+Tiler::tile(std::uint32_t n, std::uint32_t k, std::uint32_t m) const
+{
+    return MatmulTiling::build(n, k, m, tilerCfg_.tileRows,
+                               tilerCfg_.tileK, tilerCfg_.tileCols,
+                               tileEdgeForBudget(budget_));
 }
 
 } // namespace streampim

@@ -95,6 +95,17 @@ struct MatmulTiling
     std::uint32_t kTiles = 0;
     std::uint32_t jTiles = 0;
 
+    /**
+     * The grid of the N x K x M product: each tile edge is its
+     * requested value, or @p edge when the request is 0, clamped to
+     * the problem shape.
+     */
+    static MatmulTiling build(std::uint32_t n, std::uint32_t k,
+                              std::uint32_t m, std::uint32_t tile_rows,
+                              std::uint32_t tile_k,
+                              std::uint32_t tile_cols,
+                              std::uint32_t edge);
+
     /** Rows of row-block tile @p i (the last may be a remainder). */
     std::uint32_t
     rowsOf(std::uint32_t i) const

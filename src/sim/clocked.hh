@@ -1,10 +1,9 @@
 /**
  * @file
- * Helper base for components driven by a fixed-frequency clock.
+ * Clock domain of a fixed-frequency clock.
  *
- * The RM core clock of the paper is 100 MHz (Table III); clocked
- * components convert between cycles and ticks and align operations to
- * clock edges.
+ * The RM core clock of the paper is 100 MHz (Table III); the timed
+ * executor converts between its cycles and ticks with a ClockDomain.
  */
 
 #ifndef STREAMPIM_SIM_CLOCKED_HH_
@@ -12,7 +11,6 @@
 
 #include "common/log.hh"
 #include "common/types.hh"
-#include "sim/event_queue.hh"
 
 namespace streampim
 {
@@ -58,32 +56,6 @@ class ClockDomain
 
   private:
     Tick period_;
-};
-
-/** Base for simulation objects that live on an EventQueue + clock. */
-class Clocked
-{
-  public:
-    Clocked(EventQueue &eq, const ClockDomain &clock)
-        : eq_(eq), clock_(clock)
-    {}
-
-    EventQueue &eventQueue() { return eq_; }
-    const ClockDomain &clock() const { return clock_; }
-
-    Tick curTick() const { return eq_.curTick(); }
-    Cycle curCycle() const { return clock_.ticksToCycles(curTick()); }
-
-    /** Schedule a callback @p cycles clock cycles from now. */
-    void
-    scheduleCycles(Cycle cycles, EventQueue::Callback cb)
-    {
-        eq_.scheduleIn(clock_.cyclesToTicks(cycles), std::move(cb));
-    }
-
-  private:
-    EventQueue &eq_;
-    const ClockDomain &clock_;
 };
 
 } // namespace streampim

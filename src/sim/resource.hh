@@ -1,6 +1,6 @@
 /**
  * @file
- * Busy-until resource models for exclusive and multi-slot units.
+ * Busy-until model of an exclusive hardware resource.
  *
  * Much of the timed simulation schedules work on exclusive hardware
  * resources (a subarray's shift domain, an RM processor pipeline slot,
@@ -16,9 +16,7 @@
 #define STREAMPIM_SIM_RESOURCE_HH_
 
 #include <algorithm>
-#include <vector>
 
-#include "common/log.hh"
 #include "common/types.hh"
 
 namespace streampim
@@ -74,106 +72,6 @@ class TickResource
 
   private:
     Tick freeAt_ = 0;
-    Tick busyTicks_ = 0;
-};
-
-/**
- * A pool of identical exclusive slots (e.g. the in-processor
- * duplicators, of which Table III provisions two). Requests go to the
- * earliest-free slot.
- */
-class SlotPool
-{
-  public:
-    explicit SlotPool(std::size_t slots) : slots_(slots)
-    {
-        SPIM_ASSERT(slots > 0, "SlotPool needs at least one slot");
-    }
-
-    TickSpan
-    acquire(Tick earliest, Tick duration)
-    {
-        auto best = std::min_element(
-            slots_.begin(), slots_.end(),
-            [](const TickResource &a, const TickResource &b) {
-                return a.freeAt() < b.freeAt();
-            });
-        return best->acquire(earliest, duration);
-    }
-
-    /** Earliest tick at which some slot is free. */
-    Tick
-    earliestFree() const
-    {
-        Tick t = kTickMax;
-        for (const auto &s : slots_)
-            t = std::min(t, s.freeAt());
-        return t;
-    }
-
-    std::size_t size() const { return slots_.size(); }
-
-    Tick
-    busyTicks() const
-    {
-        Tick t = 0;
-        for (const auto &s : slots_)
-            t += s.busyTicks();
-        return t;
-    }
-
-    void
-    reset()
-    {
-        for (auto &s : slots_)
-            s.reset();
-    }
-
-  private:
-    std::vector<TickResource> slots_;
-};
-
-/**
- * A throughput-limited pipeline front end: admits one request per
- * initiation interval, each completing after the pipeline depth.
- * Models the RM processor's streaming stages without per-element
- * events.
- */
-class PipelineResource
-{
-  public:
-    PipelineResource() = default;
-
-    /**
-     * Stream @p elements through a pipeline with initiation interval
-     * @p ii ticks and total latency @p depth ticks, starting no
-     * earlier than @p earliest and no earlier than the previous
-     * admission allows.
-     * @return span from first admission to last completion.
-     */
-    TickSpan
-    stream(Tick earliest, std::uint64_t elements, Tick ii, Tick depth)
-    {
-        SPIM_ASSERT(elements > 0, "cannot stream zero elements");
-        Tick start = std::max(earliest, nextAdmit_);
-        Tick last_admit = start + (elements - 1) * ii;
-        nextAdmit_ = last_admit + ii;
-        busyTicks_ += elements * ii;
-        return {start, last_admit + depth};
-    }
-
-    Tick nextAdmit() const { return nextAdmit_; }
-    Tick busyTicks() const { return busyTicks_; }
-
-    void
-    reset()
-    {
-        nextAdmit_ = 0;
-        busyTicks_ = 0;
-    }
-
-  private:
-    Tick nextAdmit_ = 0;
     Tick busyTicks_ = 0;
 };
 

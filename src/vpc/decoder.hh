@@ -78,11 +78,9 @@ class VpcDecoder
     /**
      * Decode a VPC into bank commands. The executing bank is the
      * bank holding src1 (dot products run where the matrix rows
-     * live, Fig. 15).
+     * live, Fig. 15). Fills @p cmds (cleared first; reuses
+     * capacity).
      */
-    std::vector<BankCommand> decode(const Vpc &vpc) const;
-
-    /** decode filling @p cmds (cleared first; reuses capacity). */
     void decodeInto(const Vpc &vpc,
                     std::vector<BankCommand> &cmds) const;
 

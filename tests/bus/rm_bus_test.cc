@@ -84,7 +84,8 @@ TEST(RmBus, TransferAllPreservesPayload)
     for (int i = 0; i < 100; ++i)
         payload.push_back(std::uint64_t(i) * 3 + 1);
     Cycle cycles = 0;
-    auto arrived = bus.transferAll(payload, cycles);
+    std::vector<std::uint64_t> arrived;
+    bus.transferAllInto(payload, arrived, cycles);
     ASSERT_EQ(arrived.size(), payload.size());
     // Arrival order may interleave across lanes; as a multiset the
     // payload is conserved.
@@ -98,11 +99,12 @@ TEST(RmBus, TransferAllPreservesPayload)
 TEST(RmBus, MoreLanesFewerCycles)
 {
     std::vector<std::uint64_t> payload(256, 9);
+    std::vector<std::uint64_t> arrived;
     Cycle narrow = 0, wide = 0;
     RmBus bus1(2, 6);
-    bus1.transferAll(payload, narrow);
+    bus1.transferAllInto(payload, arrived, narrow);
     RmBus bus2(16, 6);
-    bus2.transferAll(payload, wide);
+    bus2.transferAllInto(payload, arrived, wide);
     EXPECT_LT(wide, narrow);
 }
 
@@ -117,8 +119,9 @@ TEST_P(BusTimingSweep, FunctionalMatchesClosedForm)
     auto [words, segments] = GetParam();
     RmBus bus(8, segments);
     std::vector<std::uint64_t> payload(words, 0x5A);
+    std::vector<std::uint64_t> arrived;
     Cycle functional = 0;
-    bus.transferAll(payload, functional);
+    bus.transferAllInto(payload, arrived, functional);
     // Closed-form: traversal + one wave per 2 cycles per lane. The
     // functional model drains the output eagerly, so it can beat
     // the model by up to the traversal latency; drain effects can

@@ -353,6 +353,38 @@ TEST(TiledMatmul, RecoveryDisabledKeepsBulkDataflow)
     EXPECT_EQ(st.finalTileK, 0u);
 }
 
+TEST(TiledMatmul, FaultFreeRecoveryPathIssuesTheBulkStream)
+{
+    // Both dataflows emit every k-slice through one emitter; without
+    // faults the recovery path must issue exactly the bulk stream
+    // (only its drain points differ) and produce the same C.
+    const Shape shapes[] = {
+        {40, 44, 36}, // a remainder tile on every axis
+        {64, 64, 64}, // the default benchmark shape
+    };
+    for (const Shape &s : shapes) {
+        const auto a = randomBytes(std::uint64_t(s.n) * s.k, 71);
+        const auto b = randomBytes(std::uint64_t(s.k) * s.m, 72);
+
+        StreamPimSystem bulk_sys;
+        TiledMatmulStats bulk;
+        const auto c_bulk =
+            runTiledMatmul(bulk_sys, a, b, s.n, s.k, s.m, {}, &bulk);
+
+        StreamPimSystem rec_sys;
+        TiledMatmulConfig cfg;
+        cfg.recovery.enabled = true;
+        TiledMatmulStats rec;
+        const auto c_rec =
+            runTiledMatmul(rec_sys, a, b, s.n, s.k, s.m, cfg, &rec);
+
+        EXPECT_EQ(rec.vpcs, bulk.vpcs) << s.n << "x" << s.k;
+        EXPECT_EQ(rec.pimVpcs, bulk.pimVpcs) << s.n << "x" << s.k;
+        EXPECT_EQ(rec.tileTasks, bulk.tileTasks) << s.n << "x" << s.k;
+        EXPECT_EQ(c_rec, c_bulk) << s.n << "x" << s.k;
+    }
+}
+
 TEST(TiledMatmulDeath, OversizeGeometryIsRejected)
 {
     // The functional device (and with it the 64-bit conflict-graph

@@ -32,6 +32,24 @@ makeSubarray()
     return FunctionalSubarray(p, 4, 32, 128);
 }
 
+std::vector<std::uint8_t>
+hostRead(FunctionalSubarray &s, std::uint64_t offset,
+         std::uint64_t count)
+{
+    std::vector<std::uint8_t> out;
+    s.hostReadInto(offset, count, out);
+    return out;
+}
+
+SubarrayVpcResult
+executeVpc(FunctionalSubarray &s, VpcKind kind, std::uint64_t src1,
+           std::uint64_t src2, std::uint64_t dst, std::uint32_t size)
+{
+    SubarrayVpcResult res;
+    s.executeVpcInto(kind, src1, src2, dst, size, res);
+    return res;
+}
+
 TEST(FunctionalSubarray, Capacity)
 {
     auto s = makeSubarray();
@@ -46,7 +64,7 @@ TEST(FunctionalSubarray, HostReadWriteAcrossMats)
     for (std::size_t i = 0; i < data.size(); ++i)
         data[i] = std::uint8_t(i * 7);
     s.hostWrite(100, data);
-    EXPECT_EQ(s.hostRead(100, data.size()), data);
+    EXPECT_EQ(hostRead(s, 100, data.size()), data);
 }
 
 TEST(FunctionalSubarray, DotProductVpc)
@@ -63,12 +81,12 @@ TEST(FunctionalSubarray, DotProductVpc)
     }
     s.hostWrite(0, a);
     s.hostWrite(256, b);
-    auto res = s.executeVpc(VpcKind::Mul, 0, 256, 1024, n);
+    auto res = executeVpc(s, VpcKind::Mul, 0, 256, 1024, n);
     EXPECT_EQ(res.values.at(0), expect);
     EXPECT_GT(res.busCycles, 0u);
     EXPECT_GT(res.pipelineCycles, 0u);
     // The 32-bit result landed in the destination mat.
-    auto out = s.hostRead(1024, 4);
+    auto out = hostRead(s, 1024, 4);
     std::uint32_t stored = 0;
     for (int i = 0; i < 4; ++i)
         stored |= std::uint32_t(out[i]) << (8 * i);
@@ -82,11 +100,11 @@ TEST(FunctionalSubarray, DotProductDoesNotDestroyOperands)
     std::vector<std::uint8_t> b = {5, 6, 7, 8};
     s.hostWrite(0, a);
     s.hostWrite(64, b);
-    s.executeVpc(VpcKind::Mul, 0, 64, 128, 4);
+    executeVpc(s, VpcKind::Mul, 0, 64, 128, 4);
     // Non-destructive read through the transfer tracks: operands
     // survive (Sec. III-E).
-    EXPECT_EQ(s.hostRead(0, 4), a);
-    EXPECT_EQ(s.hostRead(64, 4), b);
+    EXPECT_EQ(hostRead(s, 0, 4), a);
+    EXPECT_EQ(hostRead(s, 64, 4), b);
 }
 
 TEST(FunctionalSubarray, VectorAddVpc)
@@ -96,8 +114,8 @@ TEST(FunctionalSubarray, VectorAddVpc)
     std::vector<std::uint8_t> b = {100, 1, 0, 255};
     s.hostWrite(0, a);
     s.hostWrite(64, b);
-    auto res = s.executeVpc(VpcKind::Add, 0, 64, 128, 4);
-    auto out = s.hostRead(128, 4);
+    auto res = executeVpc(s, VpcKind::Add, 0, 64, 128, 4);
+    auto out = hostRead(s, 128, 4);
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(out[i], std::uint8_t(a[i] + b[i])) << i;
     // The processor produces full 9-bit sums (no overflow inside
@@ -114,8 +132,8 @@ TEST(FunctionalSubarray, ScalarVectorMulVpc)
     std::vector<std::uint8_t> scalar = {3};
     s.hostWrite(0, v);
     s.hostWrite(64, scalar);
-    s.executeVpc(VpcKind::Smul, 0, 64, 128, 5);
-    auto out = s.hostRead(128, 5);
+    executeVpc(s, VpcKind::Smul, 0, 64, 128, 5);
+    auto out = hostRead(s, 128, 5);
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(out[i], std::uint8_t(3 * v[i]));
 }
@@ -125,8 +143,8 @@ TEST(FunctionalSubarray, TranVpcMovesData)
     auto s = makeSubarray();
     std::vector<std::uint8_t> v = {9, 9, 9, 1, 2};
     s.hostWrite(0, v);
-    s.executeVpc(VpcKind::Tran, 0, 0, 300, 5);
-    EXPECT_EQ(s.hostRead(300, 5), v);
+    executeVpc(s, VpcKind::Tran, 0, 0, 300, 5);
+    EXPECT_EQ(hostRead(s, 300, 5), v);
 }
 
 TEST(FunctionalSubarray, EnergyAccumulates)
@@ -135,7 +153,7 @@ TEST(FunctionalSubarray, EnergyAccumulates)
     std::vector<std::uint8_t> a = {1, 2};
     s.hostWrite(0, a);
     s.hostWrite(64, a);
-    s.executeVpc(VpcKind::Mul, 0, 64, 128, 2);
+    executeVpc(s, VpcKind::Mul, 0, 64, 128, 2);
     EXPECT_GT(s.energy().count(EnergyOp::PimMul), 0u);
     EXPECT_GT(s.energy().count(EnergyOp::PimAdd), 0u);
     EXPECT_GT(s.energy().count(EnergyOp::BusShift), 0u);
@@ -159,7 +177,7 @@ TEST_P(SubarrayDotSweep, MatchesHost)
     }
     s.hostWrite(0, a);
     s.hostWrite(200, b);
-    auto res = s.executeVpc(VpcKind::Mul, 0, 200, 400, n);
+    auto res = executeVpc(s, VpcKind::Mul, 0, 200, 400, n);
     EXPECT_EQ(res.values.at(0), expect);
 }
 

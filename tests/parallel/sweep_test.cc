@@ -96,6 +96,18 @@ TEST(SweepRunner, ReportNotRequestedByDefault)
     EXPECT_FALSE(sweep.writeReport());
 }
 
+TEST(SweepRunnerDeath, UnwritableReportPathIsFatal)
+{
+    // A requested report that cannot be written must fail the bench,
+    // naming the path, so a golden diff never runs without a report.
+    const char *path = "no_such_dir/BENCH_unit_grid.json";
+    const char *argv[] = {"bench", "--json", path};
+    SweepRunner sweep = makeGrid(3, argv);
+    sweep.run();
+    EXPECT_EXIT(sweep.writeReport(), ::testing::ExitedWithCode(1),
+                "cannot write no_such_dir/BENCH_unit_grid.json");
+}
+
 TEST(SweepRunner, WritesParsableJsonReport)
 {
     // Relative path: lands in the ctest working directory.

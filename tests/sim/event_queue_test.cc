@@ -119,16 +119,5 @@ TEST(ClockDomain, EdgeAlignment)
     EXPECT_EQ(clk.edgeAtOrAfter(10001), 20000u);
 }
 
-TEST(Clocked, ScheduleCyclesUsesClockPeriod)
-{
-    EventQueue eq;
-    ClockDomain clk(100e6);
-    Clocked obj(eq, clk);
-    Tick fired_at = 0;
-    obj.scheduleCycles(4, [&] { fired_at = eq.curTick(); });
-    eq.run();
-    EXPECT_EQ(fired_at, 40000u);
-}
-
 } // namespace
 } // namespace streampim

@@ -50,58 +50,5 @@ TEST(TickResource, BlockUntilPushesFreeTime)
     EXPECT_EQ(r.freeAt(), 210u);
 }
 
-TEST(SlotPool, ParallelSlotsServeConcurrently)
-{
-    SlotPool pool(2);
-    auto a = pool.acquire(0, 100);
-    auto b = pool.acquire(0, 100);
-    auto c = pool.acquire(0, 100);
-    EXPECT_EQ(a.start, 0u);
-    EXPECT_EQ(b.start, 0u);   // second slot
-    EXPECT_EQ(c.start, 100u); // waits for a slot
-}
-
-TEST(SlotPool, PicksEarliestFreeSlot)
-{
-    SlotPool pool(2);
-    pool.acquire(0, 100);
-    pool.acquire(0, 10);
-    auto s = pool.acquire(0, 5);
-    EXPECT_EQ(s.start, 10u);
-    EXPECT_EQ(pool.earliestFree(), 15u);
-}
-
-TEST(PipelineResource, SteadyStateThroughputIsII)
-{
-    PipelineResource p;
-    // 10 elements, II = 4 ticks, depth = 20 ticks.
-    auto s = p.stream(0, 10, 4, 20);
-    EXPECT_EQ(s.start, 0u);
-    EXPECT_EQ(s.end, 9u * 4 + 20); // last admit + depth
-}
-
-TEST(PipelineResource, ConsecutiveStreamsRespectAdmissionRate)
-{
-    PipelineResource p;
-    p.stream(0, 10, 4, 20);
-    auto s2 = p.stream(0, 1, 4, 20);
-    // Next admission slot is right after the 10th element's.
-    EXPECT_EQ(s2.start, 10u * 4);
-}
-
-TEST(PipelineResource, SingleElementLatencyIsDepth)
-{
-    PipelineResource p;
-    auto s = p.stream(100, 1, 4, 20);
-    EXPECT_EQ(s.start, 100u);
-    EXPECT_EQ(s.end, 120u);
-}
-
-TEST(PipelineResourceDeath, ZeroElementsPanics)
-{
-    PipelineResource p;
-    EXPECT_DEATH(p.stream(0, 0, 1, 1), "zero elements");
-}
-
 } // namespace
 } // namespace streampim

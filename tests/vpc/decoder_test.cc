@@ -17,6 +17,14 @@ struct Fixture
     RmParams rm;
     AddressMap map{rm};
     VpcDecoder decoder{rm, map};
+
+    std::vector<BankCommand>
+    decode(const Vpc &vpc) const
+    {
+        std::vector<BankCommand> cmds;
+        decoder.decodeInto(vpc, cmds);
+        return cmds;
+    }
 };
 
 TEST(VpcDecoder, SingleSubarrayVpcIsOneCommand)
@@ -24,7 +32,7 @@ TEST(VpcDecoder, SingleSubarrayVpcIsOneCommand)
     Fixture f;
     // Everything inside subarray 0 of bank 0.
     Vpc vpc{VpcKind::Mul, 0, 4096, 8192, 100};
-    auto cmds = f.decoder.decode(vpc);
+    auto cmds = f.decode(vpc);
     ASSERT_EQ(cmds.size(), 1u);
     EXPECT_EQ(cmds[0].kind, BankCommandKind::ExecuteInBank);
     EXPECT_EQ(cmds[0].bank, 0u);
@@ -36,7 +44,7 @@ TEST(VpcDecoder, RemoteOperandAddsReadCommand)
     Fixture f;
     Vpc vpc{VpcKind::Add, 0, f.rm.bytesPerBank() /* bank 1 */, 64,
             32};
-    auto cmds = f.decoder.decode(vpc);
+    auto cmds = f.decode(vpc);
     ASSERT_EQ(cmds.size(), 2u);
     EXPECT_EQ(cmds[0].kind, BankCommandKind::ReadBlock);
     EXPECT_EQ(cmds[0].bank, 1u);
@@ -48,7 +56,7 @@ TEST(VpcDecoder, RemoteDestinationAddsWriteCommand)
 {
     Fixture f;
     Vpc vpc{VpcKind::Mul, 0, 64, 2 * f.rm.bytesPerBank(), 16};
-    auto cmds = f.decoder.decode(vpc);
+    auto cmds = f.decode(vpc);
     ASSERT_EQ(cmds.size(), 2u);
     EXPECT_EQ(cmds[0].kind, BankCommandKind::ExecuteInBank);
     EXPECT_EQ(cmds[1].kind, BankCommandKind::WriteBlock);
@@ -61,7 +69,7 @@ TEST(VpcDecoder, NonDotResultsAreFullVectors)
 {
     Fixture f;
     Vpc vpc{VpcKind::Add, 0, 64, 2 * f.rm.bytesPerBank(), 16};
-    auto cmds = f.decoder.decode(vpc);
+    auto cmds = f.decode(vpc);
     EXPECT_EQ(cmds.back().bytes, 16u);
 }
 
@@ -69,7 +77,7 @@ TEST(VpcDecoder, TranIsReadPlusWrite)
 {
     Fixture f;
     Vpc vpc{VpcKind::Tran, 0, 0, f.rm.bytesPerBank(), 128};
-    auto cmds = f.decoder.decode(vpc);
+    auto cmds = f.decode(vpc);
     ASSERT_EQ(cmds.size(), 2u);
     EXPECT_EQ(cmds[0].kind, BankCommandKind::ReadBlock);
     EXPECT_EQ(cmds[1].kind, BankCommandKind::WriteBlock);
@@ -126,7 +134,7 @@ TEST(VpcDecoderDeath, ZeroSizePanics)
 {
     Fixture f;
     Vpc vpc{VpcKind::Mul, 0, 0, 0, 0};
-    EXPECT_DEATH(f.decoder.decode(vpc), "zero-size");
+    EXPECT_DEATH(f.decode(vpc), "zero-size");
 }
 
 } // namespace
