@@ -27,7 +27,8 @@ namespace streampim::bench
 inline unsigned
 runDim()
 {
-    return unsigned(Config::envInt("STREAMPIM_DIM", 256));
+    return unsigned(
+        Config::envInt("STREAMPIM_DIM", 256, 1, Config::kMaxDim));
 }
 
 /** Whether to run the full kernel set / sweeps. */

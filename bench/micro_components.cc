@@ -170,28 +170,24 @@ struct MatmulModeResult
     double energyPj = 0.0;
     std::uint64_t allocations = 0;    //!< heap allocs, measured loop
     std::uint64_t bytesAllocated = 0; //!< heap bytes, measured loop
-    const char *simdBackend = "scalar"; //!< kernel backend that ran
 };
 
 /**
  * Run @p rounds deterministic length-@p n dot products in the given
- * mode and word-kernel backend. Same seed in every mode, so every
- * mode-invariant output (checksum, cycles, counters, energy) must
- * match exactly; only timing and heap traffic may differ.
+ * mode. Same seed in every mode, so every mode-invariant output
+ * (checksum, cycles, counters, energy) must match exactly; only
+ * timing and heap traffic may differ.
  */
 MatmulModeResult
-runMatmul(bool strict, simd::Backend backend, unsigned rounds,
-          unsigned n)
+runMatmul(bool strict, unsigned rounds, unsigned n)
 {
     ScopedStrictGates mode(strict);
-    simd::ScopedBackend kernels(backend);
     RmParams params;
     EnergyMeter meter;
     RmProcessor proc(params, meter);
     Rng rng(0xF00D);
     std::vector<std::uint8_t> a(n), b(n);
     MatmulModeResult res;
-    res.simdBackend = simd::backendName();
     res.checksum = 0xcbf29ce484222325ULL;
     ProcessorResult out;
     out.values.reserve(1); // steady-state capacity, outside the count
@@ -241,7 +237,7 @@ matmulModeJson(const MatmulModeResult &m, double macs)
     // allocations stay 0.
     j["allocations"] = std::int64_t(m.allocations);
     j["bytes_allocated"] = std::int64_t(m.bytesAllocated);
-    j["simd_backend"] = m.simdBackend;
+    j["simd_backend"] = simd::backendName();
     j["checksum"] = checksumHex(m.checksum);
     j["cycles"] = std::int64_t(m.cycles);
     j["gate_ops"] = std::int64_t(m.counters.gateOps);
@@ -285,35 +281,25 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
 
-    // Fast-vs-strict functional matmul: identical workload, both
-    // functional-model levels, plus the forced-AVX2 packed row
-    // (identical to packed when the resolved backend is already
-    // AVX2; still checked for agreement either way).
-    const unsigned rounds =
-        unsigned(Config::envInt("STREAMPIM_MATMUL_ROUNDS", 64));
-    const unsigned reps =
-        unsigned(Config::envInt("STREAMPIM_MATMUL_REPS", 3));
+    // Fast-vs-strict functional matmul: identical workload at both
+    // functional-model levels.
+    const unsigned rounds = 64;
+    const unsigned reps = 3;
     const unsigned n = 64;
     const double macs = double(rounds) * n;
     // Interleave the modes over several repetitions and keep each
     // mode's best time: the speedup then reflects the code, not a
     // transient load spike that happened to hit one of the runs.
     // The mode-invariant outputs must agree on every repetition.
-    MatmulModeResult packed, avx2, strict;
+    MatmulModeResult packed, strict;
     bool agree = true;
     for (unsigned rep = 0; rep < reps; ++rep) {
-        MatmulModeResult p =
-            runMatmul(false, simd::backend(), rounds, n);
-        MatmulModeResult v =
-            runMatmul(false, simd::Backend::Avx2, rounds, n);
-        MatmulModeResult s =
-            runMatmul(true, simd::backend(), rounds, n);
-        agree = agree && modesAgree(p, s) && modesAgree(p, v) &&
+        MatmulModeResult p = runMatmul(false, rounds, n);
+        MatmulModeResult s = runMatmul(true, rounds, n);
+        agree = agree && modesAgree(p, s) &&
                 (rep == 0 || modesAgree(p, packed));
         if (rep == 0 || p.seconds < packed.seconds)
             packed = p;
-        if (rep == 0 || v.seconds < avx2.seconds)
-            avx2 = v;
         if (rep == 0 || s.seconds < strict.seconds)
             strict = s;
     }
@@ -325,12 +311,8 @@ main(int argc, char **argv)
                 "(%.0f MACs):\n", rounds, n, macs);
     std::printf("  packed: %.4f s (%.3e MACs/s, %s kernels, "
                 "%llu allocs)\n", packed.seconds,
-                perSecond(macs, packed.seconds), packed.simdBackend,
+                perSecond(macs, packed.seconds), simd::backendName(),
                 (unsigned long long)packed.allocations);
-    std::printf("  avx2:   %.4f s (%.3e MACs/s, %s kernels, "
-                "%llu allocs)\n", avx2.seconds,
-                perSecond(macs, avx2.seconds), avx2.simdBackend,
-                (unsigned long long)avx2.allocations);
     std::printf("  strict: %.4f s (%.3e MACs/s)\n", strict.seconds,
                 perSecond(macs, strict.seconds));
     std::printf("  speedup packed vs strict: %.1fx\n", speedup);
@@ -351,18 +333,16 @@ main(int argc, char **argv)
         mm["macs"] = macs;
         Json modes = Json::object();
         modes["packed"] = matmulModeJson(packed, macs);
-        modes["avx2"] = matmulModeJson(avx2, macs);
         modes["strict"] = matmulModeJson(strict, macs);
         mm["modes"] = std::move(modes);
         mm["modes_agree"] = agree;
         mm["speedup_packed_vs_strict"] = speedup;
         doc["matmul"] = std::move(mm);
-        // Perf section, mirroring SweepRunner reports: which backend
-        // the default (packed) rows actually ran on.
+        // Perf section, mirroring SweepRunner reports.
         Json perf = Json::object();
         perf["simd_backend"] = simd::backendName();
-        perf["devices"] =
-            std::int64_t(Config::envInt("STREAMPIM_DEVICES", 1));
+        perf["devices"] = Config::envInt("STREAMPIM_DEVICES", 1, 0,
+                                         Config::kMaxDevices);
         doc["perf"] = std::move(perf);
         std::ofstream out(json_path);
         if (!out)

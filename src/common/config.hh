@@ -22,11 +22,19 @@ class Config
   public:
     Config() = delete;
 
+    /** Inclusive upper bounds of the integer knobs. */
+    static constexpr std::int64_t kMaxJobs = 1024;   //!< *_JOBS
+    static constexpr std::int64_t kMaxDevices = 64;  //!< DEVICES
+    static constexpr std::int64_t kMaxDim = 65536;   //!< DIM
+
     /**
-     * Read an integer from environment variable @p env, falling back
-     * to @p def when unset or unparsable.
+     * Read an integer in [@p lo, @p hi] from environment variable
+     * @p env, falling back to @p def when unset or empty. Text that
+     * is not a whole decimal integer, or a value out of range, is a
+     * fatal configuration error naming the variable and its value.
      */
-    static std::int64_t envInt(const std::string &env, std::int64_t def);
+    static std::int64_t envInt(const std::string &env, std::int64_t def,
+                               std::int64_t lo, std::int64_t hi);
 
     /** Read a flag (non-empty, not "0") from the environment. */
     static bool envFlag(const std::string &env);

@@ -1,44 +1,21 @@
 /**
  * @file
- * The SIMD portability shim behind the packed functional model.
+ * The word kernels behind the packed functional model.
  *
  * Every word-parallel kernel of the datapath — the BitVec bitwise
  * ops, shifts, range copies, packed addition, popcount/equality —
  * routes through the free functions here instead of open-coded
- * loops. Each function has two implementations:
- *
- *  - a portable scalar loop, written so the compiler's
- *    auto-vectorizer can do its thing (contiguous word spans, no
- *    aliasing surprises) — always available;
- *  - an explicit AVX2 kernel (simd.cc) compiled with a per-function
- *    target attribute, so the translation unit builds on any x86-64
- *    toolchain and the vector code only ever executes after a
- *    runtime CPUID check.
- *
- * Backend selection is runtime-dynamic via STREAMPIM_SIMD:
- *
- *   auto   (default) AVX2 when the toolchain can emit it and the
- *          CPU reports it, scalar otherwise
- *   avx2   request AVX2; falls back to scalar (with the actual
- *          backend visible through backendName()) when unavailable
- *   scalar force the portable loops
- *
- * Values are backend-invariant by construction: both paths compute
- * the same words, so checksums, counters and fault trajectories
- * never depend on the backend (pinned by the per-backend BitVec
- * edge-case tests).
- *
- * Dispatch cost: vectors of fewer than kDispatchWords words (all
- * the inline-storage BitVecs — operands, accumulators) skip the
- * backend check entirely and inline the scalar loop; only the long
- * racetrack/nanowire images pay one predictable branch.
+ * loops. Each is a portable loop over contiguous word spans with no
+ * aliasing surprises, written so the compiler's auto-vectorizer can
+ * widen it for whatever target the build selects (e.g. -mavx2).
+ * Results are therefore independent of the build flags: every
+ * target computes the same words (DESIGN.md §9).
  */
 
 #ifndef STREAMPIM_COMMON_SIMD_HH_
 #define STREAMPIM_COMMON_SIMD_HH_
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -46,100 +23,20 @@
 namespace streampim::simd
 {
 
-enum class Backend : std::uint8_t
-{
-    Scalar = 0,
-    Avx2 = 1,
-};
-
-/** True when AVX2 kernels are compiled in and the CPU has AVX2. */
-bool avx2Supported();
-
-/** Resolve STREAMPIM_SIMD (once; cached). Out of line. */
-Backend resolveBackend();
-
-namespace detail
-{
-
-/** Cached backend; 0xff = not yet resolved. Relaxed atomics: the
- * value is write-once at startup (or set from a test's main thread
- * before workers spawn), and every load sees a valid backend. */
-inline std::atomic<std::uint8_t> g_backend{0xff};
-
-// Out-of-line AVX2 kernels (simd.cc, __attribute__((target))).
-void andWordsAvx2(std::uint64_t *d, const std::uint64_t *s,
-                  std::size_t n);
-void orWordsAvx2(std::uint64_t *d, const std::uint64_t *s,
-                 std::size_t n);
-void xorWordsAvx2(std::uint64_t *d, const std::uint64_t *s,
-                  std::size_t n);
-void notWordsAvx2(std::uint64_t *d, std::size_t n);
-void zeroWordsAvx2(std::uint64_t *d, std::size_t n);
-void copyWordsAvx2(std::uint64_t *d, const std::uint64_t *s,
-                   std::size_t n);
-bool equalWordsAvx2(const std::uint64_t *a, const std::uint64_t *b,
-                    std::size_t n);
-void shlWordsAvx2(std::uint64_t *w, std::size_t n,
-                  std::size_t word_shift, unsigned bit_shift);
-void shrWordsAvx2(std::uint64_t *w, std::size_t n,
-                  std::size_t word_shift, unsigned bit_shift);
-
-} // namespace detail
-
-inline Backend
-backend()
-{
-    const std::uint8_t b =
-        detail::g_backend.load(std::memory_order_relaxed);
-    if (b != 0xff) [[likely]]
-        return Backend(b);
-    return resolveBackend();
-}
-
-/** "scalar" or "avx2" — the backend actually in effect. */
-const char *backendName();
-
 /**
- * Override the backend (tests, the bench's per-backend rows).
- * Requesting Avx2 on a machine without it keeps Scalar.
+ * Name of the word-kernel implementation, recorded in every report's
+ * perf section. There is one implementation, so this is constant.
  */
-void setBackend(Backend b);
-
-/** RAII backend override for per-backend tests. */
-class ScopedBackend
+inline const char *
+backendName()
 {
-  public:
-    explicit ScopedBackend(Backend b) : prev_(backend())
-    {
-        setBackend(b);
-    }
-
-    ~ScopedBackend() { setBackend(prev_); }
-
-    ScopedBackend(const ScopedBackend &) = delete;
-    ScopedBackend &operator=(const ScopedBackend &) = delete;
-
-  private:
-    Backend prev_;
-};
-
-/** Word counts below this stay on the inlined scalar loop. */
-inline constexpr std::size_t kDispatchWords = 4;
-
-inline bool
-dispatchAvx2(std::size_t n)
-{
-    return n >= kDispatchWords && backend() == Backend::Avx2;
+    return "scalar";
 }
 
 /** d[i] &= s[i] over @p n words. */
 inline void
 andWords(std::uint64_t *d, const std::uint64_t *s, std::size_t n)
 {
-    if (dispatchAvx2(n)) {
-        detail::andWordsAvx2(d, s, n);
-        return;
-    }
     for (std::size_t i = 0; i < n; ++i)
         d[i] &= s[i];
 }
@@ -148,10 +45,6 @@ andWords(std::uint64_t *d, const std::uint64_t *s, std::size_t n)
 inline void
 orWords(std::uint64_t *d, const std::uint64_t *s, std::size_t n)
 {
-    if (dispatchAvx2(n)) {
-        detail::orWordsAvx2(d, s, n);
-        return;
-    }
     for (std::size_t i = 0; i < n; ++i)
         d[i] |= s[i];
 }
@@ -160,10 +53,6 @@ orWords(std::uint64_t *d, const std::uint64_t *s, std::size_t n)
 inline void
 xorWords(std::uint64_t *d, const std::uint64_t *s, std::size_t n)
 {
-    if (dispatchAvx2(n)) {
-        detail::xorWordsAvx2(d, s, n);
-        return;
-    }
     for (std::size_t i = 0; i < n; ++i)
         d[i] ^= s[i];
 }
@@ -172,10 +61,6 @@ xorWords(std::uint64_t *d, const std::uint64_t *s, std::size_t n)
 inline void
 notWords(std::uint64_t *d, std::size_t n)
 {
-    if (dispatchAvx2(n)) {
-        detail::notWordsAvx2(d, n);
-        return;
-    }
     for (std::size_t i = 0; i < n; ++i)
         d[i] = ~d[i];
 }
@@ -184,10 +69,6 @@ notWords(std::uint64_t *d, std::size_t n)
 inline void
 zeroWords(std::uint64_t *d, std::size_t n)
 {
-    if (dispatchAvx2(n)) {
-        detail::zeroWordsAvx2(d, n);
-        return;
-    }
     for (std::size_t i = 0; i < n; ++i)
         d[i] = 0;
 }
@@ -196,10 +77,6 @@ zeroWords(std::uint64_t *d, std::size_t n)
 inline void
 copyWords(std::uint64_t *d, const std::uint64_t *s, std::size_t n)
 {
-    if (dispatchAvx2(n)) {
-        detail::copyWordsAvx2(d, s, n);
-        return;
-    }
     for (std::size_t i = 0; i < n; ++i)
         d[i] = s[i];
 }
@@ -209,8 +86,6 @@ inline bool
 equalWords(const std::uint64_t *a, const std::uint64_t *b,
            std::size_t n)
 {
-    if (dispatchAvx2(n))
-        return detail::equalWordsAvx2(a, b, n);
     for (std::size_t i = 0; i < n; ++i)
         if (a[i] != b[i])
             return false;
@@ -221,9 +96,6 @@ equalWords(const std::uint64_t *a, const std::uint64_t *b,
 inline std::size_t
 popcountWords(const std::uint64_t *w, std::size_t n)
 {
-    // Backend-invariant on purpose: scalar POPCNT saturates the
-    // port on every x86-64 this targets; an AVX2 Harley-Seal pass
-    // would only pay off far beyond the nanowire image sizes.
     std::size_t c = 0;
     for (std::size_t i = 0; i < n; ++i)
         c += std::size_t(std::popcount(w[i]));
@@ -239,10 +111,6 @@ inline void
 shlWords(std::uint64_t *w, std::size_t n, std::size_t word_shift,
          unsigned bit_shift)
 {
-    if (dispatchAvx2(n)) {
-        detail::shlWordsAvx2(w, n, word_shift, bit_shift);
-        return;
-    }
     for (std::size_t i = n; i-- > 0;) {
         std::uint64_t v = 0;
         if (i >= word_shift) {
@@ -263,10 +131,6 @@ inline void
 shrWords(std::uint64_t *w, std::size_t n, std::size_t word_shift,
          unsigned bit_shift)
 {
-    if (dispatchAvx2(n)) {
-        detail::shrWordsAvx2(w, n, word_shift, bit_shift);
-        return;
-    }
     for (std::size_t i = 0; i < n; ++i) {
         std::uint64_t v = 0;
         if (i + word_shift < n) {
@@ -281,7 +145,7 @@ shrWords(std::uint64_t *w, std::size_t n, std::size_t word_shift,
 /**
  * Copy @p len bits from @p src starting at bit @p src_pos into
  * @p dst starting at bit @p dst_pos. Word-aligned spans move whole
- * words (through copyWords, so the backend applies); unaligned
+ * words through copyWords; unaligned
  * spans fall back to masked per-word chunks. Regions must not
  * overlap within one buffer.
  */
@@ -324,9 +188,8 @@ copyBits(std::uint64_t *dst, std::size_t dst_pos,
 /**
  * Packed multi-word addition sum = a + b + cin with zero-extension
  * of narrower operands; returns the carry out of word n_sum-1. The
- * carry chain is inherently serial, so this is scalar on every
- * backend — kept in the shim so all datapath word kernels share one
- * home.
+ * carry chain is inherently serial, so this never vectorizes —
+ * kept here so all datapath word kernels share one home.
  */
 inline bool
 addWords(std::uint64_t *sum, std::size_t n_sum,

@@ -57,7 +57,7 @@ ShardedSystem::ShardedSystem(RmParams params, unsigned devices)
 {
     params_.validate();
     const unsigned count = devices > 0 ? devices : defaultDevices();
-    SPIM_ASSERT(count >= 1 && count <= 64,
+    SPIM_ASSERT(count >= 1 && count <= Config::kMaxDevices,
                 "device count out of range: ", count);
     devices_.reserve(count);
     for (unsigned d = 0; d < count; ++d)
@@ -70,7 +70,8 @@ ShardedSystem::~ShardedSystem() = default;
 unsigned
 ShardedSystem::defaultDevices()
 {
-    const auto env = Config::envInt("STREAMPIM_DEVICES", 0);
+    const auto env = Config::envInt("STREAMPIM_DEVICES", 0, 0,
+                                    Config::kMaxDevices);
     return env > 0 ? unsigned(env) : 1;
 }
 

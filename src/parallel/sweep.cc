@@ -236,7 +236,7 @@ SweepRunner::report() const
     doc["jobs"] = jobs_;
     doc["wall_seconds"] = wallSeconds_;
     Json cfg = Json::object();
-    cfg["dim"] = std::int64_t(Config::envInt("STREAMPIM_DIM", 256));
+    cfg["dim"] = Config::envInt("STREAMPIM_DIM", 256, 1, Config::kMaxDim);
     cfg["full"] = Config::envFlag("STREAMPIM_FULL");
     doc["config"] = std::move(cfg);
     Json cells = Json::array();
@@ -266,16 +266,14 @@ SweepRunner::report() const
     if (ops > 0.0 || serialSeconds_ > 0.0 ||
         perfExtras_.size() > 0) {
         Json perf = Json::object();
-        // Which word-kernel backend produced this run. Results are
-        // backend-invariant by construction (non-timing fields must
-        // diff byte-identical between scalar and avx2 CI legs);
-        // recording it here documents what actually ran.
+        // Word-kernel implementation label (common/simd.hh); kept
+        // so the report shape stays stable across schema versions.
         perf["simd_backend"] = simd::backendName();
         // Fleet size this run simulated with (device-count
         // invariance: non-timing fields must diff byte-identical
         // across STREAMPIM_DEVICES too).
-        perf["devices"] =
-            std::int64_t(Config::envInt("STREAMPIM_DEVICES", 1));
+        perf["devices"] = Config::envInt("STREAMPIM_DEVICES", 1, 0,
+                                         Config::kMaxDevices);
         perf["functional_ops"] = ops;
         perf["wall_seconds"] = wallSeconds_;
         perf["functional_ops_per_second"] =

@@ -11,7 +11,8 @@ namespace streampim
 unsigned
 ThreadPool::defaultJobs()
 {
-    const auto env = Config::envInt("STREAMPIM_JOBS", 0);
+    const auto env =
+        Config::envInt("STREAMPIM_JOBS", 0, 0, Config::kMaxJobs);
     if (env > 0)
         return unsigned(env);
     unsigned hw = std::thread::hardware_concurrency();
@@ -48,7 +49,8 @@ ThreadPool::splitJobs(unsigned fanout, unsigned requested)
         fanout = 1;
     const unsigned budget = resolveJobs(requested);
     unsigned outer = budget;
-    const auto env = Config::envInt("STREAMPIM_DEVICE_JOBS", 0);
+    const auto env = Config::envInt("STREAMPIM_DEVICE_JOBS", 0, 0,
+                                    Config::kMaxJobs);
     if (env > 0)
         outer = unsigned(env);
     outer = std::min(outer, fanout);

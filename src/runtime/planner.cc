@@ -482,7 +482,7 @@ Planner::lowerTiledMatMul(LowerCtx &ctx, const TaskGraph &g,
     // C tile, so different C tiles run on disjoint subarrays.
     const auto slots = std::uint32_t(computeSet_.size());
     const std::uint32_t per_tile = std::min(
-        {tcfg.slotsPerTile, slots,
+        {Tiler::kSlotsPerTile, slots,
          std::max<std::uint32_t>(1, t.tileRows)});
     const std::uint32_t groups = std::max(1u, slots / per_tile);
     auto slot_of = [&](std::uint32_t grp, std::uint32_t x) {

@@ -11,14 +11,8 @@ Tiler::Tiler(const SystemConfig &config, const TilerConfig &tiler)
     : tilerCfg_(tiler)
 {
     config.validate();
-    capacity_ = tilerCfg_.capacityBytes != 0
-                    ? tilerCfg_.capacityBytes
-                    : 2 * config.rm.bytesPerSubarray();
-    budget_ = tilerCfg_.tileBudgetBytes != 0
-                  ? tilerCfg_.tileBudgetBytes
-                  : config.rm.matBytes;
-    SPIM_ASSERT(tilerCfg_.slotsPerTile > 0,
-                "tiler needs at least one compute slot per tile");
+    capacity_ = 2 * config.rm.bytesPerSubarray();
+    budget_ = config.rm.matBytes;
 }
 
 std::uint32_t

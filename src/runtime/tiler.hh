@@ -45,7 +45,7 @@
 namespace streampim
 {
 
-/** Knobs of the tiling layer (defaults derive from the geometry). */
+/** Knobs of the tiling layer. */
 struct TilerConfig
 {
     /** Tile shape in elements; 0 derives a square mat-sized tile. */
@@ -53,35 +53,8 @@ struct TilerConfig
     std::uint32_t tileCols = 0;
     std::uint32_t tileK = 0;
 
-    /**
-     * Out-of-core threshold: a matmul whose largest operand exceeds
-     * this streams through the tiler. 0 derives twice the subarray
-     * capacity — an operand that cannot fit a home subarray plus its
-     * double-buffer staging partner must be tiled. (The paper-scale
-     * EXTRALARGE kernels at dim 2000 sit below this on purpose: the
-     * Table IV counts pin their untiled plans.)
-     */
-    std::uint64_t capacityBytes = 0;
-
-    /**
-     * Byte budget one tile's operands must fit; 0 derives the mat
-     * capacity (rm.matBytes) — tiles are mat-sized so one tile of A,
-     * one of B and the C accumulator all live comfortably inside a
-     * subarray.
-     */
-    std::uint64_t tileBudgetBytes = 0;
-
     /** Overlap staging of tile t+1 with compute of tile t. */
     bool doubleBuffer = true;
-
-    /**
-     * Compute subarrays a single tile task fans out over. Caps the
-     * per-task batch count so paper-scale grids stay replayable;
-     * the compute set is carved into slots/slotsPerTile groups used
-     * round-robin by C tile, which is what lets different C tiles
-     * proceed concurrently.
-     */
-    std::uint32_t slotsPerTile = 64;
 };
 
 /** The tile grid of one N x K x M matmul (remainder-aware). */
@@ -147,15 +120,35 @@ struct MatmulTiling
 class Tiler
 {
   public:
+    /**
+     * Compute subarrays a single tile task fans out over. Caps the
+     * per-task batch count so paper-scale grids stay replayable;
+     * the compute set is carved into slots/kSlotsPerTile groups used
+     * round-robin by C tile, which is what lets different C tiles
+     * proceed concurrently.
+     */
+    static constexpr std::uint32_t kSlotsPerTile = 64;
+
     explicit Tiler(const SystemConfig &config,
                    const TilerConfig &tiler = TilerConfig{});
 
     const TilerConfig &config() const { return tilerCfg_; }
 
-    /** Resolved out-of-core threshold (capacityBytes or derived). */
+    /**
+     * Out-of-core threshold: a matmul whose largest operand exceeds
+     * this streams through the tiler. Twice the subarray capacity —
+     * an operand that cannot fit a home subarray plus its
+     * double-buffer staging partner must be tiled. (The paper-scale
+     * EXTRALARGE kernels at dim 2000 sit below this on purpose: the
+     * Table IV counts pin their untiled plans.)
+     */
     std::uint64_t capacityBytes() const { return capacity_; }
 
-    /** Resolved per-tile operand budget. */
+    /**
+     * Byte budget one tile's operands must fit: the mat capacity
+     * (rm.matBytes) — tiles are mat-sized so one tile of A, one of B
+     * and the C accumulator all live comfortably inside a subarray.
+     */
     std::uint64_t tileBudgetBytes() const { return budget_; }
 
     /**

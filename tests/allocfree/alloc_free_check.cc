@@ -17,7 +17,7 @@
  *     processor.
  *
  * Exit code 0 when every check holds; prints the failing counter
- * otherwise. Runs under both SIMD backends when available.
+ * otherwise.
  */
 
 #include <cstdint>
@@ -26,7 +26,6 @@
 #include <new>
 
 #include "common/bitvec.hh"
-#include "common/simd.hh"
 #include "core/stream_pim.hh"
 #include "dwlogic/mode.hh"
 #include "processor/rm_processor.hh"
@@ -120,7 +119,7 @@ checkBitVecResizeChurn()
 }
 
 void
-checkProcessorFastPaths(const char *label)
+checkProcessorFastPaths()
 {
     RmParams params;
     EnergyMeter meter;
@@ -136,10 +135,7 @@ checkProcessorFastPaths(const char *label)
     proc.scalarVectorMulInto(7, a, res);
     proc.vectorAddInto(a, b, res);
 
-    char what[96];
-    std::snprintf(what, sizeof(what), "processor fast paths (%s)",
-                  label);
-    CHECK_ZERO_ALLOCS(what, {
+    CHECK_ZERO_ALLOCS("processor fast paths", {
         for (int round = 0; round < 50; ++round) {
             proc.dotProductInto(a, b, res);
             proc.scalarVectorMulInto(7, a, res);
@@ -149,7 +145,7 @@ checkProcessorFastPaths(const char *label)
 }
 
 void
-checkProcessQueueSteadyState(const char *label)
+checkProcessQueueSteadyState()
 {
     StreamPimSystem sys;
     const std::uint64_t per = sys.params().bytesPerSubarray();
@@ -179,10 +175,7 @@ checkProcessQueueSteadyState(const char *label)
         sys.processQueueInto(records, 1);
     }
 
-    char what[96];
-    std::snprintf(what, sizeof(what),
-                  "processQueue steady state (%s)", label);
-    CHECK_ZERO_ALLOCS(what, {
+    CHECK_ZERO_ALLOCS("processQueue steady state", {
         for (int round = 0; round < 20; ++round) {
             submitBatch();
             sys.processQueueInto(records, 1);
@@ -202,17 +195,8 @@ main()
     ScopedStrictGates packed(false);
 
     checkBitVecResizeChurn();
-
-    {
-        simd::ScopedBackend scalar(simd::Backend::Scalar);
-        checkProcessorFastPaths("scalar");
-        checkProcessQueueSteadyState("scalar");
-    }
-    if (simd::avx2Supported()) {
-        simd::ScopedBackend avx2(simd::Backend::Avx2);
-        checkProcessorFastPaths("avx2");
-        checkProcessQueueSteadyState("avx2");
-    }
+    checkProcessorFastPaths();
+    checkProcessQueueSteadyState();
 
     if (g_failures == 0)
         std::printf("all zero-allocation checks passed\n");

@@ -10,6 +10,7 @@
 
 #include "common/config.hh"
 #include "common/rng.hh"
+#include "parallel/thread_pool.hh"
 
 namespace streampim
 {
@@ -19,9 +20,13 @@ namespace
 TEST(Config, EnvHelpers)
 {
     ::setenv("SPIM_TEST_ENV_INT", "123", 1);
-    EXPECT_EQ(Config::envInt("SPIM_TEST_ENV_INT", 0), 123);
+    EXPECT_EQ(Config::envInt("SPIM_TEST_ENV_INT", 0, 0, 1000), 123);
+    // Both ends of the range are inclusive.
+    EXPECT_EQ(Config::envInt("SPIM_TEST_ENV_INT", 0, 123, 123), 123);
+    ::setenv("SPIM_TEST_ENV_INT", "", 1);
+    EXPECT_EQ(Config::envInt("SPIM_TEST_ENV_INT", 5, 0, 10), 5);
     ::unsetenv("SPIM_TEST_ENV_INT");
-    EXPECT_EQ(Config::envInt("SPIM_TEST_ENV_INT", 5), 5);
+    EXPECT_EQ(Config::envInt("SPIM_TEST_ENV_INT", 5, 0, 10), 5);
 
     ::setenv("SPIM_TEST_ENV_FLAG", "1", 1);
     EXPECT_TRUE(Config::envFlag("SPIM_TEST_ENV_FLAG"));
@@ -36,6 +41,39 @@ TEST(Config, EnvHelpers)
     EXPECT_EQ(Config::envString("SPIM_TEST_ENV_STR", "x"), "x");
     ::unsetenv("SPIM_TEST_ENV_STR");
     EXPECT_EQ(Config::envString("SPIM_TEST_ENV_STR"), "");
+}
+
+// Each bad value dies while the variable is parsed: defaultJobs() is
+// what a ThreadPool asks before it starts any worker.
+TEST(ConfigDeath, NegativeValueIsFatal)
+{
+    EXPECT_DEATH(
+        {
+            ::setenv("STREAMPIM_DIM", "-1", 1);
+            (void)Config::envInt("STREAMPIM_DIM", 256, 1,
+                                 Config::kMaxDim);
+        },
+        "STREAMPIM_DIM='-1' is outside");
+}
+
+TEST(ConfigDeath, TrailingGarbageIsFatal)
+{
+    EXPECT_DEATH(
+        {
+            ::setenv("STREAMPIM_JOBS", "8x", 1);
+            (void)ThreadPool::defaultJobs();
+        },
+        "STREAMPIM_JOBS='8x' is not an integer");
+}
+
+TEST(ConfigDeath, JobCountAboveLimitIsFatal)
+{
+    EXPECT_DEATH(
+        {
+            ::setenv("STREAMPIM_JOBS", "2000000", 1);
+            (void)ThreadPool::defaultJobs();
+        },
+        "STREAMPIM_JOBS='2000000' is outside");
 }
 
 TEST(Rng, Deterministic)

@@ -1,42 +1,25 @@
 /**
  * @file
- * Backend-parameterized edge-case tests of the BitVec word kernels
- * (the SIMD shim of common/simd.hh): cross-word shifts at sizes
- * straddling the word and inline-storage boundaries, non-word-
- * aligned copyRange, the top-word zero invariant, and the
- * equality / popcount / addPacked kernels — each run under every
- * backend the host supports, against a bit-serial reference.
+ * Edge-case tests of the BitVec word kernels (common/simd.hh):
+ * cross-word shifts at sizes straddling the word and inline-storage
+ * boundaries and the nanowire image length, non-word-aligned
+ * copyRange, the top-word zero invariant, and the equality /
+ * popcount / addPacked kernels — each against a bit-serial
+ * reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "common/bitvec.hh"
 #include "common/rng.hh"
-#include "common/simd.hh"
 
 using namespace streampim;
 
 namespace
 {
-
-std::vector<simd::Backend>
-availableBackends()
-{
-    std::vector<simd::Backend> b{simd::Backend::Scalar};
-    if (simd::avx2Supported())
-        b.push_back(simd::Backend::Avx2);
-    return b;
-}
-
-std::string
-backendLabel(const testing::TestParamInfo<simd::Backend> &info)
-{
-    return info.param == simd::Backend::Avx2 ? "avx2" : "scalar";
-}
 
 /** Deterministic pseudo-random vector of @p n bits. */
 BitVec
@@ -78,21 +61,19 @@ expectTopInvariant(const BitVec &v)
                                << v.size() << " bits";
 }
 
-class SimdKernelsTest : public testing::TestWithParam<simd::Backend>
+class SimdKernelsTest : public testing::Test
 {
   protected:
-    SimdKernelsTest() : scoped_(GetParam()) {}
-
-    // The sizes straddle the word boundary (63/64/65) and the
-    // inline-storage boundary (127/128/129, kInlineWords == 2).
-    static constexpr std::size_t kSizes[] = {63, 64, 65, 127, 128,
-                                             129};
-
-  private:
-    simd::ScopedBackend scoped_;
+    // The sizes straddle the word boundary (63/64/65), the
+    // inline-storage boundary (127/128/129, kInlineWords == 2), a
+    // few-word heap vector (255/256/257) and the 4096-domain
+    // nanowire image (4095/4096/4097), whose 64-word loops run the
+    // compiler's vectorized loop bodies.
+    static constexpr std::size_t kSizes[] = {
+        63, 64, 65, 127, 128, 129, 255, 256, 257, 4095, 4096, 4097};
 };
 
-TEST_P(SimdKernelsTest, CrossWordShiftsMatchBitSerialReference)
+TEST_F(SimdKernelsTest, CrossWordShiftsMatchBitSerialReference)
 {
     Rng rng(0x51D5);
     for (std::size_t n : kSizes) {
@@ -116,7 +97,7 @@ TEST_P(SimdKernelsTest, CrossWordShiftsMatchBitSerialReference)
     }
 }
 
-TEST_P(SimdKernelsTest, NonWordAlignedCopyRange)
+TEST_F(SimdKernelsTest, NonWordAlignedCopyRange)
 {
     Rng rng(0xC0DE);
     for (std::size_t n : kSizes) {
@@ -148,7 +129,7 @@ TEST_P(SimdKernelsTest, NonWordAlignedCopyRange)
     }
 }
 
-TEST_P(SimdKernelsTest, BitwiseOpsAndInvertKeepTopWordZero)
+TEST_F(SimdKernelsTest, BitwiseOpsAndInvertKeepTopWordZero)
 {
     Rng rng(0xBEEF);
     for (std::size_t n : kSizes) {
@@ -176,7 +157,7 @@ TEST_P(SimdKernelsTest, BitwiseOpsAndInvertKeepTopWordZero)
     }
 }
 
-TEST_P(SimdKernelsTest, EqualityAndPopcount)
+TEST_F(SimdKernelsTest, EqualityAndPopcount)
 {
     Rng rng(0xFACE);
     for (std::size_t n : kSizes) {
@@ -195,7 +176,7 @@ TEST_P(SimdKernelsTest, EqualityAndPopcount)
     }
 }
 
-TEST_P(SimdKernelsTest, AddPackedMatchesBitSerialRipple)
+TEST_F(SimdKernelsTest, AddPackedMatchesBitSerialRipple)
 {
     Rng rng(0xADD5);
     for (std::size_t n : kSizes) {
@@ -221,7 +202,7 @@ TEST_P(SimdKernelsTest, AddPackedMatchesBitSerialRipple)
     }
 }
 
-TEST_P(SimdKernelsTest, NarrowOperandZeroExtensionInAddPacked)
+TEST_F(SimdKernelsTest, NarrowOperandZeroExtensionInAddPacked)
 {
     // A narrow operand zero-extends into a wider sum; the carry out
     // of the sum width is reported, not swallowed by the top word.
@@ -235,9 +216,5 @@ TEST_P(SimdKernelsTest, NarrowOperandZeroExtensionInAddPacked)
     EXPECT_TRUE(BitVec::addPacked(sum8, a, b));
     EXPECT_EQ(sum8.toWord(), 0x0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, SimdKernelsTest,
-                         testing::ValuesIn(availableBackends()),
-                         backendLabel);
 
 } // namespace

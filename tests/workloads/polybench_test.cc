@@ -165,8 +165,9 @@ TEST(Polybench, OversizeMatmulsComeBackMarkedTiled)
     TaskGraph g = makePolybench(PolybenchKernel::Gemm, 4000);
     unsigned tiled = 0;
     for (const auto &op : g.ops) {
-        if (op.kind == MatOpKind::MatMul)
+        if (op.kind == MatOpKind::MatMul) {
             EXPECT_TRUE(op.tiled);
+        }
         tiled += op.tiled;
     }
     EXPECT_GT(tiled, 0u);

@@ -12,7 +12,7 @@ Key sets:
   timing   (default) wall-clock fields: seconds, wall_seconds, perf,
            jobs and every *per_second key
   backend  timing plus the fields that legitimately differ between
-           SIMD backends and build types: allocations,
+           builds (portable vs -mavx2, Debug vs Release): allocations,
            bytes_allocated, simd_backend and every speedup* key
   build    backend without jobs (both builds run at one job count)
 """
