@@ -1,12 +1,27 @@
 #include "core/executor.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/log.hh"
 
 namespace streampim
 {
+
+namespace
+{
+
+/** Batches of one shape cost the same (Executor::BatchCost). */
+bool
+sameShape(const VpcBatch &a, const VpcBatch &b)
+{
+    return a.kind == b.kind && a.vpcCount == b.vpcCount &&
+           a.vectorLen == b.vectorLen && a.migration == b.migration &&
+           a.recovery == b.recovery;
+}
+
+} // namespace
 
 Executor::Executor(const SystemConfig &config)
     : cfg_(config), clock_(cfg_.rm.coreFreqHz),
@@ -22,8 +37,8 @@ Executor::Executor(const SystemConfig &config)
     cfg_.validate();
 }
 
-Tick
-Executor::redepositTicks(std::uint64_t deposit_bytes)
+std::uint64_t
+Executor::expectedRedeposits(std::uint64_t deposit_bytes) const
 {
     if (cfg_.rm.writeFaultP0 <= 0.0 || deposit_bytes == 0)
         return 0;
@@ -31,12 +46,8 @@ Executor::redepositTicks(std::uint64_t deposit_bytes)
     // depositPulses granularity. Each expected failure re-drives the
     // write pulse, stalling the destination stream one write
     // quantum (conservative: re-driven tracks do not overlap).
-    const std::uint64_t redeposits = std::uint64_t(std::ceil(
+    return std::uint64_t(std::ceil(
         writeModel_.expectedRedeposits(deposit_bytes * 8)));
-    if (redeposits == 0)
-        return 0;
-    energy_.redeposit(redeposits);
-    return redeposits * cfg_.rm.writeTicks();
 }
 
 unsigned
@@ -86,13 +97,98 @@ Executor::computeCycles(const VpcBatch &batch) const
     SPIM_PANIC("computeCycles on a TRAN batch");
 }
 
-Tick
-Executor::runTransfer(const VpcBatch &batch, Tick ready)
+Executor::BatchCost
+Executor::transferCost(const VpcBatch &batch) const
 {
+    BatchCost c;
     const std::uint64_t bytes = batch.elements();
     const unsigned row_bytes = cfg_.rowBytes();
-    const std::uint64_t rows = (bytes + row_bytes - 1) / row_bytes;
+    c.rows = (bytes + row_bytes - 1) / row_bytes;
+    // Source read and destination write: electromagnetic
+    // conversion, one row op per row, plus the expected re-driven
+    // deposits under write-endurance faults.
+    c.readTime = c.rows * cfg_.rm.readTicks();
+    c.redeposits = expectedRedeposits(bytes);
+    c.writeTime = c.rows * cfg_.rm.writeTicks() +
+                  c.redeposits * cfg_.rm.writeTicks();
+    auto bus_time = [&](unsigned bytes_per_cycle) {
+        return clock_.cyclesToTicks(
+            (bytes + bytes_per_cycle - 1) / bytes_per_cycle);
+    };
+    c.bankBusTime = bus_time(cfg_.bankBusBytesPerCycle);
+    c.deviceBusTime = bus_time(cfg_.deviceBusBytesPerCycle);
+    return c;
+}
 
+Executor::BatchCost
+Executor::computeCost(const VpcBatch &batch) const
+{
+    BatchCost c;
+    const std::uint64_t elements = batch.elements();
+    const std::uint64_t operand_streams =
+        batch.kind == VpcKind::Add || batch.kind == VpcKind::Mul ? 2
+                                                                 : 1;
+    const std::uint64_t in_elements = elements * operand_streams;
+    const std::uint64_t out_elements =
+        std::uint64_t(batch.vpcCount) * resultElementsPerVpc(batch);
+    const std::uint64_t streamed = in_elements + out_elements;
+
+    c.processTime = clock_.cyclesToTicks(computeCycles(batch));
+    if (cfg_.busType == BusType::RmBus) {
+        // The segmented bus streams operands concurrently with
+        // processing; only the first-wave traversal is exposed.
+        c.fillTime = clock_.cyclesToTicks(busTiming_.segmentCount());
+        c.busPulses = busTiming_.pulsesFor(streamed);
+        // Mat streaming shifts: the subarray's shift driver pulses
+        // all active mats together, so one row pulse advances every
+        // operand/result stream by one row of rowBytes elements.
+        c.matPulses =
+            (elements + cfg_.rowBytes() - 1) / cfg_.rowBytes();
+        c.shiftTime =
+            c.fillTime +
+            clock_.cyclesToTicks(busTiming_.transferCycles(streamed));
+        // Shift-fault tolerance: expected guard-sense + correction
+        // overhead of the streamed elements (closed form, so the
+        // timed path stays deterministic). Corrections stall the
+        // stream, so they serialize with processing.
+        if (cfg_.rm.shiftFaultPStep > 0.0 && streamed > 0) {
+            const Tick rel_time = clock_.cyclesToTicks(
+                busTiming_.reliabilityCycles(streamed));
+            c.tailTime += rel_time;
+            c.shiftTime += rel_time;
+            c.guardSenses = busTiming_.pulsesFor(streamed);
+            c.corrections = std::uint64_t(std::ceil(
+                busTiming_.expectedCorrectionShifts(streamed)));
+        }
+        // Write-endurance tolerance: expected re-driven deposits of
+        // the result stream committing into the destination mats.
+        c.redeposits = expectedRedeposits(out_elements);
+        c.writeTime = c.redeposits * cfg_.rm.writeTicks();
+        c.tailTime += c.writeTime;
+    } else {
+        // Electrical bus: per-element electromagnetic conversion,
+        // serialized with shift-based computation (RW/shift
+        // exclusion), plus per-VPC egress of dot-product scalars.
+        const unsigned result_bits = batch.kind == VpcKind::Mul
+            ? 0
+            : (batch.kind == VpcKind::Add ? kOperandBits + 1
+                                          : kProductBits);
+        c.tailTime =
+            elements *
+            eBusTiming_.perElementConversionTicks(result_bits);
+        if (batch.kind == VpcKind::Mul)
+            c.tailTime += std::uint64_t(batch.vpcCount) *
+                          eBusTiming_.wordEgressTicks(
+                              kAccumulatorBits);
+        c.writeTime = c.tailTime;
+    }
+    return c;
+}
+
+Tick
+Executor::runTransfer(const VpcBatch &batch, const BatchCost &c,
+                      Tick ready)
+{
     const unsigned src_bank = bankOf(batch.subarray);
     const unsigned dst_bank = bankOf(batch.dstSubarray);
 
@@ -104,9 +200,7 @@ Executor::runTransfer(const VpcBatch &batch, Tick ready)
     Tick issue = hol ? std::max(ready, bankIssueFree_[src_bank])
                      : ready;
 
-    // Source read: electromagnetic conversion, one row op per row.
-    const Tick read_time = rows * cfg_.rm.readTicks();
-    TickSpan rd = subarrays_[batch.subarray].acquire(issue, read_time);
+    TickSpan rd = subarrays_[batch.subarray].acquire(issue, c.readTime);
     if (hol)
         bankIssueFree_[src_bank] = rd.start;
 
@@ -114,21 +208,17 @@ Executor::runTransfer(const VpcBatch &batch, Tick ready)
     // shared device bus across banks; results heading to the
     // memory/staging banks ride the return channel.
     const bool returning = dst_bank >= cfg_.rm.pimBanks;
-    TickResource &bus = (src_bank == dst_bank)
+    const bool same_bank = src_bank == dst_bank;
+    TickResource &bus = same_bank
         ? (returning ? bankBusRet_[src_bank] : bankBusFwd_[src_bank])
         : (returning ? deviceBusRet_ : deviceBusFwd_);
-    const unsigned bus_bpc = (src_bank == dst_bank)
-        ? cfg_.bankBusBytesPerCycle
-        : cfg_.deviceBusBytesPerCycle;
-    const Cycle bus_cycles = (bytes + bus_bpc - 1) / bus_bpc;
-    TickSpan bs = bus.acquire(rd.end, clock_.cyclesToTicks(bus_cycles));
+    TickSpan bs = bus.acquire(
+        rd.end, same_bank ? c.bankBusTime : c.deviceBusTime);
 
-    // Destination write: conversion again, one row op per row, plus
-    // the expected re-driven deposits under write-endurance faults.
-    const Tick write_time =
-        rows * cfg_.rm.writeTicks() + redepositTicks(bytes);
+    if (c.redeposits > 0)
+        energy_.redeposit(c.redeposits);
     TickSpan wr = subarrays_[batch.dstSubarray].acquire(bs.end,
-                                                        write_time);
+                                                        c.writeTime);
 
     // Accounting. Row operations are driver-dominated: one
     // read/write energy quantum per row op regardless of width.
@@ -136,16 +226,16 @@ Executor::runTransfer(const VpcBatch &batch, Tick ready)
     // category so the lifetime-extension overhead stays visible
     // instead of blending into workload read/write traffic.
     if (batch.recovery) {
-        energy_.recoveryRow(rows);
-        breakdown_.recoveryTicks += read_time + write_time;
+        energy_.recoveryRow(c.rows);
+        breakdown_.recoveryTicks += c.readTime + c.writeTime;
     } else if (batch.migration) {
-        energy_.migrationRow(rows);
-        breakdown_.migrationTicks += read_time + write_time;
+        energy_.migrationRow(c.rows);
+        breakdown_.migrationTicks += c.readTime + c.writeTime;
     } else {
-        energy_.read(rows);
-        energy_.write(rows);
-        breakdown_.readTicks += read_time;
-        breakdown_.writeTicks += write_time;
+        energy_.read(c.rows);
+        energy_.write(c.rows);
+        breakdown_.readTicks += c.readTime;
+        breakdown_.writeTicks += c.writeTime;
     }
     coverage_.add(CoverageKind::Transfer, batch.subarray, rd.start,
                   rd.end);
@@ -155,80 +245,35 @@ Executor::runTransfer(const VpcBatch &batch, Tick ready)
 }
 
 Tick
-Executor::runCompute(const VpcBatch &batch, Tick ready)
+Executor::runCompute(const VpcBatch &batch, const BatchCost &c,
+                     Tick ready)
 {
     const unsigned bank = bankOf(batch.subarray);
     const std::uint64_t elements = batch.elements();
-    const std::uint64_t operand_streams =
-        batch.kind == VpcKind::Add || batch.kind == VpcKind::Mul ? 2
-                                                                 : 1;
-    const std::uint64_t in_elements = elements * operand_streams;
-    const std::uint64_t out_elements =
-        std::uint64_t(batch.vpcCount) * resultElementsPerVpc(batch);
 
-    const Cycle pipe_cycles = computeCycles(batch);
-    const Tick process_time = clock_.cyclesToTicks(pipe_cycles);
-
-    Tick transfer_time = 0; //!< serialized (non-overlapped) part
-    Tick fill_time = 0;     //!< RM-bus first-wave fill latency
-
+    // Bus energy of this batch, from the shape's counts (same
+    // records, same order as computing them here).
     if (cfg_.busType == BusType::RmBus) {
-        // The segmented bus streams operands concurrently with
-        // processing; only the first-wave traversal is exposed.
-        fill_time = clock_.cyclesToTicks(busTiming_.segmentCount());
-        busTiming_.recordTransferEnergy(energy_,
-                                        in_elements + out_elements);
-        // Mat streaming shifts: the subarray's shift driver pulses
-        // all active mats together, so one row pulse advances every
-        // operand/result stream by one row of rowBytes elements.
-        const std::uint64_t pulses =
-            (elements + cfg_.rowBytes() - 1) / cfg_.rowBytes();
-        energy_.matStreamShift(pulses);
-        breakdown_.shiftTicks +=
-            fill_time +
-            clock_.cyclesToTicks(busTiming_.transferCycles(
-                in_elements + out_elements));
-        // Shift-fault tolerance: expected guard-sense + correction
-        // overhead of the streamed elements (closed form, so the
-        // timed path stays deterministic). Corrections stall the
-        // stream, so they serialize with processing.
+        energy_.busShift(cfg_.rm.busSegmentSize, c.busPulses);
+        energy_.matStreamShift(c.matPulses);
         if (cfg_.rm.shiftFaultPStep > 0.0) {
-            const Tick rel_time =
-                clock_.cyclesToTicks(busTiming_.reliabilityCycles(
-                    in_elements + out_elements));
-            transfer_time += rel_time;
-            breakdown_.shiftTicks += rel_time;
-            busTiming_.recordReliabilityEnergy(
-                energy_, in_elements + out_elements);
+            energy_.guardSense(c.guardSenses);
+            energy_.shift(c.corrections);
         }
-        // Write-endurance tolerance: expected re-driven deposits of
-        // the result stream committing into the destination mats.
-        const Tick red = redepositTicks(out_elements);
-        transfer_time += red;
-        breakdown_.writeTicks += red;
+        if (c.redeposits > 0)
+            energy_.redeposit(c.redeposits);
+        breakdown_.shiftTicks += c.shiftTime;
     } else {
-        // Electrical bus: per-element electromagnetic conversion,
-        // serialized with shift-based computation (RW/shift
-        // exclusion), plus per-VPC egress of dot-product scalars.
-        const unsigned result_bits = batch.kind == VpcKind::Mul
-            ? 0
-            : (batch.kind == VpcKind::Add ? kOperandBits + 1
-                                          : kProductBits);
-        transfer_time +=
-            elements *
-            eBusTiming_.perElementConversionTicks(result_bits);
-        if (batch.kind == VpcKind::Mul)
-            transfer_time += std::uint64_t(batch.vpcCount) *
-                             eBusTiming_.wordEgressTicks(
-                                 kAccumulatorBits);
+        const std::uint64_t out_elements =
+            std::uint64_t(batch.vpcCount) * resultElementsPerVpc(batch);
         eBusTiming_.recordIngressEnergy(energy_, meter_, elements);
         eBusTiming_.recordEgressEnergy(
             meter_, out_elements == 0 ? batch.vpcCount : out_elements,
             out_elements == 0 ? kAccumulatorBits : kProductBits);
-        breakdown_.writeTicks += transfer_time;
     }
+    breakdown_.writeTicks += c.writeTime;
 
-    const Tick duration = fill_time + process_time + transfer_time;
+    const Tick duration = c.fillTime + c.processTime + c.tailTime;
 
     const bool hol = cfg_.headOfLineBlocking();
     Tick issue = hol ? std::max(ready, bankIssueFree_[bank]) : ready;
@@ -252,7 +297,7 @@ Executor::runCompute(const VpcBatch &batch, Tick ready)
         SPIM_PANIC("unreachable");
     }
 
-    breakdown_.processTicks += process_time;
+    breakdown_.processTicks += c.processTime;
     // Re-executed (recovery-ladder) compute batches additionally
     // attribute their pipeline time to the Recovery category: the
     // raw per-category sums may overlap (header note), and this
@@ -260,16 +305,16 @@ Executor::runCompute(const VpcBatch &batch, Tick ready)
     // work itself is ordinary PIM compute (energy stays in the pim
     // categories — the arithmetic is real either way).
     if (batch.recovery)
-        breakdown_.recoveryTicks += process_time;
+        breakdown_.recoveryTicks += c.processTime;
     // Within the grant: bus fill, then processing, then the
     // serialized tail (corrections, re-deposits, conversion).
     coverage_.add(CoverageKind::Transfer, batch.subarray, span.start,
-                  span.start + fill_time);
+                  span.start + c.fillTime);
     coverage_.add(CoverageKind::Process, batch.subarray,
-                  span.start + fill_time,
-                  span.start + fill_time + process_time);
+                  span.start + c.fillTime,
+                  span.start + c.fillTime + c.processTime);
     coverage_.add(CoverageKind::Transfer, batch.subarray,
-                  span.end - transfer_time, span.end);
+                  span.end - c.tailTime, span.end);
     return span.end;
 }
 
@@ -290,8 +335,13 @@ Executor::run(const VpcSchedule &schedule)
     hostLink_.reset();
     breakdown_ = TimeBreakdown{};
     coverage_.reset(subarrays_.size());
+    costValid_ = false;
 
-    done_.assign(schedule.batchCount(), 0);
+    // Completion ticks live in a ring that spans the longest
+    // dependency distance, so dependencies read live slots only.
+    const std::uint64_t window = schedule.maxDepDistance();
+    done_.assign(std::bit_ceil(window + 1), 0);
+    const std::uint64_t mask = done_.size() - 1;
     Tick all_done = 0;
     std::uint64_t pim_vpcs = 0;
     std::uint64_t move_vpcs = 0;
@@ -307,18 +357,27 @@ Executor::run(const VpcSchedule &schedule)
             ready = std::max(ready, all_done);
         if (b.depA != kNoBatch) {
             SPIM_ASSERT(b.depA < i, "forward dependency");
-            ready = std::max(ready, done_[b.depA]);
+            SPIM_ASSERT(i - b.depA <= window, "dependency outside the "
+                        "window of ", window, " batches");
+            ready = std::max(ready, done_[b.depA & mask]);
         }
         if (b.depB != kNoBatch) {
             SPIM_ASSERT(b.depB < i, "forward dependency");
-            ready = std::max(ready, done_[b.depB]);
+            SPIM_ASSERT(i - b.depB <= window, "dependency outside the "
+                        "window of ", window, " batches");
+            ready = std::max(ready, done_[b.depB & mask]);
         }
 
         const bool pim = isPimVpc(b.kind);
         (pim ? pim_vpcs : move_vpcs) += b.vpcCount;
-        const Tick end =
-            pim ? runCompute(b, ready) : runTransfer(b, ready);
-        done_[i] = end;
+        if (!costValid_ || !sameShape(b, costShape_)) {
+            cost_ = pim ? computeCost(b) : transferCost(b);
+            costShape_ = b;
+            costValid_ = true;
+        }
+        const Tick end = pim ? runCompute(b, cost_, ready)
+                             : runTransfer(b, cost_, ready);
+        done_[i & mask] = end;
         all_done = std::max(all_done, end);
     });
 

@@ -98,11 +98,43 @@ class Executor
     ExecutionReport run(const VpcSchedule &schedule);
 
   private:
+    /**
+     * What one logical batch costs, a function of its shape alone
+     * (kind, vpcCount, vectorLen, migration, recovery): the
+     * durations, breakdown shares and energy counts the per-batch
+     * path would otherwise recompute with several integer divisions.
+     * A run's batches share one shape, so run() computes the cost
+     * once per change of shape. Energy is still recorded per logical
+     * batch, in order (DESIGN §13).
+     */
+    struct BatchCost
+    {
+        std::uint64_t rows = 0; //!< TRAN row operations per end
+        Tick readTime = 0;      //!< TRAN source reads
+        Tick writeTime = 0;     //!< TRAN writes / compute write share
+        Tick bankBusTime = 0;   //!< TRAN hop on a bank-internal bus
+        Tick deviceBusTime = 0; //!< TRAN hop on the device bus
+        std::uint64_t redeposits = 0; //!< expected re-driven deposits
+        Tick processTime = 0;   //!< compute pipeline
+        Tick fillTime = 0;      //!< RM-bus first-wave fill
+        Tick tailTime = 0;      //!< serialized tail after processing
+        Tick shiftTime = 0;     //!< RM-bus streaming share of the grant
+        std::uint64_t busPulses = 0;   //!< RM-bus segment pulses
+        std::uint64_t matPulses = 0;   //!< in-mat streaming row pulses
+        std::uint64_t guardSenses = 0; //!< shift-fault guard senses
+        std::uint64_t corrections = 0; //!< compensating shifts
+    };
+
+    BatchCost transferCost(const VpcBatch &batch) const;
+    BatchCost computeCost(const VpcBatch &batch) const;
+
     /** Handle one TRAN batch; returns completion tick. */
-    Tick runTransfer(const VpcBatch &batch, Tick ready);
+    Tick runTransfer(const VpcBatch &batch, const BatchCost &cost,
+                     Tick ready);
 
     /** Handle one compute (MUL/SMUL/ADD) batch. */
-    Tick runCompute(const VpcBatch &batch, Tick ready);
+    Tick runCompute(const VpcBatch &batch, const BatchCost &cost,
+                    Tick ready);
 
     /** Per-batch pipeline cycles for a compute batch. */
     Cycle computeCycles(const VpcBatch &batch) const;
@@ -120,13 +152,13 @@ class Executor
     WriteFaultModel writeModel_;
 
     /**
-     * Expected re-deposit overhead of committing @p deposit_bytes at
-     * the destination (closed form at the wear-independent floor, so
-     * the timed path stays deterministic): records Redeposit energy
-     * and returns the extra write time. Zero when write faults are
-     * off.
+     * Expected re-driven deposit pulses of committing
+     * @p deposit_bytes at the destination (closed form at the
+     * wear-independent floor, so the timed path stays
+     * deterministic); each costs one write quantum. Zero when write
+     * faults are off.
      */
-    Tick redepositTicks(std::uint64_t deposit_bytes);
+    std::uint64_t expectedRedeposits(std::uint64_t deposit_bytes) const;
 
     // Mutable per-run state.
     EnergyMeter meter_;
@@ -145,8 +177,20 @@ class Executor
     TickResource deviceBusFwd_;
     TickResource deviceBusRet_;
     TickResource hostLink_;
+    /**
+     * Completion ticks of the most recent logical batches, a ring
+     * indexed by `i & (size - 1)`. run() sizes it to the smallest
+     * power of two above the schedule's longest dependency distance
+     * (VpcSchedule::maxDepDistance), so a dependency always reads a
+     * slot no later batch has overwritten; barriers use the running
+     * maximum instead. Its size is O(window), not O(batches).
+     */
     std::vector<Tick> done_;
     TimeBreakdown breakdown_;
+    /** Cost of the last batch shape seen; run() invalidates it. */
+    BatchCost cost_;
+    VpcBatch costShape_;
+    bool costValid_ = false;
     /** Fig. 19 coverage of transfer and process spans per subarray. */
     CoverageUnion coverage_;
 };

@@ -7,6 +7,7 @@
 
 #include "common/config.hh"
 #include "common/log.hh"
+#include "common/rss.hh"
 #include "common/simd.hh"
 #include "parallel/thread_pool.hh"
 
@@ -258,34 +259,34 @@ SweepRunner::report() const
         cells.push(std::move(jc));
     }
     doc["cells"] = std::move(cells);
-    // Perf section: simulator throughput, for regression tracking.
-    // Everything here (and every *per_second / seconds field above)
-    // is timing — tooling diffing runs must strip these; all other
-    // fields are deterministic at any STREAMPIM_JOBS.
+    // Perf section: simulator throughput and memory, for regression
+    // tracking. Everything here (and every *per_second / seconds
+    // field above) is timing — tooling diffing runs must strip
+    // these; all other fields are deterministic at any
+    // STREAMPIM_JOBS.
     const double ops = functionalOps();
-    if (ops > 0.0 || serialSeconds_ > 0.0 ||
-        perfExtras_.size() > 0) {
-        Json perf = Json::object();
-        // Word-kernel implementation label (common/simd.hh); kept
-        // so the report shape stays stable across schema versions.
-        perf["simd_backend"] = simd::backendName();
-        // Fleet size this run simulated with (device-count
-        // invariance: non-timing fields must diff byte-identical
-        // across STREAMPIM_DEVICES too).
-        perf["devices"] = Config::envInt("STREAMPIM_DEVICES", 1, 0,
-                                         Config::kMaxDevices);
-        perf["functional_ops"] = ops;
-        perf["wall_seconds"] = wallSeconds_;
-        perf["functional_ops_per_second"] =
-            wallSeconds_ > 0.0 ? ops / wallSeconds_ : 0.0;
-        if (serialSeconds_ > 0.0) {
-            perf["serial_seconds"] = serialSeconds_;
-            perf["speedup_vs_serial"] = speedupVsSerial();
-        }
-        for (const auto &[k, v] : perfExtras_.members())
-            perf[k] = v;
-        doc["perf"] = std::move(perf);
+    Json perf = Json::object();
+    // Word-kernel implementation label (common/simd.hh); kept so the
+    // report shape stays stable across schema versions.
+    perf["simd_backend"] = simd::backendName();
+    // Fleet size this run simulated with (device-count invariance:
+    // non-timing fields must diff byte-identical across
+    // STREAMPIM_DEVICES too).
+    perf["devices"] = Config::envInt("STREAMPIM_DEVICES", 1, 0,
+                                     Config::kMaxDevices);
+    perf["functional_ops"] = ops;
+    perf["wall_seconds"] = wallSeconds_;
+    perf["functional_ops_per_second"] =
+        wallSeconds_ > 0.0 ? ops / wallSeconds_ : 0.0;
+    // Peak resident memory of the whole process so far.
+    perf["peak_rss_mib"] = peakResidentMib();
+    if (serialSeconds_ > 0.0) {
+        perf["serial_seconds"] = serialSeconds_;
+        perf["speedup_vs_serial"] = speedupVsSerial();
     }
+    for (const auto &[k, v] : perfExtras_.members())
+        perf[k] = v;
+    doc["perf"] = std::move(perf);
     doc["summary"] = summary_;
     return doc;
 }

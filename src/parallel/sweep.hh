@@ -48,7 +48,10 @@ namespace streampim
  * section always carries `devices` (STREAMPIM_DEVICES), benches can
  * merge extra perf objects via perfNote() (abl_sharding records
  * per-device utilization, merge_seconds and speedup_vs_one_device
- * there), and the abl_sharding bench joined the golden set.
+ * there), and the abl_sharding bench joined the golden set. Fields
+ * inside perf are timing telemetry that every report_check.py key set
+ * strips, so adding one needs no bump: perf is now always present
+ * and carries peak_rss_mib, at version 6.
  */
 constexpr int kBenchReportSchemaVersion = 6;
 

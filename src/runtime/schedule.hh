@@ -27,6 +27,7 @@
 #ifndef STREAMPIM_RUNTIME_SCHEDULE_HH_
 #define STREAMPIM_RUNTIME_SCHEDULE_HH_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -168,6 +169,38 @@ struct VpcSchedule
             if (!isPimVpc(b.kind))
                 n += std::uint64_t(b.vpcCount) * b.repeat;
         return n;
+    }
+
+    /**
+     * Longest dependency distance `i - dep` over every logical batch
+     * i and each of its dependencies; 0 when no batch has one. Within
+     * a run the distance is affine in the repeat index, so the run's
+     * two ends bound it: O(descriptors). An end whose dependency is
+     * not in [0, i) is skipped; walking the batches finds it.
+     */
+    std::uint64_t
+    maxDepDistance() const
+    {
+        std::uint64_t longest = 0;
+        for (const VpcBatch &run : batches) {
+            // Batch r of the run is first + r and depends on
+            // dep + r * step: distance d0 + r * (1 - step).
+            const std::int64_t last = std::int64_t(run.repeat) - 1;
+            const std::pair<std::uint32_t, std::int32_t> deps[] = {
+                {run.depA, run.depAStep}, {run.depB, run.depBStep}};
+            for (const auto &[dep, step] : deps) {
+                if (dep == kNoBatch)
+                    continue;
+                const std::int64_t d0 = std::int64_t(run.first) - dep;
+                const std::int64_t d1 =
+                    d0 + last * (1 - std::int64_t(step));
+                if (d0 > 0)
+                    longest = std::max(longest, std::uint64_t(d0));
+                if (d1 > 0 && d1 <= run.first + last)
+                    longest = std::max(longest, std::uint64_t(d1));
+            }
+        }
+        return longest;
     }
 
     /**

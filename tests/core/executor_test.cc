@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/rss.hh"
 #include "core/executor.hh"
 #include "runtime/schedule.hh"
 #include "sim/coverage.hh"
@@ -817,6 +818,50 @@ TEST(Executor, ComputeChargesRedepositsOnResultWriteback)
     ExecutionReport b = worn.run(s);
     EXPECT_GT(b.energy.count(EnergyOp::Redeposit), 0u);
     EXPECT_GE(b.makespan, a.makespan);
+}
+
+TEST(ExecutorMemory, StateStaysFlatAcrossLongRuns)
+{
+    // 2^24 logical batches in three descriptors, each batch waiting
+    // on work at most 64 batches back: 64 computes, then two long
+    // runs of transfers that stream back and forth between two
+    // banks. Reads take as long as writes here, so both ends stream
+    // without gaps and the coverage union stays a few intervals. A
+    // completion tick per batch would grow the resident set by 128
+    // MiB; the executor keeps a window of them. VmRSS (not the peak)
+    // is read while the executor is alive, so its state counts and
+    // an earlier peak of the process cannot hide it.
+    SystemConfig cfg = baseConfig();
+    cfg.rm.readNs = cfg.rm.writeNs;
+    constexpr std::uint32_t kHalf = 1u << 23;
+    VpcSchedule s;
+    VpcBatch seed = compute(2, 1, 64);
+    seed.repeat = 64;
+    seed.subarrayStep = 1;
+    s.batches.push_back(seed);
+    const std::uint32_t other_bank = cfg.rm.subarraysPerBank;
+    VpcBatch there = tran(0, other_bank, 1, 64, /*dep=*/0);
+    there.first = 64;
+    there.repeat = kHalf - 64;
+    there.depAStep = 1;
+    s.batches.push_back(there);
+    VpcBatch back = tran(other_bank, 0, 1, 64, /*dep=*/kHalf - 64);
+    back.barrier = true;
+    back.depB = kHalf - 32;
+    back.first = kHalf;
+    back.repeat = kHalf;
+    back.depAStep = back.depBStep = 1;
+    s.batches.push_back(back);
+    ASSERT_EQ(s.batchCount(), std::uint64_t(2) * kHalf);
+    ASSERT_EQ(s.maxDepDistance(), 64u);
+
+    Executor ex(cfg);
+    const double before = residentMib();
+    const ExecutionReport r = ex.run(s);
+    const double growth = residentMib() - before;
+    EXPECT_EQ(r.batches, s.batchCount());
+    EXPECT_EQ(r.pimVpcs, 64u);
+    EXPECT_LT(growth, 16.0) << "resident set grew " << growth << " MiB";
 }
 
 TEST(ExecutorDeath, OutOfRangeSubarrayPanics)

@@ -13,6 +13,7 @@
 #include "core/executor.hh"
 #include "runtime/planner.hh"
 #include "support/schedules.hh"
+#include "workloads/dnn.hh"
 #include "workloads/polybench.hh"
 
 namespace streampim
@@ -229,6 +230,139 @@ TEST(ExecutorCrossValidation, BatchCompletionTimesAgree)
             expect = std::max(expect, ref.batchDone[i]);
         EXPECT_EQ(fast.run(prefix).makespan, expect) << k;
     }
+}
+
+/** The first @p k logical batches of @p s, pushed one by one. */
+VpcSchedule
+prefixOf(const VpcSchedule &s, std::uint32_t k)
+{
+    VpcSchedule prefix;
+    s.forEachBatch([&](std::uint32_t i, const VpcBatch &b) {
+        if (i < k)
+            prefix.push(b);
+    });
+    return prefix;
+}
+
+/**
+ * Paper-scale schedules, cut to the first 100,000 logical batches so
+ * the event-driven reference can hold them: 2-layer BERT, the fig23
+ * MLP and gemm dim-2000 at Distribute, whose full schedules have the
+ * longest dependency distances of the paper runs (129, 324 and
+ * 1,025). The sweep executor must match the reference on the prefix
+ * and on two shorter sub-prefixes.
+ */
+TEST(ExecutorCrossValidation, PaperSchedulePrefixesMatchReference)
+{
+    BertConfig bert;
+    bert.layers = 2;
+    struct Case
+    {
+        const char *name;
+        TaskGraph graph;
+        OptLevel level;
+        std::uint64_t window;
+    };
+    const Case cases[] = {
+        {"bert-2", makeBert(bert), OptLevel::Unblock, 129},
+        {"mlp", makeMlp(MlpConfig{}), OptLevel::Unblock, 324},
+        {"gemm-2000", makePolybench(PolybenchKernel::Gemm, 2000),
+         OptLevel::Distribute, 1025},
+    };
+    for (const Case &c : cases) {
+        SystemConfig cfg = SystemConfig::paperDefault();
+        cfg.optLevel = c.level;
+        const VpcSchedule s = Planner(cfg).plan(c.graph);
+        EXPECT_EQ(s.maxDepDistance(), c.window) << c.name;
+
+        const VpcSchedule prefix = prefixOf(s, 100000);
+        ASSERT_EQ(prefix.batchCount(), 100000u) << c.name;
+        const EventExecutionResult ref = EventExecutor(cfg).run(prefix);
+        Executor fast(cfg);
+        EXPECT_EQ(fast.run(prefix).makespan, ref.makespan) << c.name;
+        for (std::uint32_t k : {1000u, 30000u}) {
+            Tick expect = 0;
+            for (std::uint32_t i = 0; i < k; ++i)
+                expect = std::max(expect, ref.batchDone[i]);
+            EXPECT_EQ(fast.run(prefixOf(prefix, k)).makespan, expect)
+                << c.name << " " << k;
+        }
+    }
+}
+
+/** Both executors agree on @p s; its longest distance is @p window. */
+void
+expectWindowed(const VpcSchedule &s, std::uint64_t window,
+               const char *what)
+{
+    EXPECT_EQ(s.maxDepDistance(), window) << what;
+    const SystemConfig cfg = SystemConfig::paperDefault();
+    expectIdentical(cfg, s, what);
+}
+
+TEST(DependencyWindow, DistanceGrowingAlongARun)
+{
+    // 3,000 batches that all wait for batch 0, in runs with depA
+    // step 0, so the distance grows along each run and only a run's
+    // far end bounds it. Short adds take every subarray but 0, then
+    // long multiplies reuse them from subarray 1: a stale slot 0
+    // would make every later multiply wait for the first one.
+    const std::uint32_t subarrays =
+        SystemConfig::paperDefault().rm.totalSubarrays();
+    VpcSchedule s;
+    VpcBatch head;
+    head.vpcCount = 8;
+    head.vectorLen = 300;
+    s.push(head);
+    VpcBatch b;
+    b.depA = 0;
+    for (std::uint32_t i = 1; i < 3000; ++i) {
+        const bool add = i < subarrays;
+        b.kind = add ? VpcKind::Add : VpcKind::Mul;
+        b.vpcCount = add ? 1 : 8;
+        b.vectorLen = add ? 16 : 300;
+        b.subarray = add ? i : i - subarrays + 1;
+        s.push(b);
+    }
+    ASSERT_EQ(s.batches.size(), 3u);
+    EXPECT_EQ(s.batches[1].depAStep, 0);
+    EXPECT_EQ(s.batches[2].depAStep, 0);
+    expectWindowed(s, 2999, "growing distance");
+}
+
+TEST(DependencyWindow, PowerOfTwoDistance)
+{
+    // Batch i waits for batch i - 1,024 on another subarray, with
+    // shapes that vary so every completion tick differs.
+    const std::uint32_t subarrays =
+        SystemConfig::paperDefault().rm.totalSubarrays();
+    VpcSchedule s;
+    for (std::uint32_t i = 0; i < 4096; ++i) {
+        VpcBatch b;
+        b.kind = i % 3 == 0 ? VpcKind::Tran : VpcKind::Mul;
+        b.subarray = (i * 37) % subarrays;
+        b.dstSubarray = (i * 53 + 1) % subarrays;
+        b.vpcCount = 1 + i % 5;
+        b.vectorLen = 1 + (i * 97) % 300;
+        if (i >= 1024)
+            b.depA = i - 1024;
+        if (i % 7 == 0 && i > 0)
+            b.depB = i - 1;
+        s.push(b);
+    }
+    expectWindowed(s, 1024, "distance 1024");
+}
+
+TEST(DependencyWindow, EmptyAndOneBatchSchedules)
+{
+    expectWindowed(VpcSchedule{}, 0, "empty");
+    VpcSchedule one;
+    VpcBatch b;
+    b.vectorLen = 64;
+    one.push(b);
+    expectWindowed(one, 0, "one batch");
+    EXPECT_GT(Executor(SystemConfig::paperDefault()).run(one).makespan,
+              0u);
 }
 
 } // namespace

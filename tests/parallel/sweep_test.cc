@@ -7,6 +7,7 @@
 #include <string>
 #include <thread>
 
+#include "common/rss.hh"
 #include "parallel/sweep.hh"
 #include "parallel/thread_pool.hh"
 
@@ -196,8 +197,31 @@ TEST(SweepRunner, SerialReferenceIsOptIn)
     EXPECT_FALSE(sweep.measureSerialReference());
     EXPECT_DOUBLE_EQ(sweep.serialSeconds(), 0.0);
     EXPECT_DOUBLE_EQ(sweep.speedupVsSerial(), 0.0);
-    // And the report carries no perf section (no functional_ops).
-    EXPECT_EQ(sweep.report().find("perf"), nullptr);
+    // And the report's perf section carries no reference timing.
+    const Json doc = sweep.report();
+    const Json *perf = doc.find("perf");
+    ASSERT_NE(perf, nullptr);
+    EXPECT_EQ(perf->find("serial_seconds"), nullptr);
+    EXPECT_EQ(perf->find("speedup_vs_serial"), nullptr);
+}
+
+TEST(SweepRunner, PerfSectionAlwaysCarriesWallTimeAndPeakRss)
+{
+    // Even a grid with no functional ops reports its wall time and
+    // the process's peak resident memory.
+    SweepRunner sweep = makeGrid();
+    sweep.run();
+    const double resident = residentMib();
+    const Json doc = sweep.report();
+    const Json *perf = doc.find("perf");
+    ASSERT_NE(perf, nullptr);
+    EXPECT_DOUBLE_EQ(perf->find("wall_seconds")->asNumber(),
+                     sweep.wallSeconds());
+    // The peak so far covers what was resident before the report.
+    const Json *rss = perf->find("peak_rss_mib");
+    ASSERT_NE(rss, nullptr);
+    EXPECT_GT(resident, 0.0);
+    EXPECT_GE(rss->asNumber(), resident);
 }
 
 TEST(SweepRunner, SerialReferenceRecordsTimingAndVerifies)

@@ -2,11 +2,14 @@
 """Compare bench reports on their non-timing fields.
 
     python3 tools/report_check.py [--strip SET] [--golden] REF RUN [RUN ...]
+    python3 tools/report_check.py --max KEY=LIMIT [--max ...] RUN [RUN ...]
 
 Every RUN must equal REF once the keys of SET are dropped at every
 depth of the JSON documents. With --golden, REF is a committed golden
-report and each RUN must first match its schema_version. Exits 1 on
-the first mismatch.
+report and each RUN must first match its schema_version. With --max
+there is no REF: the number at the dotted KEY path of each RUN (for
+example perf.peak_rss_mib) must be at most LIMIT. Exits 1 on the
+first mismatch.
 
 Key sets:
   timing   (default) wall-clock fields: seconds, wall_seconds, perf,
@@ -41,29 +44,63 @@ def strip(doc, keys, speedup):
     return doc
 
 
+def limit(text):
+    key, _, value = text.partition('=')
+    try:
+        if key:
+            return key, float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f'expected KEY=LIMIT, got {text!r}')
+
+
+def check_limits(path, limits):
+    with open(path) as f:
+        doc = json.load(f)
+    for key, most in limits:
+        value = doc
+        for part in key.split('.'):
+            if not isinstance(value, dict) or part not in value:
+                sys.exit(f'{path}: no {key}')
+            value = value[part]
+        if not isinstance(value, (int, float)):
+            sys.exit(f'{path}: {key} is not a number')
+        if value > most:
+            sys.exit(f'{path}: {key} is {value}, above {most}')
+        print(f'{path}: {key} = {value} <= {most}')
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split('\n')[0])
     ap.add_argument('--strip', choices=sorted(KEY_SETS),
                     default='timing')
     ap.add_argument('--golden', action='store_true')
-    ap.add_argument('ref')
-    ap.add_argument('runs', nargs='+')
+    ap.add_argument('--max', type=limit, action='append', default=[],
+                    metavar='KEY=LIMIT')
+    ap.add_argument('reports', nargs='+', metavar='REPORT')
     args = ap.parse_args(argv)
+    if args.max:
+        for path in args.reports:
+            check_limits(path, args.max)
+        return
+    if len(args.reports) < 2:
+        ap.error('expected a REF and at least one RUN')
     keys, speedup = KEY_SETS[args.strip]
 
-    with open(args.ref) as f:
+    ref_path, runs = args.reports[0], args.reports[1:]
+    with open(ref_path) as f:
         ref = json.load(f)
     want = strip(ref, keys, speedup)
-    for path in args.runs:
+    for path in runs:
         with open(path) as f:
             run = json.load(f)
         if args.golden and \
                 run.get('schema_version') != ref.get('schema_version'):
-            sys.exit(f'{path}: schema_version drifted from {args.ref} '
+            sys.exit(f'{path}: schema_version drifted from {ref_path} '
                      '— bump intentionally and regenerate')
         if strip(run, keys, speedup) != want:
-            sys.exit(f'{path}: non-timing fields differ from {args.ref}')
-        print(f'{path} matches {args.ref}')
+            sys.exit(f'{path}: non-timing fields differ from {ref_path}')
+        print(f'{path} matches {ref_path}')
 
 
 if __name__ == '__main__':
