@@ -92,11 +92,11 @@ timedSnapshotOverhead(double *makespan, double *recovery_ticks)
     SystemConfig cfg;
     Planner planner(cfg);
     TilerConfig tiler;
-    tiler.tileRows = tiler.tileCols = tiler.tileK = tile;
+    tiler.tileEdge = tile;
     planner.setTilerConfig(tiler);
     VpcSchedule sched = planner.planTiledMatmul(dim, dim, dim);
 
-    // One accumulator pre-image (tileRows x tileCols bytes, the
+    // One accumulator pre-image (tile x tile bytes, the
     // device holds 1-byte partial sums) per k-slice task, one more
     // per (i, j) tile for the collected C rows.
     const std::uint64_t acc_bytes =

@@ -2,13 +2,14 @@
  * @file
  * Ablation — multi-device sharding: device count x workload.
  *
- * The sharding layer (runtime/shard.hh + core/sharded_system.hh)
- * splits matrix workloads into per-device row blocks and drains the
- * fleet through the two-level (device x subarray) engine. This
- * ablation runs the same three workloads — an out-of-core matmul
- * that re-tiles within each device, a budgeted element-wise add,
- * and a sharded fault campaign — at 1, 2, 4 and 8 devices, and
- * checks the layer's two load-bearing properties:
+ * The sharding layer (partitionRows in runtime/tiler.hh +
+ * core/sharded_system.hh) splits matrix workloads into per-device
+ * row blocks and drains the fleet through the two-level (device x
+ * subarray) engine. This ablation runs the same three workloads —
+ * an out-of-core matmul that re-tiles within each device, a
+ * budgeted element-wise add, and a sharded fault campaign — at 1,
+ * 2, 4 and 8 devices, and checks the layer's two load-bearing
+ * properties:
  *
  *  - device-count invariance: every cell value and metric is a
  *    checksum or count that must be bit-identical no matter how

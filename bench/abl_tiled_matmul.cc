@@ -58,7 +58,7 @@ timedCell(const TimedCase &tc, bool double_buffer)
     SystemConfig cfg;
     Planner planner(cfg);
     TilerConfig tiler;
-    tiler.tileRows = tiler.tileCols = tiler.tileK = tc.tile;
+    tiler.tileEdge = tc.tile;
     tiler.doubleBuffer = double_buffer;
     planner.setTilerConfig(tiler);
 

@@ -184,12 +184,10 @@ runShardedMatmul(ShardedSystem &sys,
                 "B shape mismatch: ", b.size(), " vs ", k, "x", m);
 
     const unsigned count = sys.devices();
-    const ShardPlanner planner(count);
-    const MatmulShardPlan plan = planner.planMatmul(n, k, m);
-
     ShardedMatmulStats st;
-    st.blocks = plan.blocks;
-    st.activeDevices = plan.activeDevices();
+    st.blocks = partitionRows(n, count);
+    for (const RowBlock &blk : st.blocks)
+        st.activeDevices += !blk.idle();
     st.perDevice.assign(count, TiledMatmulStats{});
     st.deviceSeconds.assign(count, 0.0);
 
@@ -205,7 +203,7 @@ runShardedMatmul(ShardedSystem &sys,
     // WITHIN the device when the block is still out-of-core. Each
     // closure touches only its own device and result slot.
     auto runOne = [&](unsigned d) {
-        const RowBlock &blk = plan.blocks[d];
+        const RowBlock &blk = st.blocks[d];
         if (blk.idle())
             return;
         const auto t0 = clock_type::now();
@@ -213,7 +211,8 @@ runShardedMatmul(ShardedSystem &sys,
         tiled.jobs = split.inner;
         blocks[d] = runTiledMatmul(
             sys.device(d),
-            a.subspan(std::uint64_t(blk.begin) * k, plan.aBytes(d)),
+            a.subspan(std::uint64_t(blk.begin) * k,
+                      std::uint64_t(blk.rows) * k),
             b, blk.rows, k, m, tiled, &st.perDevice[d]);
         st.deviceSeconds[d] = secondsSince(t0);
     };
@@ -232,10 +231,10 @@ runShardedMatmul(ShardedSystem &sys,
     const auto merge0 = clock_type::now();
     std::vector<std::uint8_t> c(std::uint64_t(n) * m);
     for (unsigned d = 0; d < count; ++d) {
-        const RowBlock &blk = plan.blocks[d];
+        const RowBlock &blk = st.blocks[d];
         if (blk.idle())
             continue;
-        SPIM_ASSERT(blocks[d].size() == plan.cBytes(d),
+        SPIM_ASSERT(blocks[d].size() == std::uint64_t(blk.rows) * m,
                     "device ", d, " returned a mis-sized C block");
         std::memcpy(c.data() + std::uint64_t(blk.begin) * m,
                     blocks[d].data(), blocks[d].size());
@@ -260,14 +259,14 @@ runShardedVectorAdd(ShardedSystem &sys,
                 "element-wise operands differ in length: ", a.size(),
                 " vs ", b.size());
 
-    const unsigned count = sys.devices();
-    const ShardPlanner planner(count);
-    const ElementwiseShardPlan plan =
-        planner.planElementwise(a.size());
+    SPIM_ASSERT(a.size() <= 0xFFFFFFFFull,
+                "element-wise operands cap at 32-bit ranges");
 
+    const unsigned count = sys.devices();
     ShardedElementwiseStats st;
-    st.blocks = plan.blocks;
-    st.activeDevices = plan.activeDevices();
+    st.blocks = partitionRows(std::uint32_t(a.size()), count);
+    for (const RowBlock &blk : st.blocks)
+        st.activeDevices += !blk.idle();
 
     // Per-device layout in subarray 0: the A slice, the B slice and
     // the destination, back to back (the subarray tail stays free
@@ -276,7 +275,7 @@ runShardedVectorAdd(ShardedSystem &sys,
         sys.params().bytesPerSubarray();
     const auto run0 = clock_type::now();
     for (unsigned d = 0; d < count; ++d) {
-        const RowBlock &blk = plan.blocks[d];
+        const RowBlock &blk = st.blocks[d];
         if (blk.idle())
             continue;
         SPIM_ASSERT(3ull * blk.rows + 64 <= sub_bytes,
@@ -310,7 +309,7 @@ runShardedVectorAdd(ShardedSystem &sys,
     const auto merge0 = clock_type::now();
     std::vector<std::uint8_t> out(a.size());
     for (unsigned d = 0; d < count; ++d) {
-        const RowBlock &blk = plan.blocks[d];
+        const RowBlock &blk = st.blocks[d];
         if (blk.idle())
             continue;
         const auto slice =

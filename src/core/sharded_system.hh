@@ -25,11 +25,12 @@
  * is enabled per device through device(d).
  *
  * The row-block workload runners (runShardedMatmul,
- * runShardedVectorAdd) sit on top: a ShardPlanner slices the row
- * dimension across devices (A sliced, B replicated), each device
- * runs the existing tiled-matmul dataflow on its block — re-tiling
- * *within* the device when the block is still out-of-core — and the
- * per-device C blocks concatenate in plan order. See DESIGN.md §11.
+ * runShardedVectorAdd) sit on top: partitionRows (runtime/tiler.hh)
+ * slices the row dimension across devices (A sliced, B replicated),
+ * each device runs the existing tiled-matmul dataflow on its block —
+ * re-tiling *within* the device when the block is still out-of-core
+ * — and the per-device C blocks concatenate in plan order. See
+ * DESIGN.md §11.
  */
 
 #ifndef STREAMPIM_CORE_SHARDED_SYSTEM_HH_
@@ -43,7 +44,7 @@
 #include "core/stream_pim.hh"
 #include "core/tiled_matmul.hh"
 #include "parallel/thread_pool.hh"
-#include "runtime/shard.hh"
+#include "runtime/tiler.hh"
 
 namespace streampim
 {

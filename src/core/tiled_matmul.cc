@@ -333,10 +333,8 @@ runRecoverableTasks(TileStream &run)
                 // quarantined subarray's traffic, so smaller slices
                 // bound every later transaction's blast radius and
                 // retry cost.
-                const std::uint32_t derated =
-                    Tiler::tileEdgeForBudget(
-                        lay.subBytes,
-                        8u << std::min(2 * lost_subs, 20u));
+                const std::uint32_t derated = tileEdgeForBudget(
+                    lay.subBytes, 8u << std::min(2 * lost_subs, 20u));
                 if (derated < cur_tile_k) {
                     cur_tile_k = derated;
                     rs.retiles++;
@@ -423,9 +421,8 @@ runTiledMatmul(StreamPimSystem &device,
     // Tile grid: a square edge sized so one tile's full working set
     // (A tile + B tile + 4-byte partial dots + accumulator) fits a
     // compute subarray with headroom — footprint 8 bytes/element.
-    const MatmulTiling t = MatmulTiling::build(
-        n, k, m, config.tileRows, config.tileK, config.tileCols,
-        Tiler::tileEdgeForBudget(sub_bytes, 8));
+    const MatmulTiling t =
+        MatmulTiling::build(n, k, m, tileEdgeForBudget(sub_bytes, 8));
 
     // Per-compute-subarray layout for one tile task. The trailing 64
     // bytes stay free: executeOne stages remote operands into the
@@ -503,16 +500,12 @@ runTiledMatmul(StreamPimSystem &device,
         runRecoverableTasks(run);
     } else {
         st.tileTasks = t.tasks();
-        std::uint64_t task = 0;
-        for (std::uint32_t i = 0; i < t.iTiles; ++i)
-            for (std::uint32_t j = 0; j < t.jTiles; ++j) {
-                const unsigned sub =
-                    (std::uint64_t(i) * t.jTiles + j) % compute_subs;
-                for (std::uint32_t kk = 0; kk < t.kTiles;
-                     ++kk, ++task)
-                    run.issueSlice(sub, i, j, kk * t.tileK, t.kOf(kk),
-                                   unsigned(task & 1));
-            }
+        for (std::uint64_t task = 0; task < st.tileTasks; ++task) {
+            const TileTask tt = t.task(task);
+            run.issueSlice(unsigned(tt.tile % compute_subs), tt.i,
+                           tt.j, tt.kpos, tt.depth,
+                           unsigned(task & 1));
+        }
         run.drain();
     }
 

@@ -44,11 +44,6 @@ namespace streampim
 /** Knobs of the functional tiled-matmul runner. */
 struct TiledMatmulConfig
 {
-    /** Tile shape in elements; 0 derives from the subarray size. */
-    std::uint32_t tileRows = 0;
-    std::uint32_t tileCols = 0;
-    std::uint32_t tileK = 0;
-
     /**
      * Alternate between two staging buffers so consecutive tile
      * tasks never share one (the functional analogue of the timed
@@ -95,7 +90,7 @@ struct TiledMatmulStats
      * retiles counts in-flight k-edge shrinks. */
     RecoveryStats recovery;
 
-    /** k-edge the run ended with (== the starting tileK unless a
+    /** k-edge the run ended with (== the starting tile edge unless a
      * quarantine-driven re-tile shrank it; 0 on the bulk path). */
     std::uint32_t finalTileK = 0;
 };

@@ -10,6 +10,20 @@
 namespace streampim
 {
 
+namespace
+{
+
+/**
+ * Compute subarrays a single tiled-matmul task fans out over. Caps
+ * the per-task batch count so paper-scale grids stay replayable;
+ * the compute set is carved into slots/kSlotsPerTile groups used
+ * round-robin by C tile, which is what lets different C tiles
+ * proceed concurrently.
+ */
+constexpr std::uint32_t kSlotsPerTile = 64;
+
+} // namespace
+
 Planner::Planner(const SystemConfig &config) : cfg_(config)
 {
     cfg_.validate();
@@ -469,11 +483,10 @@ Planner::lowerTiledMatMul(LowerCtx &ctx, const TaskGraph &g,
     const MatrixDesc &a = g.matrices[op.a];
     const MatrixDesc &b = g.matrices[op.b];
 
-    TilerConfig tcfg = tilerCfg_;
-    if (op.tileHint != 0)
-        tcfg.tileRows = tcfg.tileCols = tcfg.tileK = op.tileHint;
-    const Tiler tiler(cfg_, tcfg);
-    const MatmulTiling t = tiler.tile(a.rows, a.cols, b.cols);
+    const MatmulTiling t = MatmulTiling::build(
+        a.rows, a.cols, b.cols,
+        tilerCfg_.tileEdge != 0 ? tilerCfg_.tileEdge
+                                : tileEdgeForBudget(cfg_.rm.matBytes));
     stats_.tiledMatmuls++;
     stats_.tileTasks += t.tasks();
 
@@ -481,9 +494,8 @@ Planner::lowerTiledMatMul(LowerCtx &ctx, const TaskGraph &g,
     // compute set is carved into slots/S groups used round-robin by
     // C tile, so different C tiles run on disjoint subarrays.
     const auto slots = std::uint32_t(computeSet_.size());
-    const std::uint32_t per_tile = std::min(
-        {Tiler::kSlotsPerTile, slots,
-         std::max<std::uint32_t>(1, t.tileRows)});
+    const std::uint32_t per_tile =
+        std::min({kSlotsPerTile, slots, t.tileRows});
     const std::uint32_t groups = std::max(1u, slots / per_tile);
     auto slot_of = [&](std::uint32_t grp, std::uint32_t x) {
         return computeSet_[grp * per_tile + x];
@@ -512,30 +524,27 @@ Planner::lowerTiledMatMul(LowerCtx &ctx, const TaskGraph &g,
     auto stage_sub = [&](std::uint64_t task) {
         return stagingSet_[task % stagingSet_.size()];
     };
-    auto backing_sub = [&](std::uint64_t task) {
-        return backing[task % backing.size()];
-    };
 
     const std::uint32_t c_home = vectorHome(op.c);
     bool barrier = ctx.written[op.a] || ctx.written[op.b];
 
-    // Stage the operand tiles of one task: two bulk TRANs from the
+    // Stage the operand tiles of task @p n: two bulk TRANs from the
     // backing store to the task's staging subarray.
-    auto emit_stage = [&](std::uint64_t task, std::uint32_t rows,
-                          std::uint32_t depth, std::uint32_t cols,
-                          std::uint32_t dep_a, std::uint32_t dep_b)
+    auto emit_stage = [&](std::uint64_t n, std::uint32_t dep_a,
+                          std::uint32_t dep_b)
         -> std::pair<std::uint32_t, std::uint32_t> {
+        const TileTask tt = t.task(n);
         VpcBatch sa;
         sa.kind = VpcKind::Tran;
-        sa.subarray = backing_sub(task);
-        sa.dstSubarray = stage_sub(task);
+        sa.subarray = backing[n % backing.size()];
+        sa.dstSubarray = stage_sub(n);
         sa.vpcCount = 1;
-        sa.vectorLen = rows * depth;
+        sa.vectorLen = tt.rows * tt.depth;
         sa.depA = dep_a;
         sa.barrier = barrier;
         barrier = false;
         VpcBatch sb = sa;
-        sb.vectorLen = depth * cols;
+        sb.vectorLen = tt.depth * tt.cols;
         sb.depA = dep_b;
         sb.barrier = false;
         return {ctx.sched->push(sa), ctx.sched->push(sb)};
@@ -543,134 +552,103 @@ Planner::lowerTiledMatMul(LowerCtx &ctx, const TaskGraph &g,
 
     const std::uint64_t total = t.tasks();
     std::uint32_t staged_a = kNoBatch, staged_b = kNoBatch;
-    std::uint32_t dist_last_prev = kNoBatch; // task t-1's last spread
+    std::uint32_t dist_last_prev = kNoBatch; // task n-1's last spread
     std::uint32_t last_collect = kNoBatch;
     // Last batch writing each slot's C-tile accumulator, per group.
     std::vector<std::vector<std::uint32_t>> acc(
         groups, std::vector<std::uint32_t>(per_tile, kNoBatch));
     std::vector<std::uint32_t> dist_a(per_tile), dist_b(per_tile);
 
-    std::uint64_t task = 0;
-    for (std::uint32_t i = 0; i < t.iTiles; ++i) {
-        for (std::uint32_t j = 0; j < t.jTiles; ++j) {
-            const std::uint32_t grp =
-                (std::uint64_t(i) * t.jTiles + j) % groups;
-            const std::uint32_t tr = t.rowsOf(i);
-            const std::uint32_t tc = t.colsOf(j);
-            for (std::uint32_t kk = 0; kk < t.kTiles;
-                 ++kk, ++task) {
-                const std::uint32_t tk = t.kOf(kk);
+    for (std::uint64_t n = 0; n < total; ++n) {
+        const TileTask tt = t.task(n);
+        const auto grp = std::uint32_t(tt.tile % groups);
 
-                // Task 0 stages synchronously; later tasks were
-                // staged ahead by their predecessor (double buffer)
-                // or after it completed (single buffer).
-                if (task == 0)
-                    std::tie(staged_a, staged_b) = emit_stage(
-                        0, tr, tk, tc, ctx.lastWriter[op.a],
-                        ctx.lastWriter[op.b]);
+        // Task 0 stages synchronously; later tasks were staged ahead
+        // by their predecessor (double buffer) or after it completed
+        // (single buffer).
+        if (n == 0)
+            std::tie(staged_a, staged_b) = emit_stage(
+                0, ctx.lastWriter[op.a], ctx.lastWriter[op.b]);
 
-                // Spread the staged tiles over the group: A rows
-                // partitioned across slots, the B tile replicated
-                // to each (every slot computes all tc columns for
-                // its rows).
-                std::uint32_t dist_last = kNoBatch;
-                for (std::uint32_t x = 0; x < per_tile; ++x) {
-                    const std::uint32_t rows = rows_on(tr, x);
-                    if (rows == 0)
-                        continue;
-                    VpcBatch da;
-                    da.kind = VpcKind::Tran;
-                    da.subarray = stage_sub(task);
-                    da.dstSubarray = slot_of(grp, x);
-                    da.vpcCount = 1;
-                    da.vectorLen = rows * tk;
-                    da.depA = staged_a;
-                    dist_a[x] = ctx.sched->push(da);
-                    VpcBatch db = da;
-                    db.vectorLen = tk * tc;
-                    db.depA = staged_b;
-                    dist_b[x] = ctx.sched->push(db);
-                    dist_last = dist_b[x];
-                }
+        // Spread the staged tiles over the group: A rows partitioned
+        // across slots, the B tile replicated to each (every slot
+        // computes all tt.cols columns for its rows).
+        std::uint32_t dist_last = kNoBatch;
+        for (std::uint32_t x = 0; x < per_tile; ++x) {
+            const std::uint32_t rows = rows_on(tt.rows, x);
+            if (rows == 0)
+                continue;
+            VpcBatch da;
+            da.kind = VpcKind::Tran;
+            da.subarray = stage_sub(n);
+            da.dstSubarray = slot_of(grp, x);
+            da.vpcCount = 1;
+            da.vectorLen = rows * tt.depth;
+            da.depA = staged_a;
+            dist_a[x] = ctx.sched->push(da);
+            VpcBatch db = da;
+            db.vectorLen = tt.depth * tt.cols;
+            db.depA = staged_b;
+            dist_b[x] = ctx.sched->push(db);
+            dist_last = dist_b[x];
+        }
 
-                // Double buffer: stage task+1 now, gated only on
-                // the buffer's previous reader (task-1's spread) —
-                // this is the transfer that overlaps this task's
-                // compute. Emitted before the computes so its
-                // dependencies always point backward.
-                const bool has_next = task + 1 < total;
-                auto next_shape = [&]() {
-                    std::uint64_t nt = task + 1;
-                    std::uint32_t nkk = kk + 1, nj = j, ni = i;
-                    if (nkk == t.kTiles) {
-                        nkk = 0;
-                        if (++nj == t.jTiles) {
-                            nj = 0;
-                            ++ni;
-                        }
-                    }
-                    return std::tuple<std::uint64_t, std::uint32_t,
-                                      std::uint32_t, std::uint32_t>(
-                        nt, t.rowsOf(ni), t.kOf(nkk), t.colsOf(nj));
-                };
-                if (tcfg.doubleBuffer && has_next) {
-                    auto [nt, nr, nk2, nc] = next_shape();
-                    std::tie(staged_a, staged_b) = emit_stage(
-                        nt, nr, nk2, nc, dist_last_prev,
-                        dist_last_prev);
-                }
+        // Double buffer: stage task n+1 now, gated only on the
+        // buffer's previous reader (task n-1's spread) — this is the
+        // transfer that overlaps this task's compute. Emitted before
+        // the computes so its dependencies always point backward.
+        const bool has_next = n + 1 < total;
+        if (tilerCfg_.doubleBuffer && has_next)
+            std::tie(staged_a, staged_b) =
+                emit_stage(n + 1, dist_last_prev, dist_last_prev);
 
-                // Dot products, then output-stationary
-                // accumulation of the partial C tile (kk > 0). The
-                // first k-tile's dots initialize the accumulator.
-                std::uint32_t task_last = dist_last;
-                for (std::uint32_t x = 0; x < per_tile; ++x) {
-                    const std::uint32_t rows = rows_on(tr, x);
-                    if (rows == 0)
-                        continue;
-                    std::uint32_t mul = emitCompute(
-                        ctx, VpcKind::Mul, slot_of(grp, x),
-                        rows * tc, tk, dist_a[x], dist_b[x]);
-                    if (kk == 0) {
-                        acc[grp][x] = mul;
-                    } else {
-                        acc[grp][x] = emitCompute(
-                            ctx, VpcKind::Add, slot_of(grp, x),
-                            rows, tc, mul, acc[grp][x]);
-                    }
-                    task_last = acc[grp][x];
-                }
+        // Dot products, then output-stationary accumulation of the
+        // partial C tile (kk > 0). The first k-tile's dots
+        // initialize the accumulator.
+        std::uint32_t task_last = dist_last;
+        for (std::uint32_t x = 0; x < per_tile; ++x) {
+            const std::uint32_t rows = rows_on(tt.rows, x);
+            if (rows == 0)
+                continue;
+            std::uint32_t mul = emitCompute(
+                ctx, VpcKind::Mul, slot_of(grp, x), rows * tt.cols,
+                tt.depth, dist_a[x], dist_b[x]);
+            if (tt.kk == 0) {
+                acc[grp][x] = mul;
+            } else {
+                acc[grp][x] = emitCompute(ctx, VpcKind::Add,
+                                          slot_of(grp, x), rows,
+                                          tt.cols, mul, acc[grp][x]);
+            }
+            task_last = acc[grp][x];
+        }
 
-                // Final k-tile: collect the finished C tile rows to
-                // the result home.
-                if (kk + 1 == t.kTiles) {
-                    for (std::uint32_t x = 0; x < per_tile; ++x) {
-                        const std::uint32_t rows = rows_on(tr, x);
-                        if (rows == 0)
-                            continue;
-                        VpcBatch col;
-                        col.kind = VpcKind::Tran;
-                        col.subarray = slot_of(grp, x);
-                        col.dstSubarray = c_home;
-                        col.vpcCount = rows;
-                        col.vectorLen = tc;
-                        col.depA = acc[grp][x];
-                        last_collect = ctx.sched->push(col);
-                        task_last = last_collect;
-                    }
-                }
-
-                // Single buffer: the next task's staging must wait
-                // until this whole round retires.
-                if (!tcfg.doubleBuffer && has_next) {
-                    auto [nt, nr, nk2, nc] = next_shape();
-                    std::tie(staged_a, staged_b) = emit_stage(
-                        nt, nr, nk2, nc, task_last, task_last);
-                }
-
-                dist_last_prev = dist_last;
+        // Final k-tile: collect the finished C tile rows to the
+        // result home.
+        if (tt.kk + 1 == t.kTiles) {
+            for (std::uint32_t x = 0; x < per_tile; ++x) {
+                const std::uint32_t rows = rows_on(tt.rows, x);
+                if (rows == 0)
+                    continue;
+                VpcBatch col;
+                col.kind = VpcKind::Tran;
+                col.subarray = slot_of(grp, x);
+                col.dstSubarray = c_home;
+                col.vpcCount = rows;
+                col.vectorLen = tt.cols;
+                col.depA = acc[grp][x];
+                last_collect = ctx.sched->push(col);
+                task_last = last_collect;
             }
         }
+
+        // Single buffer: the next task's staging must wait until
+        // this whole round retires.
+        if (!tilerCfg_.doubleBuffer && has_next)
+            std::tie(staged_a, staged_b) =
+                emit_stage(n + 1, task_last, task_last);
+
+        dist_last_prev = dist_last;
     }
 
     ctx.written[op.c] = true;
@@ -783,11 +761,10 @@ Planner::plan(const TaskGraph &graph) const
     ctx.written.assign(graph.matrices.size(), false);
     stats_ = PlanStats{};
 
-    const Tiler tiler(cfg_, tilerCfg_);
     for (const MatrixOp &op : graph.ops) {
         switch (op.kind) {
           case MatOpKind::MatMul:
-            if (tiler.needsTiling(graph, op))
+            if (needsTiling(cfg_.rm, graph, op))
                 lowerTiledMatMul(ctx, graph, op);
             else
                 lowerMatMul(ctx, graph, op);

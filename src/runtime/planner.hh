@@ -69,7 +69,6 @@ class Planner
 
     /** Tiling knobs used by plan()/planTiledMatmul(). */
     void setTilerConfig(const TilerConfig &cfg) { tilerCfg_ = cfg; }
-    const TilerConfig &tilerConfig() const { return tilerCfg_; }
 
     /** Stats of the last plan() call. */
     const PlanStats &stats() const { return stats_; }

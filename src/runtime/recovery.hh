@@ -29,7 +29,7 @@
  *                (HealthPolicy::forceQuarantine + planner prune)
  *                and re-home onto the shrunken survivor set;
  *       rung 4 — re-tile: for tiled matmul plans whose compute set
- *                shrank below the Tiler's needs, the tiled runner
+ *                shrank below the tiler's needs, the tiled runner
  *                re-tiles the in-flight plan with a smaller
  *                tileEdgeForBudget (core/tiled_matmul.cc) while
  *                preserving accumulated k-tiles;

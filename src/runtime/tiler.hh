@@ -1,6 +1,10 @@
 /**
  * @file
- * Tiler: decomposes out-of-core matmuls into mat-sized tile tasks.
+ * The tiling layer: the one place that knows the tile geometry, the
+ * tile-task order, the out-of-core fit rule and the row split across
+ * devices. The timed lowering (Planner::lowerTiledMatMul), the
+ * functional runner (core/tiled_matmul.cc) and the sharded runners
+ * (core/sharded_system.cc) all read them from here.
  *
  * The untiled lowering (Planner::lowerMatMul) assumes every operand
  * fits its placement in one shot: A row-distributed over the compute
@@ -32,29 +36,47 @@
  * addition mod 256 — a homomorphism — so summing per-k-tile partial
  * low bytes equals the full dot's low byte exactly. Tiled results
  * are therefore bit-identical to untiled ones, not approximations.
+ *
+ * Two things stay per path. Emission: the timed lowering emits a
+ * task as batches over a group of up to 64 compute subarrays, the
+ * functional runner as per-element VPCs on one compute subarray.
+ * And the default edge: each path sizes it from its own budget with
+ * tileEdgeForBudget. The sharded runners split the rows
+ * across devices with partitionRows and tile within each device,
+ * the same two-level split PrIM uses across and within DPUs.
  */
 
 #ifndef STREAMPIM_RUNTIME_TILER_HH_
 #define STREAMPIM_RUNTIME_TILER_HH_
 
 #include <cstdint>
+#include <vector>
 
-#include "core/system_config.hh"
+#include "rm/params.hh"
 #include "workloads/task_graph.hh"
 
 namespace streampim
 {
 
-/** Knobs of the tiling layer. */
+/** Knobs of the timed tiled lowering. */
 struct TilerConfig
 {
-    /** Tile shape in elements; 0 derives a square mat-sized tile. */
-    std::uint32_t tileRows = 0;
-    std::uint32_t tileCols = 0;
-    std::uint32_t tileK = 0;
+    /** Square tile edge in elements; 0 derives a mat-sized edge. */
+    std::uint32_t tileEdge = 0;
 
     /** Overlap staging of tile t+1 with compute of tile t. */
     bool doubleBuffer = true;
+};
+
+/** One (i, j, kk) tile task: a k-slice of one C tile. */
+struct TileTask
+{
+    std::uint32_t i = 0, j = 0, kk = 0; //!< grid coordinates
+    std::uint32_t kpos = 0;  //!< first k of the slice (kk * tileK)
+    std::uint32_t rows = 0;  //!< rows of C tile (i, j)
+    std::uint32_t depth = 0; //!< k extent of the slice
+    std::uint32_t cols = 0;  //!< columns of C tile (i, j)
+    std::uint64_t tile = 0;  //!< C tile index, i * jTiles + j
 };
 
 /** The tile grid of one N x K x M matmul (remainder-aware). */
@@ -69,15 +91,11 @@ struct MatmulTiling
     std::uint32_t jTiles = 0;
 
     /**
-     * The grid of the N x K x M product: each tile edge is its
-     * requested value, or @p edge when the request is 0, clamped to
-     * the problem shape.
+     * The grid of the N x K x M product with square tiles of edge
+     * @p edge, each tile edge clamped to the problem shape.
      */
     static MatmulTiling build(std::uint32_t n, std::uint32_t k,
-                              std::uint32_t m, std::uint32_t tile_rows,
-                              std::uint32_t tile_k,
-                              std::uint32_t tile_cols,
-                              std::uint32_t edge);
+                              std::uint32_t m, std::uint32_t edge);
 
     /** Rows of row-block tile @p i (the last may be a remainder). */
     std::uint32_t
@@ -108,84 +126,60 @@ struct MatmulTiling
         return std::uint64_t(iTiles) * jTiles * kTiles;
     }
 
-    /** True when one tile covers the whole product. */
-    bool
-    trivial() const
-    {
-        return iTiles == 1 && kTiles == 1 && jTiles == 1;
-    }
+    /**
+     * Task @p t of the stream, in i -> j -> kk order: the k-slices
+     * of one C tile are consecutive, so output-stationary
+     * accumulation finishes a tile before the next one starts.
+     */
+    TileTask task(std::uint64_t t) const;
 };
 
-/** Derives tile grids and fit decisions from the geometry. */
-class Tiler
+/**
+ * Largest power-of-two tile edge T whose square-tile footprint
+ * (@p bytes_per_element * (2T)^2 operand bytes) fits @p budget;
+ * never less than 1. The timed lowering uses footprint 4 on the mat
+ * capacity (A tile + B tile + C accumulator + headroom); the
+ * functional runner uses 8 on the subarray capacity (it additionally
+ * holds 4-byte partial dots).
+ */
+std::uint32_t tileEdgeForBudget(std::uint64_t budget,
+                                std::uint32_t bytes_per_element = 4);
+
+/**
+ * The fit rule: an N x K x M matmul streams through the tiler when
+ * some operand (A = N*K, B = K*M or C = N*M bytes at one byte per
+ * element) exceeds twice one subarray of @p rm, i.e. cannot fit a
+ * home subarray plus its staging partner. (The paper-scale
+ * EXTRALARGE kernels at dim 2000 sit below this at the paper
+ * geometry: the Table IV counts pin their untiled plans.)
+ */
+bool needsTiling(const RmParams &rm, std::uint32_t n, std::uint32_t k,
+                 std::uint32_t m);
+
+/**
+ * needsTiling for a task-graph op: matmuls marked MatrixOp::tiled
+ * always tile, other matmuls by the fit rule, other kinds never.
+ */
+bool needsTiling(const RmParams &rm, const TaskGraph &graph,
+                 const MatrixOp &op);
+
+/** One device's contiguous row range (rows == 0: idle shard). */
+struct RowBlock
 {
-  public:
-    /**
-     * Compute subarrays a single tile task fans out over. Caps the
-     * per-task batch count so paper-scale grids stay replayable;
-     * the compute set is carved into slots/kSlotsPerTile groups used
-     * round-robin by C tile, which is what lets different C tiles
-     * proceed concurrently.
-     */
-    static constexpr std::uint32_t kSlotsPerTile = 64;
+    std::uint32_t begin = 0;
+    std::uint32_t rows = 0;
 
-    explicit Tiler(const SystemConfig &config,
-                   const TilerConfig &tiler = TilerConfig{});
-
-    const TilerConfig &config() const { return tilerCfg_; }
-
-    /**
-     * Out-of-core threshold: a matmul whose largest operand exceeds
-     * this streams through the tiler. Twice the subarray capacity —
-     * an operand that cannot fit a home subarray plus its
-     * double-buffer staging partner must be tiled. (The paper-scale
-     * EXTRALARGE kernels at dim 2000 sit below this on purpose: the
-     * Table IV counts pin their untiled plans.)
-     */
-    std::uint64_t capacityBytes() const { return capacity_; }
-
-    /**
-     * Byte budget one tile's operands must fit: the mat capacity
-     * (rm.matBytes) — tiles are mat-sized so one tile of A, one of B
-     * and the C accumulator all live comfortably inside a subarray.
-     */
-    std::uint64_t tileBudgetBytes() const { return budget_; }
-
-    /**
-     * True when the N x K x M matmul must stream through the tiler:
-     * some operand (A = N*K, B = K*M or C = N*M bytes at one byte
-     * per element) exceeds capacityBytes().
-     */
-    bool needsTiling(std::uint32_t n, std::uint32_t k,
-                     std::uint32_t m) const;
-
-    /** needsTiling for a task-graph matmul op (or its tile hint). */
-    bool needsTiling(const TaskGraph &graph,
-                     const MatrixOp &op) const;
-
-    /**
-     * Build the tile grid: explicit TilerConfig tile dims win,
-     * otherwise a square mat-sized edge is derived from the tile
-     * budget; every dimension is clamped to the problem shape.
-     */
-    MatmulTiling tile(std::uint32_t n, std::uint32_t k,
-                      std::uint32_t m) const;
-
-    /**
-     * Largest power-of-two tile edge T whose square-tile footprint
-     * (@p bytes_per_element * T^2 operand bytes) fits @p budget;
-     * never less than 1. The planner's timed lowering uses footprint
-     * 4 (A tile + B tile + C accumulator + headroom); the functional
-     * runner uses 8 (it additionally holds 4-byte partial dots).
-     */
-    static std::uint32_t tileEdgeForBudget(
-        std::uint64_t budget, std::uint32_t bytes_per_element = 4);
-
-  private:
-    TilerConfig tilerCfg_;
-    std::uint64_t capacity_;
-    std::uint64_t budget_;
+    bool idle() const { return rows == 0; }
 };
+
+/**
+ * The row split across @p devices (>= 1) devices: contiguous blocks
+ * of ceil(n / devices) rows in device order, the last live block
+ * taking the remainder and devices past the row count idle (n == 0
+ * idles them all). A pure function of (n, devices), so the
+ * device-to-rows mapping and the merge order are deterministic.
+ */
+std::vector<RowBlock> partitionRows(std::uint32_t n, unsigned devices);
 
 } // namespace streampim
 

@@ -23,7 +23,30 @@ CoverageUnion::reset(std::size_t resources)
         cat.open.assign(resources, Run{});
         cat.merged.clear();
         cat.late.clear();
+        cat.recent = 0;
     }
+}
+
+void
+CoverageUnion::Category::reopen(std::size_t resource, Tick start,
+                                Tick end)
+{
+    Run &run = open[resource];
+    if (run.end > run.start) {
+        // When the open run extended last covers the closing run,
+        // close the stretch up to that run's end instead. It is
+        // covered too (every tick of an open run is, and the run is
+        // inserted whole once it closes), so the union stays exact,
+        // and it bridges the closing run to everything else inside
+        // the covering run. Otherwise a resource that idles between
+        // spans while another stays busy adds one component per
+        // span.
+        const Run &cover = open[recent];
+        const bool covered =
+            cover.start <= run.start && run.end <= cover.end;
+        insert(run.start, covered ? cover.end : run.end);
+    }
+    run = {start, end};
 }
 
 void

@@ -74,13 +74,11 @@ class CoverageUnion
         SPIM_ASSERT(start >= run.start, "span at ", start,
                     " starts before resource ", resource,
                     "'s open run at ", run.start);
-        if (start <= run.end) {
+        if (start <= run.end)
             run.end = std::max(run.end, end);
-            return;
-        }
-        if (run.end > run.start)
-            cat.insert(run.start, run.end);
-        run = {start, end};
+        else
+            cat.reopen(resource, start, end);
+        cat.recent = resource;
     }
 
     /**
@@ -111,6 +109,13 @@ class CoverageUnion
         std::vector<Run> open;    //!< one run per resource
         std::vector<Run> merged;  //!< disjoint, gapped, by start
         std::vector<Run> late;    //!< closed runs awaiting a merge
+        std::size_t recent = 0;   //!< resource extended last
+
+        /**
+         * Close @p resource's open run into the disjoint set and open
+         * [@p start, @p end) in its place.
+         */
+        void reopen(std::size_t resource, Tick start, Tick end);
 
         /** Union [start, end) into the disjoint set. */
         void insert(Tick start, Tick end);

@@ -1,7 +1,5 @@
 #include "workloads/polybench.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 
 namespace streampim
@@ -246,33 +244,6 @@ makeMvt(unsigned dim)
     return g;
 }
 
-} // namespace
-
-namespace
-{
-
-/**
- * Mark matmuls whose largest operand outgrows what a home subarray
- * plus its staging partner can hold (kTiledOperandThresholdBytes):
- * they must stream through the planner's tiling layer. At the
- * paper-reference dim 2000 every kernel stays below the threshold,
- * so the Table IV untiled plans are unchanged.
- */
-void
-markOversizedMatmuls(TaskGraph &g)
-{
-    for (MatrixOp &op : g.ops) {
-        if (op.kind != MatOpKind::MatMul)
-            continue;
-        const std::uint64_t largest = std::max(
-            {g.matrices[op.a].elements(),
-             g.matrices[op.b].elements(),
-             g.matrices[op.c].elements()});
-        if (largest > kTiledOperandThresholdBytes)
-            op.tiled = true;
-    }
-}
-
 TaskGraph
 build(PolybenchKernel kernel, unsigned dim)
 {
@@ -296,9 +267,7 @@ TaskGraph
 makePolybench(PolybenchKernel kernel, unsigned dim)
 {
     SPIM_ASSERT(dim >= 1, "dimension too small");
-    TaskGraph g = build(kernel, dim);
-    markOversizedMatmuls(g);
-    return g;
+    return build(kernel, dim);
 }
 
 } // namespace streampim

@@ -61,10 +61,9 @@ const std::vector<PolybenchKernel> &smallPolybenchKernels();
  *        configuration is 2000. Kernel dimensions scale as dim/2000
  *        of the EXTRALARGE dataset shapes, with every scaled
  *        dimension clamped to at least 1 so tiny scales stay valid.
- *        Matmuls whose operands exceed
- *        kTiledOperandThresholdBytes come back marked
- *        MatrixOp::tiled (the planner streams them through its
- *        tiling layer).
+ *        Whether a matmul is tiled is the planner's decision for
+ *        its geometry (runtime/tiler.hh needsTiling), not the
+ *        builder's.
  */
 TaskGraph makePolybench(PolybenchKernel kernel, unsigned dim = 2000);
 

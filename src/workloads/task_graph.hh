@@ -84,25 +84,12 @@ struct MatrixOp
 
     /**
      * MatMul only: force the streaming tiled lowering regardless of
-     * the planner's capacity check (addTiledMatmul sets it; the
-     * planner also tiles un-marked matmuls whose operands exceed
-     * the out-of-core threshold).
+     * the planner's fit rule (addTiledMatmul sets it; the planner
+     * also tiles un-marked matmuls the rule says do not fit, see
+     * runtime/tiler.hh needsTiling).
      */
     bool tiled = false;
-
-    /** MatMul only: square tile edge override; 0 = derive. */
-    std::uint32_t tileHint = 0;
 };
-
-/**
- * Operand size at which workload builders mark a matmul tiled
- * (MatrixOp::tiled): twice the paper-default subarray capacity (2 x
- * 16 mats x 256 KiB) — past what a home subarray plus its staging
- * partner can hold. Matches the planner's derived default so the
- * dim-2000 Table IV kernels stay on the untiled path.
- */
-inline constexpr std::uint64_t kTiledOperandThresholdBytes =
-    2ull * 16 * 256 * 1024;
 
 /** A whole workload at matrix granularity. */
 struct TaskGraph
@@ -135,16 +122,13 @@ struct TaskGraph
 
     /**
      * Add a matmul that must stream through the tiling layer (an
-     * out-of-core product). @p tile_hint overrides the derived
-     * square tile edge when nonzero.
+     * out-of-core product).
      */
     void
-    addTiledMatmul(MatrixId a, MatrixId b, MatrixId c,
-                   std::uint32_t tile_hint = 0)
+    addTiledMatmul(MatrixId a, MatrixId b, MatrixId c)
     {
         addOp(MatOpKind::MatMul, a, b, c);
         ops.back().tiled = true;
-        ops.back().tileHint = tile_hint;
     }
 
     /** Total multiply-accumulate operations across the graph. */

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tiler grid math and the planner's streaming tiled lowering.
+ * The tiling layer (grid math, task order, fit rule, row split)
+ * and the planner's streaming tiled lowering.
  */
 
 #include <gtest/gtest.h>
@@ -19,10 +20,10 @@ TEST(Tiler, TileEdgeForBudgetIsLargestFittingPowerOfTwo)
 {
     // Edge T needs (2T)^2 * bpe bytes: T=256 at the 256 KiB mat
     // capacity with the timed footprint of 4 B/element.
-    EXPECT_EQ(Tiler::tileEdgeForBudget(256 * 1024, 4), 256u);
-    EXPECT_EQ(Tiler::tileEdgeForBudget(16 * 1024, 8), 32u);
+    EXPECT_EQ(tileEdgeForBudget(256 * 1024, 4), 256u);
+    EXPECT_EQ(tileEdgeForBudget(16 * 1024, 8), 32u);
     // Degenerate budgets still yield a usable edge.
-    EXPECT_EQ(Tiler::tileEdgeForBudget(1, 4), 1u);
+    EXPECT_EQ(tileEdgeForBudget(1, 4), 1u);
 }
 
 TEST(Tiler, TileEdgeBudgetBelowOneMinimalTileFloorsAtOne)
@@ -31,11 +32,11 @@ TEST(Tiler, TileEdgeBudgetBelowOneMinimalTileFloorsAtOne)
     // below that cannot hold even the minimal tile, but the edge
     // floors at 1 (a usable, if oversubscribed, tile) rather than
     // returning 0 and breaking every downstream division.
-    EXPECT_EQ(Tiler::tileEdgeForBudget(4 * 4 - 1, 4), 1u);
-    EXPECT_EQ(Tiler::tileEdgeForBudget(0, 8), 1u);
-    EXPECT_EQ(Tiler::tileEdgeForBudget(3, 1), 1u);
+    EXPECT_EQ(tileEdgeForBudget(4 * 4 - 1, 4), 1u);
+    EXPECT_EQ(tileEdgeForBudget(0, 8), 1u);
+    EXPECT_EQ(tileEdgeForBudget(3, 1), 1u);
     // At exactly 4*bpe the minimal tile fits and doubles once.
-    EXPECT_EQ(Tiler::tileEdgeForBudget(4 * 1, 1), 2u);
+    EXPECT_EQ(tileEdgeForBudget(4 * 1, 1), 2u);
 }
 
 TEST(Tiler, TileEdgeDoublesAtExactCapacityThreshold)
@@ -44,26 +45,22 @@ TEST(Tiler, TileEdgeDoublesAtExactCapacityThreshold)
     // budget exactly equal to the doubled edge's footprint still
     // takes the doubling — the threshold is inclusive.
     // (2*4)^2 * 8 = 512: edge 4 at 511, edge 8 at 512.
-    EXPECT_EQ(Tiler::tileEdgeForBudget(511, 8), 4u);
-    EXPECT_EQ(Tiler::tileEdgeForBudget(512, 8), 8u);
+    EXPECT_EQ(tileEdgeForBudget(511, 8), 4u);
+    EXPECT_EQ(tileEdgeForBudget(512, 8), 8u);
     // One byte past the threshold does not reach the next power.
-    EXPECT_EQ(Tiler::tileEdgeForBudget(513, 8), 8u);
+    EXPECT_EQ(tileEdgeForBudget(513, 8), 8u);
     // The same inclusivity at the operating point the functional
     // geometry uses (8 B/elem): doubling 16 -> 32 needs
     // (2*16)^2 * 8 = 8192 bytes, inclusively.
-    EXPECT_EQ(Tiler::tileEdgeForBudget(8192 - 1, 8), 16u);
-    EXPECT_EQ(Tiler::tileEdgeForBudget(8192, 8), 32u);
+    EXPECT_EQ(tileEdgeForBudget(8192 - 1, 8), 16u);
+    EXPECT_EQ(tileEdgeForBudget(8192, 8), 32u);
 }
 
 TEST(Tiler, DefaultGeometryDerivesMatSizedTiles)
 {
     SystemConfig cfg;
-    Tiler tiler(cfg);
-    EXPECT_EQ(tiler.tileBudgetBytes(), cfg.rm.matBytes);
-    EXPECT_EQ(tiler.capacityBytes(),
-              2 * cfg.rm.bytesPerSubarray());
-
-    MatmulTiling t = tiler.tile(4096, 4096, 4096);
+    MatmulTiling t = MatmulTiling::build(
+        4096, 4096, 4096, tileEdgeForBudget(cfg.rm.matBytes));
     EXPECT_EQ(t.tileRows, 256u);
     EXPECT_EQ(t.tileK, 256u);
     EXPECT_EQ(t.tileCols, 256u);
@@ -71,17 +68,11 @@ TEST(Tiler, DefaultGeometryDerivesMatSizedTiles)
     EXPECT_EQ(t.kTiles, 16u);
     EXPECT_EQ(t.jTiles, 16u);
     EXPECT_EQ(t.tasks(), 4096u);
-    EXPECT_FALSE(t.trivial());
 }
 
 TEST(Tiler, RemainderTilesCoverTheProblemExactly)
 {
-    SystemConfig cfg;
-    TilerConfig tc;
-    tc.tileRows = tc.tileCols = tc.tileK = 100;
-    Tiler tiler(cfg, tc);
-
-    MatmulTiling t = tiler.tile(250, 100, 301);
+    MatmulTiling t = MatmulTiling::build(250, 100, 301, 100);
     EXPECT_EQ(t.iTiles, 3u);
     EXPECT_EQ(t.kTiles, 1u);
     EXPECT_EQ(t.jTiles, 4u);
@@ -101,8 +92,7 @@ TEST(Tiler, RemainderTilesCoverTheProblemExactly)
 
 TEST(Tiler, TileDimsClampToTheProblemShape)
 {
-    SystemConfig cfg;
-    MatmulTiling t = Tiler(cfg).tile(8, 5000, 3);
+    MatmulTiling t = MatmulTiling::build(8, 5000, 3, 256);
     EXPECT_EQ(t.tileRows, 8u);
     EXPECT_EQ(t.tileCols, 3u);
     EXPECT_EQ(t.tileK, 256u);
@@ -111,35 +101,169 @@ TEST(Tiler, TileDimsClampToTheProblemShape)
     EXPECT_EQ(t.kTiles, (5000u + 255) / 256);
 }
 
+TEST(Tiler, TaskOrderVisitsEveryTileOnceInIJKOrder)
+{
+    // Remainders on every axis: 3 x 4 C tiles of edge 16, each in 5
+    // k-slices (37 = 16+16+5, 50 = 3*16+2, 70 = 4*16+6).
+    const MatmulTiling t = MatmulTiling::build(37, 70, 50, 16);
+    ASSERT_EQ(t.tasks(), 3u * 4 * 5);
+    std::uint64_t n = 0, rows = 0, cols = 0;
+    for (std::uint32_t i = 0; i < t.iTiles; ++i) {
+        for (std::uint32_t j = 0; j < t.jTiles; ++j) {
+            std::uint64_t depth = 0;
+            for (std::uint32_t kk = 0; kk < t.kTiles; ++kk) {
+                const TileTask tt = t.task(n++);
+                EXPECT_EQ(tt.i, i);
+                EXPECT_EQ(tt.j, j);
+                EXPECT_EQ(tt.kk, kk);
+                EXPECT_EQ(tt.tile, std::uint64_t(i) * t.jTiles + j);
+                EXPECT_EQ(tt.kpos, depth);
+                depth += tt.depth;
+                if (j == 0 && kk == 0)
+                    rows += tt.rows;
+                if (i == 0 && kk == 0)
+                    cols += tt.cols;
+            }
+            EXPECT_EQ(depth, t.k);
+        }
+    }
+    EXPECT_EQ(n, t.tasks());
+    EXPECT_EQ(rows, t.n);
+    EXPECT_EQ(cols, t.m);
+}
+
 TEST(Tiler, NeedsTilingTriggersOnAnyOversizeOperand)
 {
     SystemConfig cfg;
-    Tiler tiler(cfg);
+    // Twice one 4 MiB subarray: an operand of exactly 8 MiB fits.
+    EXPECT_EQ(2 * cfg.rm.bytesPerSubarray(), 8ull << 20);
+    EXPECT_FALSE(needsTiling(cfg.rm, 2048, 4096, 2048));
+    EXPECT_TRUE(needsTiling(cfg.rm, 2048, 4097, 2048));
     // Paper-scale polybench shapes (dim 2000) all fit untiled.
-    EXPECT_FALSE(tiler.needsTiling(2000, 2600, 2300));
+    EXPECT_FALSE(needsTiling(cfg.rm, 2000, 2600, 2300));
     // 4096^3: every operand is 16 MiB > the 8 MiB threshold.
-    EXPECT_TRUE(tiler.needsTiling(4096, 4096, 4096));
+    EXPECT_TRUE(needsTiling(cfg.rm, 4096, 4096, 4096));
     // A single oversize operand suffices (here C = n*m).
-    EXPECT_TRUE(tiler.needsTiling(4096, 2, 4096));
+    EXPECT_TRUE(needsTiling(cfg.rm, 4096, 2, 4096));
 }
 
 TEST(Tiler, MarkedOpsTileRegardlessOfShape)
 {
     SystemConfig cfg;
-    Tiler tiler(cfg);
     TaskGraph g;
     auto a = g.addMatrix("A", 8, 8);
     auto b = g.addMatrix("B", 8, 8);
     auto c = g.addMatrix("C", 8, 8);
     g.addTiledMatmul(a, b, c);
-    EXPECT_TRUE(tiler.needsTiling(g, g.ops.front()));
+    EXPECT_TRUE(needsTiling(cfg.rm, g, g.ops.front()));
 
     TaskGraph h;
     auto ha = h.addMatrix("A", 8, 8);
     auto hb = h.addMatrix("B", 8, 8);
     auto hc = h.addMatrix("C", 8, 8);
     h.addOp(MatOpKind::MatMul, ha, hb, hc);
-    EXPECT_FALSE(tiler.needsTiling(h, h.ops.front()));
+    EXPECT_FALSE(needsTiling(cfg.rm, h, h.ops.front()));
+}
+
+/** Blocks must tile [0, n) exactly: contiguous, in order, no
+ * overlap, no gap, and idle shards only at the tail. */
+void
+expectExactCover(const std::vector<RowBlock> &blocks,
+                 std::uint32_t n, unsigned devices)
+{
+    ASSERT_EQ(blocks.size(), devices);
+    std::uint32_t next = 0;
+    bool tail_idle = false;
+    for (const RowBlock &b : blocks) {
+        if (b.idle()) {
+            tail_idle = true;
+            continue;
+        }
+        ASSERT_FALSE(tail_idle)
+            << "live block after an idle one";
+        EXPECT_EQ(b.begin, next);
+        next += b.rows;
+    }
+    EXPECT_EQ(next, n);
+}
+
+// partitionRows is the fleet's shard planner.
+TEST(ShardPlanner, RemainderLandsOnTheLastLiveBlock)
+{
+    // 10 rows over 4 devices: ceil(10/4) = 3 per block, the last
+    // live block takes the remainder 1.
+    const auto blocks = partitionRows(10, 4);
+    expectExactCover(blocks, 10, 4);
+    EXPECT_EQ(blocks[0].begin, 0u);
+    EXPECT_EQ(blocks[0].rows, 3u);
+    EXPECT_EQ(blocks[1].begin, 3u);
+    EXPECT_EQ(blocks[1].rows, 3u);
+    EXPECT_EQ(blocks[2].begin, 6u);
+    EXPECT_EQ(blocks[2].rows, 3u);
+    EXPECT_EQ(blocks[3].begin, 9u);
+    EXPECT_EQ(blocks[3].rows, 1u);
+}
+
+TEST(ShardPlanner, EvenSplitFillsEveryDevice)
+{
+    const auto blocks = partitionRows(8, 4);
+    expectExactCover(blocks, 8, 4);
+    for (unsigned d = 0; d < 4; ++d) {
+        EXPECT_EQ(blocks[d].begin, d * 2u);
+        EXPECT_EQ(blocks[d].rows, 2u);
+    }
+}
+
+TEST(ShardPlanner, FewerRowsThanDevicesIdlesTheTail)
+{
+    // 3 rows over 8 devices: ceil(3/8) = 1 row per block, devices
+    // 3..7 idle.
+    const auto blocks = partitionRows(3, 8);
+    expectExactCover(blocks, 3, 8);
+    for (unsigned d = 0; d < 3; ++d) {
+        EXPECT_EQ(blocks[d].begin, d);
+        EXPECT_EQ(blocks[d].rows, 1u);
+    }
+    for (unsigned d = 3; d < 8; ++d)
+        EXPECT_TRUE(blocks[d].idle());
+}
+
+TEST(ShardPlanner, SingleRowUsesExactlyOneDevice)
+{
+    const auto blocks = partitionRows(1, 4);
+    expectExactCover(blocks, 1, 4);
+    EXPECT_EQ(blocks[0].rows, 1u);
+    for (unsigned d = 1; d < 4; ++d)
+        EXPECT_TRUE(blocks[d].idle());
+}
+
+TEST(ShardPlanner, OneDeviceTakesEverything)
+{
+    const auto blocks = partitionRows(37, 1);
+    expectExactCover(blocks, 37, 1);
+    EXPECT_EQ(blocks[0].begin, 0u);
+    EXPECT_EQ(blocks[0].rows, 37u);
+}
+
+TEST(ShardPlanner, ZeroRowsYieldsAllIdleBlocks)
+{
+    const auto blocks = partitionRows(0, 4);
+    ASSERT_EQ(blocks.size(), 4u);
+    for (const RowBlock &b : blocks)
+        EXPECT_TRUE(b.idle());
+}
+
+TEST(ShardPlanner, ExactCoverAcrossShapesAndFleets)
+{
+    // 0xFFFFFFFF: the largest element-wise range; ceil(n / devices)
+    // must not wrap.
+    for (std::uint32_t n :
+         {1u, 2u, 5u, 31u, 32u, 33u, 97u, 256u, 0xFFFFFFFFu})
+        for (unsigned devices : {1u, 2u, 3u, 4u, 7u, 8u, 64u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "n=" << n << " devices=" << devices);
+            expectExactCover(partitionRows(n, devices), n, devices);
+        }
 }
 
 TEST(PlannerTiled, OutOfCoreMatmulPlansAndExecutes)
@@ -166,9 +290,7 @@ TEST(PlannerTiled, DoubleBufferingBeatsSingleBuffering)
         exec.run(db.planTiledMatmul(1024, 1024, 1024));
 
     Planner sb(cfg);
-    TilerConfig tc;
-    tc.doubleBuffer = false;
-    sb.setTilerConfig(tc);
+    sb.setTilerConfig(TilerConfig{.doubleBuffer = false});
     ExecutionReport rep_sb =
         exec.run(sb.planTiledMatmul(1024, 1024, 1024));
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/system_config.hh"
+#include "runtime/tiler.hh"
 #include "workloads/dnn.hh"
 #include "workloads/polybench.hh"
 
@@ -151,26 +153,32 @@ TEST(Polybench, SmallestScaleClampsEveryDimensionToOne)
 
 TEST(Polybench, PaperDimMatmulsAreNotMarkedTiled)
 {
-    // The Table IV reference dims sit below the out-of-core
-    // threshold by design; their untiled plans are pinned elsewhere.
+    // The Table IV reference dims fit untiled at the paper geometry;
+    // their untiled plans are pinned elsewhere.
+    const RmParams rm = SystemConfig::paperDefault().rm;
     TaskGraph g = makePolybench(PolybenchKernel::Gemm, 2000);
-    for (const auto &op : g.ops)
+    for (const auto &op : g.ops) {
         EXPECT_FALSE(op.tiled);
+        EXPECT_FALSE(needsTiling(rm, g, op));
+    }
 }
 
-TEST(Polybench, OversizeMatmulsComeBackMarkedTiled)
+TEST(Polybench, OversizeMatmulsTileAtThePaperDefault)
 {
-    // Doubling the paper dim pushes gemm's operands past the
-    // threshold (4000*5200 elements > 2 x 4 MiB).
+    // Doubling the paper dim pushes gemm's operands past the fit
+    // rule (4000*5200 elements > 2 x 4 MiB). The builder marks
+    // nothing: the planner's fit rule decides.
+    const RmParams rm = SystemConfig::paperDefault().rm;
     TaskGraph g = makePolybench(PolybenchKernel::Gemm, 4000);
-    unsigned tiled = 0;
+    unsigned matmuls = 0;
     for (const auto &op : g.ops) {
+        EXPECT_FALSE(op.tiled);
         if (op.kind == MatOpKind::MatMul) {
-            EXPECT_TRUE(op.tiled);
+            EXPECT_TRUE(needsTiling(rm, g, op));
+            matmuls++;
         }
-        tiled += op.tiled;
     }
-    EXPECT_GT(tiled, 0u);
+    EXPECT_GT(matmuls, 0u);
 }
 
 TEST(PolybenchDeath, TinyDimPanics)

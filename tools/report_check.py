@@ -2,14 +2,15 @@
 """Compare bench reports on their non-timing fields.
 
     python3 tools/report_check.py [--strip SET] [--golden] REF RUN [RUN ...]
-    python3 tools/report_check.py --max KEY=LIMIT [--max ...] RUN [RUN ...]
+    python3 tools/report_check.py --max|--min KEY=LIMIT [...] RUN [RUN ...]
 
 Every RUN must equal REF once the keys of SET are dropped at every
 depth of the JSON documents. With --golden, REF is a committed golden
 report and each RUN must first match its schema_version. With --max
-there is no REF: the number at the dotted KEY path of each RUN (for
-example perf.peak_rss_mib) must be at most LIMIT. Exits 1 on the
-first mismatch.
+or --min there is no REF: the value at the dotted KEY path of each
+RUN (for example perf.peak_rss_mib) must be at most (--max) or at
+least (--min) LIMIT; a boolean counts as 0 or 1, so --min KEY=1
+requires a flag to be true. Exits 1 on the first mismatch.
 
 Key sets:
   timing   (default) wall-clock fields: seconds, wall_seconds, perf,
@@ -44,20 +45,23 @@ def strip(doc, keys, speedup):
     return doc
 
 
-def limit(text):
-    key, _, value = text.partition('=')
-    try:
-        if key:
-            return key, float(value)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f'expected KEY=LIMIT, got {text!r}')
+def limit(at_most):
+    def parse(text):
+        key, _, value = text.partition('=')
+        try:
+            if key:
+                return key, float(value), at_most
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f'expected KEY=LIMIT, got {text!r}')
+    return parse
 
 
 def check_limits(path, limits):
     with open(path) as f:
         doc = json.load(f)
-    for key, most in limits:
+    for key, bound, at_most in limits:
         value = doc
         for part in key.split('.'):
             if not isinstance(value, dict) or part not in value:
@@ -65,9 +69,11 @@ def check_limits(path, limits):
             value = value[part]
         if not isinstance(value, (int, float)):
             sys.exit(f'{path}: {key} is not a number')
-        if value > most:
-            sys.exit(f'{path}: {key} is {value}, above {most}')
-        print(f'{path}: {key} = {value} <= {most}')
+        if value > bound if at_most else value < bound:
+            side = 'above' if at_most else 'below'
+            sys.exit(f'{path}: {key} is {value}, {side} {bound}')
+        op = '<=' if at_most else '>='
+        print(f'{path}: {key} = {value} {op} {bound}')
 
 
 def main(argv=None):
@@ -75,13 +81,15 @@ def main(argv=None):
     ap.add_argument('--strip', choices=sorted(KEY_SETS),
                     default='timing')
     ap.add_argument('--golden', action='store_true')
-    ap.add_argument('--max', type=limit, action='append', default=[],
-                    metavar='KEY=LIMIT')
+    ap.add_argument('--max', dest='limits', type=limit(True),
+                    action='append', default=[], metavar='KEY=LIMIT')
+    ap.add_argument('--min', dest='limits', type=limit(False),
+                    action='append', default=[], metavar='KEY=LIMIT')
     ap.add_argument('reports', nargs='+', metavar='REPORT')
     args = ap.parse_args(argv)
-    if args.max:
+    if args.limits:
         for path in args.reports:
-            check_limits(path, args.max)
+            check_limits(path, args.limits)
         return
     if len(args.reports) < 2:
         ap.error('expected a REF and at least one RUN')
