@@ -7,25 +7,6 @@
 namespace streampim
 {
 
-namespace
-{
-
-LogLevel gLevel = LogLevel::Warn;
-
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    gLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return gLevel;
-}
-
 namespace detail
 {
 
@@ -43,24 +24,6 @@ fatalImpl(const char *file, int line, const std::string &msg)
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
     std::fflush(stderr);
     std::exit(1);
-}
-
-void
-warnImpl(const std::string &msg)
-{
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
-void
-debugImpl(const std::string &msg)
-{
-    std::fprintf(stderr, "debug: %s\n", msg.c_str());
 }
 
 } // namespace detail

@@ -1,13 +1,11 @@
 /**
  * @file
- * Logging and error reporting in the gem5 spirit.
+ * Error reporting in the gem5 spirit.
  *
  * panic()  — an internal invariant of the simulator is broken (a bug in
  *            StreamPIM itself); aborts.
  * fatal()  — the simulation cannot continue because of a user error
  *            (bad configuration, invalid arguments); exits with code 1.
- * warn()   — something works, but not as well as it should.
- * inform() — status messages with no connotation of misbehaviour.
  */
 
 #ifndef STREAMPIM_COMMON_LOG_HH_
@@ -19,21 +17,6 @@
 namespace streampim
 {
 
-/** Verbosity levels for the global logger. */
-enum class LogLevel
-{
-    Silent = 0,
-    Warn = 1,
-    Inform = 2,
-    Debug = 3,
-};
-
-/** Set the process-wide verbosity (default: Warn). */
-void setLogLevel(LogLevel level);
-
-/** Current process-wide verbosity. */
-LogLevel logLevel();
-
 namespace detail
 {
 
@@ -41,9 +24,6 @@ namespace detail
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
-void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
-void debugImpl(const std::string &msg);
 
 /** Fold a variadic pack into one string via operator<<. */
 template <typename... Args>
@@ -73,30 +53,6 @@ fatalAt(const char *file, int line, Args &&...args)
 {
     detail::fatalImpl(file, line, detail::concat(
         std::forward<Args>(args)...));
-}
-
-template <typename... Args>
-void
-warn(Args &&...args)
-{
-    if (logLevel() >= LogLevel::Warn)
-        detail::warnImpl(detail::concat(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    if (logLevel() >= LogLevel::Inform)
-        detail::informImpl(detail::concat(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
-void
-debugLog(Args &&...args)
-{
-    if (logLevel() >= LogLevel::Debug)
-        detail::debugImpl(detail::concat(std::forward<Args>(args)...));
 }
 
 } // namespace streampim

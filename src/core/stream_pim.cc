@@ -390,31 +390,49 @@ StreamPimSystem::runParallel(
     const std::vector<std::uint64_t> &masks,
     std::vector<VpcExecutionRecord> &records, unsigned jobs)
 {
-    const ConflictGraph graph(masks);
-    std::vector<std::atomic<std::uint32_t>> pending(batch.size());
+    graph_.build(masks);
+    if (pending_.size() < batch.size())
+        pending_ =
+            std::vector<std::atomic<std::uint32_t>>(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i)
-        pending[i].store(graph.predecessors(i),
-                         std::memory_order_relaxed);
+        pending_[i].store(graph_.predecessors(i),
+                          std::memory_order_relaxed);
 
     ensurePool(jobs);
 
     // A task executes its VPC, then decrements every successor's
-    // pending count and submits the ones it dropped to zero. The
-    // submit happens inside the task body (while the pool still
-    // counts it active), so ThreadPool::wait() cannot return before
-    // the whole DAG drains. acq_rel on the counter orders each
-    // predecessor's subarray mutations before its successor runs.
-    std::function<void(std::uint32_t)> run_task =
+    // pending count. It keeps the first successor it made ready and
+    // runs it next on the same thread, submitting only the others,
+    // so a chain of VPCs is one pool task while a fan-out still
+    // spreads over the workers. The submits happen inside the task
+    // body (while the pool still counts it active), so
+    // ThreadPool::wait() cannot return before the whole DAG drains.
+    // acq_rel on the counter orders every predecessor's subarray
+    // mutations before its successor runs; the continuation is
+    // ordered after its own VPC by program order as well.
+    constexpr std::uint32_t kNone = ~std::uint32_t(0);
+    std::function<void(std::uint32_t)> run_chain =
         [&](std::uint32_t i) {
             static thread_local VpcScratch scratch;
-            executeScoped(records[i], batch[i], masks[i], scratch);
-            for (std::uint32_t s : graph.successors(i))
-                if (pending[s].fetch_sub(
-                        1, std::memory_order_acq_rel) == 1)
-                    pool_->submit([&run_task, s] { run_task(s); });
+            while (i != kNone) {
+                executeScoped(records[i], batch[i], masks[i],
+                              scratch);
+                std::uint32_t next = kNone;
+                for (std::uint32_t s : graph_.successors(i)) {
+                    if (pending_[s].fetch_sub(
+                            1, std::memory_order_acq_rel) != 1)
+                        continue;
+                    if (next == kNone)
+                        next = s;
+                    else
+                        pool_->submit(
+                            [&run_chain, s] { run_chain(s); });
+                }
+                i = next;
+            }
         };
-    for (std::uint32_t r : graph.roots())
-        pool_->submit([&run_task, r] { run_task(r); });
+    for (std::uint32_t r : graph_.roots())
+        pool_->submit([&run_chain, r] { run_chain(r); });
     pool_->wait();
 }
 

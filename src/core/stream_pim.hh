@@ -28,6 +28,7 @@
 #ifndef STREAMPIM_CORE_STREAM_PIM_HH_
 #define STREAMPIM_CORE_STREAM_PIM_HH_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -36,6 +37,7 @@
 #include "mem/address.hh"
 #include "mem/subarray.hh"
 #include "rm/params.hh"
+#include "runtime/conflict_graph.hh"
 #include "vpc/decoder.hh"
 #include "vpc/vpc.hh"
 
@@ -322,6 +324,11 @@ class StreamPimSystem
     std::vector<Vpc> batchScratch_;
     std::vector<std::uint64_t> maskScratch_;
     VpcScratch serialScratch_; //!< the jobs == 1 worker's buffers
+    ConflictGraph graph_;      //!< the engine's round DAG
+    /** Per-task pending-predecessor counters; replaced, never
+     * resized (atomics cannot move), only when a round outgrows
+     * them. */
+    std::vector<std::atomic<std::uint32_t>> pending_;
     /** @} */
 };
 

@@ -129,11 +129,16 @@ ThreadPool::workerLoop()
         } catch (...) {
             recordException(std::current_exception());
         }
+        bool idle;
         {
             std::lock_guard<std::mutex> lock(mu_);
             active_--;
+            idle = active_ == 0 && queue_.empty();
         }
-        idle_cv_.notify_all();
+        // Only the step to idle can satisfy wait(); any other
+        // finish would wake the waiter for nothing.
+        if (idle)
+            idle_cv_.notify_all();
     }
 }
 

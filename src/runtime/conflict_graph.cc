@@ -9,13 +9,15 @@
 namespace streampim
 {
 
-ConflictGraph::ConflictGraph(std::span<const std::uint64_t> masks)
-    : ConflictGraph(masks, 1)
-{
-}
-
 ConflictGraph::ConflictGraph(std::span<const std::uint64_t> words,
                              std::size_t words_per_task)
+{
+    build(words, words_per_task);
+}
+
+void
+ConflictGraph::build(std::span<const std::uint64_t> words,
+                     std::size_t words_per_task)
 {
     constexpr std::uint32_t kNone =
         std::numeric_limits<std::uint32_t>::max();
@@ -28,34 +30,52 @@ ConflictGraph::ConflictGraph(std::span<const std::uint64_t> words,
     const std::size_t tasks = words.size() / words_per_task;
     SPIM_ASSERT(tasks < kNone, "task stream too large");
 
-    nodes_.resize(tasks);
-    std::vector<std::uint32_t> last(64 * words_per_task, kNone);
+    preds_.assign(tasks, 0);
+    offsets_.assign(tasks + 1, 0);
+    roots_.clear();
+    last_.assign(64 * words_per_task, kNone);
+    edgePreds_.clear();
 
-    std::vector<std::uint32_t> preds;
+    // Pass 1: each task's distinct predecessors, appended in stream
+    // order; offsets_[p + 1] counts p's successors.
     for (std::uint32_t i = 0; i < tasks; ++i) {
-        preds.clear();
+        const std::size_t begin = edgePreds_.size();
         for (std::size_t w = 0; w < words_per_task; ++w) {
             const std::size_t base = 64 * w;
             for (std::uint64_t m = words[i * words_per_task + w];
                  m != 0; m &= m - 1) {
                 const std::size_t s =
                     base + unsigned(std::countr_zero(m));
-                if (last[s] != kNone)
-                    preds.push_back(last[s]);
-                last[s] = i;
+                if (last_[s] != kNone)
+                    edgePreds_.push_back(last_[s]);
+                last_[s] = i;
             }
         }
-        std::sort(preds.begin(), preds.end());
-        preds.erase(std::unique(preds.begin(), preds.end()),
-                    preds.end());
-        nodes_[i].preds = std::uint32_t(preds.size());
-        for (std::uint32_t p : preds) {
-            nodes_[p].succs.push_back(i);
-            edges_++;
-        }
-        if (preds.empty())
+        const auto first = edgePreds_.begin() + long(begin);
+        std::sort(first, edgePreds_.end());
+        edgePreds_.erase(std::unique(first, edgePreds_.end()),
+                         edgePreds_.end());
+        preds_[i] = std::uint32_t(edgePreds_.size() - begin);
+        for (auto p = first; p != edgePreds_.end(); ++p)
+            offsets_[*p + 1]++;
+        if (preds_[i] == 0)
             roots_.push_back(i);
     }
+    SPIM_ASSERT(edgePreds_.size() < kNone, "too many edges");
+
+    // Pass 2: scatter. offsets_[p] serves as p's write cursor and
+    // ends at p's end offset; tasks are visited in stream order, so
+    // every successor list comes out in stream order.
+    for (std::size_t i = 0; i < tasks; ++i)
+        offsets_[i + 1] += offsets_[i];
+    succs_.resize(edgePreds_.size());
+    std::size_t e = 0;
+    for (std::uint32_t i = 0; i < tasks; ++i)
+        for (std::uint32_t k = 0; k < preds_[i]; ++k)
+            succs_[offsets_[edgePreds_[e++]]++] = i;
+    for (std::size_t i = tasks; i > 0; --i)
+        offsets_[i] = offsets_[i - 1];
+    offsets_[0] = 0;
 }
 
 } // namespace streampim

@@ -16,8 +16,9 @@
  * subsequence of the batch, which is what makes parallel execution
  * byte-identical to serial execution.
  *
- * The graph is built with one pass over the stream: each task
- * depends on the latest earlier task touching any of its resources.
+ * The graph is built with one pass over the stream — each task
+ * depends on the latest earlier task touching any of its resources —
+ * and one pass that scatters the edges into CSR successor lists.
  * The rules of Sec. IV fall out of the masks alone:
  *  - same-subarray VPCs chain in submit order (shared exec bit);
  *  - TRAN VPCs carry both their source and destination subarray
@@ -41,60 +42,70 @@
 namespace streampim
 {
 
-/** Dependency DAG over an ordered task stream of resource masks. */
+/**
+ * Dependency DAG over an ordered task stream of resource masks.
+ *
+ * Successors are stored in CSR form (one offsets array, one flat
+ * successor array), and build() reuses every buffer, so rebuilding
+ * one graph per round allocates nothing once the buffers have grown
+ * to the largest round seen.
+ */
 class ConflictGraph
 {
   public:
-    /**
-     * Build the graph of @p masks (one task per element, stream
-     * order). Task i depends on the latest j < i with
-     * masks[j] & masks[i] != 0, once per such j.
-     */
-    explicit ConflictGraph(std::span<const std::uint64_t> masks);
+    /** An empty graph; fill it with build(). */
+    ConflictGraph() = default;
 
     /**
-     * Wide-mask overload for streams over more than 64 resources:
-     * each task's mask is @p words_per_task consecutive words of
-     * @p words (task i's bit for resource r is word i *
-     * words_per_task + r / 64, bit r % 64). @p words must be an
-     * exact multiple of @p words_per_task. With words_per_task = 1
-     * this is exactly the single-word constructor.
+     * Build the graph of @p words. With @p words_per_task = 1 each
+     * element is one task's mask, in stream order, and task i
+     * depends on the latest j < i with words[j] & words[i] != 0,
+     * once per such j. Streams over more than 64 resources give each
+     * task @p words_per_task consecutive words (task i's bit for
+     * resource r is word i * words_per_task + r / 64, bit r % 64);
+     * @p words must be an exact multiple of @p words_per_task.
      */
-    ConflictGraph(std::span<const std::uint64_t> words,
-                  std::size_t words_per_task);
+    explicit ConflictGraph(std::span<const std::uint64_t> words,
+                           std::size_t words_per_task = 1);
 
-    std::size_t size() const { return nodes_.size(); }
+    /** Replace this graph with the one the constructor builds,
+     * reusing the buffers in place. */
+    void build(std::span<const std::uint64_t> words,
+               std::size_t words_per_task = 1);
+
+    std::size_t size() const { return preds_.size(); }
 
     /** Number of direct dependencies of task @p i. */
     std::uint32_t
     predecessors(std::size_t i) const
     {
-        return nodes_[i].preds;
+        return preds_[i];
     }
 
     /** Tasks directly unblocked by task @p i, in stream order. */
-    const std::vector<std::uint32_t> &
+    std::span<const std::uint32_t>
     successors(std::size_t i) const
     {
-        return nodes_[i].succs;
+        return {succs_.data() + offsets_[i],
+                offsets_[i + 1] - offsets_[i]};
     }
 
     /** Dependency-free tasks, in stream order. */
     const std::vector<std::uint32_t> &roots() const { return roots_; }
 
     /** Total direct-dependency edges. */
-    std::uint64_t edges() const { return edges_; }
+    std::uint64_t edges() const { return succs_.size(); }
 
   private:
-    struct Node
-    {
-        std::uint32_t preds = 0;
-        std::vector<std::uint32_t> succs;
-    };
-
-    std::vector<Node> nodes_;
+    std::vector<std::uint32_t> preds_;   //!< per task
+    std::vector<std::uint32_t> offsets_; //!< size() + 1 CSR offsets
+    std::vector<std::uint32_t> succs_;   //!< flat, grouped by task
     std::vector<std::uint32_t> roots_;
-    std::uint64_t edges_ = 0;
+    /** build() scratch: the per-resource last user, and every
+     * task's predecessor list in stream order. @{ */
+    std::vector<std::uint32_t> last_;
+    std::vector<std::uint32_t> edgePreds_;
+    /** @} */
 };
 
 } // namespace streampim

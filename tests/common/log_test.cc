@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the logging/error substrate.
+ * Tests for the error-reporting substrate.
  */
 
 #include <gtest/gtest.h>
@@ -11,17 +11,6 @@ namespace streampim
 {
 namespace
 {
-
-TEST(LogLevelControl, DefaultIsWarn)
-{
-    // The suite might have changed it; set explicitly and check the
-    // accessor reflects it.
-    setLogLevel(LogLevel::Warn);
-    EXPECT_EQ(logLevel(), LogLevel::Warn);
-    setLogLevel(LogLevel::Debug);
-    EXPECT_EQ(logLevel(), LogLevel::Debug);
-    setLogLevel(LogLevel::Warn);
-}
 
 TEST(LogDeath, PanicAborts)
 {

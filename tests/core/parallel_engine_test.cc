@@ -16,6 +16,7 @@
 #include "core/fault_campaign.hh"
 #include "core/stream_pim.hh"
 #include "parallel/thread_pool.hh"
+#include "runtime/conflict_graph.hh"
 
 namespace streampim
 {
@@ -134,6 +135,101 @@ buildProgram(std::uint64_t per)
     return prog;
 }
 
+/** A local VPC on subarray @p sub: operands and result stay in it,
+ * so its touch mask is that subarray alone. */
+Vpc
+localVpc(unsigned sub, unsigned i, std::uint64_t per)
+{
+    const std::uint64_t base = per * sub;
+    Vpc v;
+    v.kind = static_cast<VpcKind>(i % 4);
+    v.size = 16;
+    v.src1 = base + (std::uint64_t(i) * 37) % 1024;
+    v.src2 = base + 2048 + std::uint64_t(i) * 16;
+    v.dst = base + 4096 + std::uint64_t(i) * 64;
+    return v;
+}
+
+/** A TRAN from subarray @p from to subarray @p to. */
+Vpc
+tranVpc(unsigned from, unsigned to, unsigned i, std::uint64_t per)
+{
+    return {VpcKind::Tran, per * from + 512 + std::uint64_t(i) * 16,
+            0, per * to + 8192 + std::uint64_t(i) * 16, 16};
+}
+
+/** Round shapes the engine's continuation rule must handle. @{ */
+
+/** One same-subarray chain: one root, every task one successor. */
+std::vector<Vpc>
+chainProgram(std::uint64_t per)
+{
+    std::vector<Vpc> prog;
+    for (unsigned i = 0; i < 24; ++i)
+        prog.push_back(localVpc(0, i, per));
+    return prog;
+}
+
+/** A root TRAN whose source straddles subarrays 0|1 and whose
+ * destination straddles 2|3 unblocks one chain on each of the four
+ * subarrays. */
+std::vector<Vpc>
+fanOutProgram(std::uint64_t per)
+{
+    std::vector<Vpc> prog = {{VpcKind::Tran, per - 8, 0, 3 * per - 8,
+                              16}};
+    for (unsigned i = 0; i < 24; ++i)
+        prog.push_back(localVpc(i % 4, i, per));
+    return prog;
+}
+
+/** Diamonds: work on subarrays 0 and 1 joins in a TRAN between
+ * them, which then releases both subarrays again. */
+std::vector<Vpc>
+diamondProgram(std::uint64_t per)
+{
+    std::vector<Vpc> prog;
+    for (unsigned i = 0; i < 6; ++i) {
+        prog.push_back(localVpc(0, 2 * i, per));
+        prog.push_back(localVpc(1, 2 * i + 1, per));
+        prog.push_back(tranVpc(i % 2, (i + 1) % 2, i, per));
+    }
+    return prog;
+}
+
+/** Four independent chains, one per subarray, interleaved. */
+std::vector<Vpc>
+rootsProgram(std::uint64_t per)
+{
+    std::vector<Vpc> prog;
+    for (unsigned i = 0; i < 24; ++i)
+        prog.push_back(localVpc(i % 4, i, per));
+    return prog;
+}
+/** @} */
+
+/** The conflict graph of a shape program. Its non-TRAN VPCs are
+ * local, so their masks are their src1 subarray; a TRAN's mask is
+ * both of its ranges. */
+ConflictGraph
+shapeGraph(const std::vector<Vpc> &prog, std::uint64_t per)
+{
+    auto bits = [per](Addr addr, std::uint64_t len) {
+        std::uint64_t m = 0;
+        for (Addr s = addr / per; s <= (addr + len - 1) / per; ++s)
+            m |= std::uint64_t(1) << s;
+        return m;
+    };
+    std::vector<std::uint64_t> masks;
+    for (const Vpc &v : prog)
+        masks.push_back(v.kind == VpcKind::Tran
+                            ? bits(v.src1, v.size) | bits(v.dst, v.size)
+                            : bits(v.src1, 1));
+    return ConflictGraph(masks);
+}
+
+using ProgramFn = std::vector<Vpc> (*)(std::uint64_t per);
+
 struct RunResult
 {
     std::vector<VpcExecutionRecord> records;
@@ -144,9 +240,10 @@ struct RunResult
     std::uint64_t responses = 0;
 };
 
-/** Full run with shift faults AND endurance wear enabled. */
+/** Full run of @p program with shift faults, write faults AND
+ * endurance wear enabled. */
 RunResult
-runOnce(unsigned jobs, unsigned rounds = 3)
+runProgram(ProgramFn program, unsigned jobs, unsigned rounds = 3)
 {
     StreamPimSystem sys;
     const std::uint64_t per = sys.params().bytesPerSubarray();
@@ -168,7 +265,7 @@ runOnce(unsigned jobs, unsigned rounds = 3)
     fc.seed = 99;
     sys.enableFaultInjection(fc);
 
-    const auto prog = buildProgram(per);
+    const auto prog = program(per);
     RunResult out;
     for (unsigned r = 0; r < rounds; ++r) {
         for (const Vpc &v : prog)
@@ -185,6 +282,12 @@ runOnce(unsigned jobs, unsigned rounds = 3)
     out.memory = sys.read(0, sys.capacityBytes());
     out.responses = sys.responses();
     return out;
+}
+
+RunResult
+runOnce(unsigned jobs, unsigned rounds = 3)
+{
+    return runProgram(buildProgram, jobs, rounds);
 }
 
 void
@@ -224,6 +327,66 @@ TEST(ParallelEngine, ByteIdenticalAcrossJobCounts)
         const RunResult parallel = runOnce(jobs);
         expectRunsEqual(serial, parallel);
     }
+}
+
+/** The shape's run at jobs 2, 4 and 8 matches its jobs-1 run. */
+void
+expectShapeIdenticalAcrossJobs(ProgramFn program)
+{
+    const RunResult serial = runProgram(program, 1);
+    EXPECT_GT(serial.stats.pulses, 0u);
+    EXPECT_GT(serial.stats.depositPulses, 0u);
+    for (unsigned jobs : {2u, 4u, 8u}) {
+        SCOPED_TRACE(testing::Message() << "jobs " << jobs);
+        expectRunsEqual(serial, runProgram(program, jobs));
+    }
+}
+
+TEST(ParallelEngine, ChainRoundIdenticalAcrossJobCounts)
+{
+    const std::uint64_t per = smallFunctionalParams().bytesPerSubarray();
+    const auto prog = chainProgram(per);
+    const ConflictGraph g = shapeGraph(prog, per);
+    ASSERT_EQ(g.roots().size(), 1u);
+    ASSERT_EQ(g.edges(), prog.size() - 1);
+    for (std::size_t i = 0; i + 1 < prog.size(); ++i)
+        ASSERT_EQ(g.successors(i).size(), 1u) << "vpc " << i;
+    expectShapeIdenticalAcrossJobs(chainProgram);
+}
+
+TEST(ParallelEngine, FanOutRoundIdenticalAcrossJobCounts)
+{
+    const std::uint64_t per = smallFunctionalParams().bytesPerSubarray();
+    const ConflictGraph g = shapeGraph(fanOutProgram(per), per);
+    ASSERT_EQ(g.roots(), (std::vector<std::uint32_t>{0}));
+    ASSERT_EQ(g.successors(0).size(), 4u);
+    expectShapeIdenticalAcrossJobs(fanOutProgram);
+}
+
+TEST(ParallelEngine, DiamondRoundIdenticalAcrossJobCounts)
+{
+    const std::uint64_t per = smallFunctionalParams().bytesPerSubarray();
+    const auto prog = diamondProgram(per);
+    const ConflictGraph g = shapeGraph(prog, per);
+    ASSERT_EQ(g.roots().size(), 2u);
+    // Every TRAN joins both subarrays; all but the last release both.
+    for (std::size_t t = 2; t < prog.size(); t += 3) {
+        ASSERT_EQ(g.predecessors(t), 2u) << "tran " << t;
+        if (t + 1 < prog.size()) {
+            ASSERT_EQ(g.successors(t).size(), 2u) << "tran " << t;
+        }
+    }
+    expectShapeIdenticalAcrossJobs(diamondProgram);
+}
+
+TEST(ParallelEngine, ManyRootsRoundIdenticalAcrossJobCounts)
+{
+    const std::uint64_t per = smallFunctionalParams().bytesPerSubarray();
+    const auto prog = rootsProgram(per);
+    const ConflictGraph g = shapeGraph(prog, per);
+    ASSERT_EQ(g.roots(), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+    ASSERT_EQ(g.edges(), prog.size() - 4);
+    expectShapeIdenticalAcrossJobs(rootsProgram);
 }
 
 TEST(ParallelEngine, RecordsComeBackInSubmitOrder)

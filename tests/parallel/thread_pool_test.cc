@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "parallel/thread_pool.hh"
@@ -119,6 +121,37 @@ TEST(ThreadPool, NestedSubmitFromWorkerRuns)
         });
     pool.wait();
     EXPECT_EQ(ran.load(), 48);
+}
+
+TEST(ThreadPool, WaitCoversATaskThatSubmitsAndKeepsRunning)
+{
+    // The VPC engine's continuation: a task submits one ready
+    // successor and keeps executing its own chain. wait() must
+    // return only after both finish, whichever of them ends last.
+    using namespace std::chrono_literals;
+    ThreadPool pool(2);
+    for (bool child_ends_first : {true, false}) {
+        std::atomic<bool> child_done{false};
+        std::atomic<bool> parent_done{false};
+        pool.submit([&] {
+            pool.submit([&] {
+                if (!child_ends_first)
+                    std::this_thread::sleep_for(20ms);
+                child_done = true;
+            });
+            if (child_ends_first) {
+                while (!child_done)
+                    std::this_thread::yield();
+                std::this_thread::sleep_for(20ms);
+            }
+            parent_done = true;
+        });
+        pool.wait();
+        EXPECT_TRUE(child_done) << "child_ends_first "
+                                << child_ends_first;
+        EXPECT_TRUE(parent_done) << "child_ends_first "
+                                 << child_ends_first;
+    }
 }
 
 TEST(ThreadPool, ExceptionDoesNotStopQueuedWork)

@@ -16,6 +16,14 @@ bit(unsigned i)
     return std::uint64_t(1) << i;
 }
 
+/** Task @p i's successor list, copied for comparison. */
+std::vector<std::uint32_t>
+succs(const ConflictGraph &g, std::size_t i)
+{
+    const auto s = g.successors(i);
+    return {s.begin(), s.end()};
+}
+
 } // namespace
 
 TEST(ConflictGraph, EmptyStream)
@@ -46,8 +54,8 @@ TEST(ConflictGraph, SameResourceChainsInStreamOrder)
                                               bit(2)};
     ConflictGraph g(masks);
     EXPECT_EQ(g.roots(), (std::vector<std::uint32_t>{0}));
-    EXPECT_EQ(g.successors(0), (std::vector<std::uint32_t>{1}));
-    EXPECT_EQ(g.successors(1), (std::vector<std::uint32_t>{2}));
+    EXPECT_EQ(succs(g, 0), (std::vector<std::uint32_t>{1}));
+    EXPECT_EQ(succs(g, 1), (std::vector<std::uint32_t>{2}));
     EXPECT_TRUE(g.successors(2).empty());
     EXPECT_EQ(g.predecessors(1), 1u);
     EXPECT_EQ(g.predecessors(2), 1u);
@@ -62,10 +70,10 @@ TEST(ConflictGraph, TranStyleMaskFormsDiamond)
         bit(0), bit(1), bit(0) | bit(1), bit(1)};
     ConflictGraph g(masks);
     EXPECT_EQ(g.roots(), (std::vector<std::uint32_t>{0, 1}));
-    EXPECT_EQ(g.successors(0), (std::vector<std::uint32_t>{2}));
-    EXPECT_EQ(g.successors(1), (std::vector<std::uint32_t>{2}));
+    EXPECT_EQ(succs(g, 0), (std::vector<std::uint32_t>{2}));
+    EXPECT_EQ(succs(g, 1), (std::vector<std::uint32_t>{2}));
     EXPECT_EQ(g.predecessors(2), 2u);
-    EXPECT_EQ(g.successors(2), (std::vector<std::uint32_t>{3}));
+    EXPECT_EQ(succs(g, 2), (std::vector<std::uint32_t>{3}));
     EXPECT_EQ(g.predecessors(3), 1u);
     EXPECT_EQ(g.edges(), 3u);
 }
@@ -77,7 +85,7 @@ TEST(ConflictGraph, SharedPredecessorCountedOnce)
                                               bit(0) | bit(1)};
     ConflictGraph g(masks);
     EXPECT_EQ(g.predecessors(1), 1u);
-    EXPECT_EQ(g.successors(0), (std::vector<std::uint32_t>{1}));
+    EXPECT_EQ(succs(g, 0), (std::vector<std::uint32_t>{1}));
     EXPECT_EQ(g.edges(), 1u);
 }
 
@@ -88,8 +96,8 @@ TEST(ConflictGraph, DependsOnLatestUserOnly)
     const std::vector<std::uint64_t> masks = {bit(0), bit(0),
                                               bit(0)};
     ConflictGraph g(masks);
-    EXPECT_EQ(g.successors(0), (std::vector<std::uint32_t>{1}));
-    EXPECT_EQ(g.successors(1), (std::vector<std::uint32_t>{2}));
+    EXPECT_EQ(succs(g, 0), (std::vector<std::uint32_t>{1}));
+    EXPECT_EQ(succs(g, 1), (std::vector<std::uint32_t>{2}));
 }
 
 TEST(ConflictGraph, BarrierMaskSerializesEverything)
@@ -101,7 +109,7 @@ TEST(ConflictGraph, BarrierMaskSerializesEverything)
     ConflictGraph g(masks);
     EXPECT_EQ(g.roots(), (std::vector<std::uint32_t>{0, 1}));
     EXPECT_EQ(g.predecessors(2), 2u);
-    EXPECT_EQ(g.successors(2),
+    EXPECT_EQ(succs(g, 2),
               (std::vector<std::uint32_t>{3, 4}));
     EXPECT_EQ(g.predecessors(3), 1u);
     EXPECT_EQ(g.predecessors(4), 1u);
@@ -126,8 +134,8 @@ TEST(ConflictGraph, WideMasksTrackResourcesPastSixtyFour)
     ASSERT_EQ(g.size(), 3u);
     EXPECT_EQ(g.roots(), (std::vector<std::uint32_t>{0, 1}));
     EXPECT_EQ(g.predecessors(2), 2u);
-    EXPECT_EQ(g.successors(0), (std::vector<std::uint32_t>{2}));
-    EXPECT_EQ(g.successors(1), (std::vector<std::uint32_t>{2}));
+    EXPECT_EQ(succs(g, 0), (std::vector<std::uint32_t>{2}));
+    EXPECT_EQ(succs(g, 1), (std::vector<std::uint32_t>{2}));
 }
 
 TEST(ConflictGraph, WideMasksSeparateSameBitDifferentWord)
@@ -144,7 +152,7 @@ TEST(ConflictGraph, WideMasksSeparateSameBitDifferentWord)
     ASSERT_EQ(g.size(), 3u);
     EXPECT_EQ(g.roots(), (std::vector<std::uint32_t>{0, 1}));
     EXPECT_EQ(g.predecessors(2), 1u);
-    EXPECT_EQ(g.successors(0), (std::vector<std::uint32_t>{2}));
+    EXPECT_EQ(succs(g, 0), (std::vector<std::uint32_t>{2}));
     EXPECT_TRUE(g.successors(1).empty());
 }
 
@@ -160,7 +168,7 @@ TEST(ConflictGraph, WideAndNarrowAgreeAtOneWordPerTask)
     EXPECT_EQ(narrow.roots(), wide.roots());
     for (std::size_t i = 0; i < masks.size(); ++i) {
         EXPECT_EQ(narrow.predecessors(i), wide.predecessors(i));
-        EXPECT_EQ(narrow.successors(i), wide.successors(i));
+        EXPECT_EQ(succs(narrow, i), succs(wide, i));
     }
 }
 
@@ -204,4 +212,28 @@ TEST(ConflictGraph, SubmitOrderIsATopologicalOrder)
     }
     EXPECT_EQ(pred_total, g.edges());
     EXPECT_EQ(succ_total, g.edges());
+}
+
+TEST(ConflictGraph, RebuildInPlaceMatchesAFreshGraph)
+{
+    // The engine rebuilds one graph per round: a rebuild must leave
+    // nothing of the previous, larger stream behind.
+    const std::vector<std::uint64_t> big = {
+        bit(0) | bit(1), bit(1), bit(0), bit(2), ~std::uint64_t(0),
+        bit(3), bit(3) | bit(4), bit(0)};
+    const std::vector<std::uint64_t> small = {bit(1), bit(2),
+                                              bit(1) | bit(2)};
+    ConflictGraph g(big);
+    for (const auto *masks : {&small, &big}) {
+        g.build(*masks);
+        const ConflictGraph fresh(*masks);
+        ASSERT_EQ(g.size(), fresh.size());
+        EXPECT_EQ(g.edges(), fresh.edges());
+        EXPECT_EQ(g.roots(), fresh.roots());
+        for (std::size_t i = 0; i < masks->size(); ++i) {
+            EXPECT_EQ(g.predecessors(i), fresh.predecessors(i));
+            EXPECT_EQ(succs(g, i), succs(fresh, i));
+        }
+    }
+    EXPECT_EQ(g.successors(4).size(), 3u); // the barrier in `big`
 }
