@@ -10,12 +10,12 @@
  * policy knobs (rows: static, adaptive at cadence 1 and 4 with
  * quarantine, adaptive with quarantine disabled) against Weibull
  * characteristic-life operating points (columns). Adaptive cells
- * snapshot bankHealth()/wearSummaries() between rounds, re-run
- * Planner::observeWear, proactively migrate the live operands off
+ * snapshot bankHealth()/wearSummaries() between rounds, re-rank
+ * the subarrays by wear, proactively migrate the live operands off
  * subarrays whose worst track crossed 1.5 x eta (the leading
  * indicator — the per-mat spare pool is a cliff, not a slope, at
- * shape 6), and quarantine subarrays with an exhausted mat out of
- * the compute/staging sets.
+ * shape 6), and quarantine subarrays with an exhausted mat so they
+ * are never migration targets.
  *
  * Three properties are asserted (nonzero exit on violation):
  *  - the recovery invariant: every VPC not marked Failed is

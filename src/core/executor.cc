@@ -17,8 +17,7 @@ bool
 sameShape(const VpcBatch &a, const VpcBatch &b)
 {
     return a.kind == b.kind && a.vpcCount == b.vpcCount &&
-           a.vectorLen == b.vectorLen && a.migration == b.migration &&
-           a.recovery == b.recovery;
+           a.vectorLen == b.vectorLen && a.recovery == b.recovery;
 }
 
 } // namespace
@@ -222,15 +221,12 @@ Executor::runTransfer(const VpcBatch &batch, const BatchCost &c,
 
     // Accounting. Row operations are driver-dominated: one
     // read/write energy quantum per row op regardless of width.
-    // Health-policy migration copies are charged under their own
-    // category so the lifetime-extension overhead stays visible
-    // instead of blending into workload read/write traffic.
+    // Recovery copies are charged under their own category so the
+    // fault-recovery overhead stays visible instead of blending
+    // into workload read/write traffic.
     if (batch.recovery) {
         energy_.recoveryRow(c.rows);
         breakdown_.recoveryTicks += c.readTime + c.writeTime;
-    } else if (batch.migration) {
-        energy_.migrationRow(c.rows);
-        breakdown_.migrationTicks += c.readTime + c.writeTime;
     } else {
         energy_.read(c.rows);
         energy_.write(c.rows);

@@ -56,8 +56,7 @@ struct TimeBreakdown
     Tick writeTicks = 0;
     Tick shiftTicks = 0;   //!< in-subarray RM-bus/mat streaming
     Tick processTicks = 0; //!< RM processor pipelines
-    Tick migrationTicks = 0; //!< health-policy operand migrations
-    Tick recoveryTicks = 0;  //!< recovery-ladder snapshot/rollback
+    Tick recoveryTicks = 0; //!< recovery-ladder snapshot/rollback
 
     // Coverage view of the makespan (Fig. 19): wall-clock intervals
     // covered exclusively by data transfer, exclusively by
@@ -100,9 +99,9 @@ class Executor
   private:
     /**
      * What one logical batch costs, a function of its shape alone
-     * (kind, vpcCount, vectorLen, migration, recovery): the
-     * durations, breakdown shares and energy counts the per-batch
-     * path would otherwise recompute with several integer divisions.
+     * (kind, vpcCount, vectorLen, recovery): the durations,
+     * breakdown shares and energy counts the per-batch path would
+     * otherwise recompute with several integer divisions.
      * A run's batches share one shape, so run() computes the cost
      * once per change of shape. Energy is still recorded per logical
      * batch, in order (DESIGN §13).

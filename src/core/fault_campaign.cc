@@ -6,7 +6,6 @@
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "core/sharded_system.hh"
-#include "core/system_config.hh"
 #include "parallel/thread_pool.hh"
 
 namespace streampim
@@ -173,17 +172,9 @@ runProtocol(const EnduranceCampaignConfig &cfg,
 
     faulty.enableFaultInjection(campaignFaultConfig(base));
 
-    // The closed loop (runtime/health_policy.hh): a campaign-shaped
-    // planner gives the policy the wear-ranked candidate ordering
-    // (Distribute — every subarray of the small geometry is a PIM
-    // subarray, so Unblock's disjoint staging set cannot exist).
-    SystemConfig planner_cfg;
-    planner_cfg.rm = params;
-    planner_cfg.optLevel = OptLevel::Distribute;
-    Planner planner(planner_cfg);
+    // The closed loop (runtime/health_policy.hh).
     HealthPolicy policy(cfg.adaptive, params.totalSubarrays(),
                         params.subarraysPerBank);
-    policy.attachPlanner(&planner);
 
     // The recovery ladder (runtime/recovery.hh): per-round batch
     // journal + per-Failed-VPC escalation, serial and in submit
@@ -244,16 +235,12 @@ runProtocol(const EnduranceCampaignConfig &cfg,
             hooks.failingSubarray = [&](std::size_t g) {
                 // Blame the worst-worn home subarray the VPC
                 // touches (deposit failures concentrate where its
-                // writes land). Deterministic: total (wear..., id)
+                // writes land). Deterministic: the total healthKey
                 // order over at most three candidates.
                 const Vpc &v = program[g].vpc;
                 const auto wear = faulty.wearSummaries();
                 auto key = [&](std::uint32_t s) {
-                    const SubarrayWear &w = wear[s];
-                    return std::make_tuple(w.exhaustedMats,
-                                           w.sparesUsed,
-                                           w.maxTrackWear,
-                                           w.deposits, s);
+                    return healthKey(wear[s], s);
                 };
                 std::uint32_t blamed =
                     std::uint32_t(v.src1 / per_sub);

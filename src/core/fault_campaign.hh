@@ -176,8 +176,8 @@ struct EnduranceCampaignConfig
      * the historical open-loop run: placement fixed at round 0,
      * device driven until tracks fail. Enabled, a HealthPolicy
      * consumes bankHealth()/wearSummaries() snapshots between
-     * rounds at adaptive.cadence, re-ranks a campaign Planner via
-     * observeWear, migrates the live input regions off
+     * rounds at adaptive.cadence, re-ranks the subarrays by wear,
+     * migrates the live input regions off
      * spare-starved banks (TRAN copies executed on BOTH systems
      * with injection resumed, so migration wear is real and the
      * pair stays on one deterministic sample path), and

@@ -1,43 +1,10 @@
 #include "core/report.hh"
 
+#include <map>
 #include <sstream>
 
 namespace streampim
 {
-
-void
-reportToStats(const ExecutionReport &report, StatGroup &group)
-{
-    group.counter("makespan_ticks").inc(report.makespan);
-    group.counter("pim_vpcs").inc(report.pimVpcs);
-    group.counter("move_vpcs").inc(report.moveVpcs);
-    group.counter("batches").inc(report.batches);
-
-    const auto &b = report.breakdown;
-    group.counter("read_ticks").inc(b.readTicks);
-    group.counter("write_ticks").inc(b.writeTicks);
-    group.counter("shift_ticks").inc(b.shiftTicks);
-    group.counter("process_ticks").inc(b.processTicks);
-    group.counter("migration_ticks").inc(b.migrationTicks);
-    group.counter("recovery_ticks").inc(b.recoveryTicks);
-    group.counter("exclusive_transfer_ticks")
-        .inc(b.exclusiveTransfer);
-    group.counter("exclusive_process_ticks").inc(b.exclusiveProcess);
-    group.counter("overlapped_ticks").inc(b.overlapped);
-    group.counter("idle_ticks").inc(b.idle);
-
-    for (unsigned i = 0;
-         i < static_cast<unsigned>(EnergyOp::NumOps); ++i) {
-        auto op = static_cast<EnergyOp>(i);
-        if (report.energy.count(op) == 0)
-            continue;
-        group.counter(std::string("ops_") + energyOpName(op))
-            .inc(report.energy.count(op));
-        group.accumulator(std::string("energy_pj_") +
-                          energyOpName(op))
-            .sample(report.energy.energyPj(op));
-    }
-}
 
 std::string
 summarizeReport(const ExecutionReport &report)
@@ -66,25 +33,39 @@ void
 dumpReport(const ExecutionReport &report, std::ostream &os,
            const std::string &group_name)
 {
-    StatGroup group(group_name);
-    reportToStats(report, group);
-    group.dump(os);
-}
-
-void
-bankHealthToStats(std::span<const BankHealth> health,
-                  StatGroup &group)
-{
-    for (const BankHealth &h : health) {
-        const std::string p = "bank" + std::to_string(h.bank) + "_";
-        group.counter(p + "remaining_spares")
-            .inc(h.remainingSpares());
-        group.counter(p + "spares_total").inc(h.sparesTotal);
-        group.counter(p + "max_wear").inc(h.maxWear);
-        group.counter(p + "deposits").inc(h.deposits);
-        group.counter(p + "track_remaps").inc(h.trackRemaps);
-        group.counter(p + "redeposits").inc(h.redeposits);
-        group.counter(p + "write_failures").inc(h.writeFailures);
+    const auto &b = report.breakdown;
+    std::map<std::string, std::uint64_t> counters = {
+        {"makespan_ticks", report.makespan},
+        {"pim_vpcs", report.pimVpcs},
+        {"move_vpcs", report.moveVpcs},
+        {"batches", report.batches},
+        {"read_ticks", b.readTicks},
+        {"write_ticks", b.writeTicks},
+        {"shift_ticks", b.shiftTicks},
+        {"process_ticks", b.processTicks},
+        {"recovery_ticks", b.recoveryTicks},
+        {"exclusive_transfer_ticks", b.exclusiveTransfer},
+        {"exclusive_process_ticks", b.exclusiveProcess},
+        {"overlapped_ticks", b.overlapped},
+        {"idle_ticks", b.idle},
+    };
+    std::map<std::string, double> energy;
+    for (unsigned i = 0;
+         i < static_cast<unsigned>(EnergyOp::NumOps); ++i) {
+        auto op = static_cast<EnergyOp>(i);
+        if (report.energy.count(op) == 0)
+            continue;
+        counters[std::string("ops_") + energyOpName(op)] =
+            report.energy.count(op);
+        energy[std::string("energy_pj_") + energyOpName(op)] =
+            report.energy.energyPj(op);
+    }
+    for (const auto &[key, value] : counters)
+        os << group_name << '.' << key << ' ' << value << '\n';
+    // One sample per category, so its sum and mean coincide.
+    for (const auto &[key, pj] : energy) {
+        os << group_name << '.' << key << ".sum " << pj << '\n';
+        os << group_name << '.' << key << ".mean " << pj << '\n';
     }
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * Reporting glue: turn ExecutionReports into StatGroups and
- * human-readable summaries, so external tooling (and the benches)
- * consume one stable format.
+ * Reporting glue: render ExecutionReports and bank telemetry as
+ * human-readable summaries and `group.key value` dumps, so external
+ * tooling (and the benches) consume one stable format.
  */
 
 #ifndef STREAMPIM_CORE_REPORT_HH_
@@ -12,30 +12,23 @@
 #include <span>
 #include <string>
 
-#include "common/stats.hh"
 #include "core/executor.hh"
 #include "core/stream_pim.hh"
 
 namespace streampim
 {
 
-/** Copy an execution report's figures into a named stat group. */
-void reportToStats(const ExecutionReport &report, StatGroup &group);
-
 /** Render a compact multi-line summary of a report. */
 std::string summarizeReport(const ExecutionReport &report);
 
-/** Stream a report in `stat value` form (via reportToStats). */
+/**
+ * Stream a report as `<group>.<key> <value>` lines: every count and
+ * tick figure plus `ops_<category>` for each energy category that
+ * recorded an operation, sorted by key; then that category's
+ * `energy_pj_<category>.sum` and `.mean`, sorted by key.
+ */
 void dumpReport(const ExecutionReport &report, std::ostream &os,
                 const std::string &group_name = "streampim");
-
-/**
- * Copy SMART-style bank-health telemetry into a stat group, one
- * bank<N>_* counter set per bank (remaining_spares, max_wear,
- * deposits, track_remaps, redeposits, write_failures).
- */
-void bankHealthToStats(std::span<const BankHealth> health,
-                       StatGroup &group);
 
 /** Render a one-line-per-bank SMART health summary. */
 std::string summarizeBankHealth(std::span<const BankHealth> health);

@@ -287,8 +287,10 @@ runShardedVectorAdd(ShardedSystem &sys,
         const std::uint64_t dst_off = 2ull * blk.rows;
         sys.device(d).write(a_off, a.subspan(blk.begin, blk.rows));
         sys.device(d).write(b_off, b.subspan(blk.begin, blk.rows));
-        // Chunked ADDs: independent per chunk, so the per-device
-        // conflict-graph engine can run them concurrently.
+        // Chunked ADDs. Their data are independent, but every chunk
+        // lives in subarray 0, so their touch masks coincide and the
+        // conflict-graph engine runs a device's chunks as one chain:
+        // the parallelism here is across devices only.
         constexpr std::uint32_t kChunk = 256;
         for (std::uint32_t at = 0; at < blk.rows; at += kChunk) {
             const std::uint32_t len =

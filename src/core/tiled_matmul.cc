@@ -1,7 +1,6 @@
 #include "core/tiled_matmul.hh"
 
 #include <algorithm>
-#include <tuple>
 
 #include "common/log.hh"
 #include "runtime/tiler.hh"
@@ -193,11 +192,7 @@ runRecoverableTasks(TileStream &run)
     // deterministic.
     auto pickHealthier = [&](unsigned avoid) {
         const std::vector<SubarrayWear> wear = device.wearSummaries();
-        auto key = [&](unsigned s) {
-            const SubarrayWear &w = wear[s];
-            return std::make_tuple(w.exhaustedMats, w.sparesUsed,
-                                   w.maxTrackWear, w.deposits, s);
-        };
+        auto key = [&](unsigned s) { return healthKey(wear[s], s); };
         unsigned best = lay.computeSubs;
         for (unsigned s = 0; s < lay.computeSubs; ++s) {
             if (s == avoid || quarantined[s])

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "bus/rm_bus.hh"
@@ -62,6 +63,21 @@ struct SubarrayWear
             exhaustedMats++;
     }
 };
+
+/**
+ * The health order of subarray @p id with wear @p w: smaller keys
+ * are healthier. Exhausted mats weigh first (no remapping headroom
+ * left), then spares used, worst live track and total deposits;
+ * the id makes the order total, so every scan that picks the
+ * healthiest (or blames the worst) subarray is deterministic.
+ */
+inline std::tuple<unsigned, unsigned, std::uint64_t, std::uint64_t,
+                  std::uint32_t>
+healthKey(const SubarrayWear &w, std::uint32_t id)
+{
+    return {w.exhaustedMats, w.sparesUsed, w.maxTrackWear, w.deposits,
+            id};
+}
 
 /** Result of one functionally executed VPC. */
 struct SubarrayVpcResult

@@ -19,7 +19,6 @@ energyOpName(EnergyOp op)
       case EnergyOp::HostCompute: return "host_compute";
       case EnergyOp::GuardSense: return "guard_sense";
       case EnergyOp::Redeposit: return "redeposit";
-      case EnergyOp::Migration: return "migration";
       case EnergyOp::Recovery: return "recovery";
       case EnergyOp::NumOps: break;
     }

@@ -36,7 +36,6 @@ enum class EnergyOp : unsigned
     HostCompute,    //!< CPU/GPU arithmetic (baselines)
     GuardSense,     //!< guard-domain check (fault detection)
     Redeposit,      //!< re-driven deposit after nucleation failure
-    Migration,      //!< health-policy operand migration copies
     Recovery,       //!< recovery-ladder snapshot/rollback/re-execute
     NumOps,
 };
@@ -207,24 +206,11 @@ class RmEnergyModel
     }
 
     /**
-     * One row of a health-policy operand migration: a full
-     * read-then-write row quantum charged to its own category so the
-     * wear-management overhead never masquerades as workload
-     * traffic (runtime/health_policy.hh).
-     */
-    void
-    migrationRow(std::uint64_t rows = 1)
-    {
-        meter_.record(EnergyOp::Migration,
-                      params_.readPj + params_.writePj, rows);
-    }
-
-    /**
      * One row of recovery-ladder traffic (journal snapshot,
-     * rollback restore, or re-execution of a rolled-back VPC):
-     * the same read-then-write row quantum as a migration, charged
-     * to its own category so fault-recovery overhead stays visible
-     * next to useful work (runtime/recovery.hh).
+     * rollback restore, or re-execution of a rolled-back VPC): a
+     * full read-then-write row quantum, charged to its own category
+     * so fault-recovery overhead stays visible next to useful work
+     * (runtime/recovery.hh).
      */
     void
     recoveryRow(std::uint64_t rows = 1)

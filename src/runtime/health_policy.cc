@@ -19,12 +19,13 @@ HealthPolicy::HealthPolicy(const HealthPolicyConfig &cfg,
                            unsigned total_subarrays,
                            unsigned subarrays_per_bank)
     : cfg_(cfg), totalSubarrays_(total_subarrays),
-      subarraysPerBank_(subarrays_per_bank),
+      subarraysPerBank_(subarrays_per_bank), rank_(total_subarrays),
       quarantined_(total_subarrays, false)
 {
     cfg_.validate();
     SPIM_ASSERT(total_subarrays >= 1 && subarrays_per_bank >= 1,
                 "health policy needs a non-empty device geometry");
+    std::iota(rank_.begin(), rank_.end(), 0);
 }
 
 unsigned
@@ -67,13 +68,18 @@ HealthPolicy::evaluate(std::span<const BankHealth> health,
 
     HealthDecision d;
 
-    // 1. Wear vector for re-planning: the worst live save track per
-    // subarray (remapping resets per-track wear onto fresh spares,
-    // so maxTrackWear tracks the *surviving* headroom, which is the
-    // quantity placement should spread).
-    d.wear.resize(totalSubarrays_);
-    for (unsigned s = 0; s < totalSubarrays_; ++s)
-        d.wear[s] = wear[s].maxTrackWear;
+    // 1. Re-rank by the worst live save track per subarray
+    // (remapping resets per-track wear onto fresh spares, so
+    // maxTrackWear tracks the *surviving* headroom, which is the
+    // quantity placement should spread). The sort is stable, so
+    // ties keep the previous evaluation's order.
+    auto worst = [&wear](std::uint32_t s) {
+        return wear[s].maxTrackWear;
+    };
+    std::stable_sort(rank_.begin(), rank_.end(),
+                     [&worst](std::uint32_t a, std::uint32_t b) {
+                         return worst(a) < worst(b);
+                     });
 
     // 2. Quarantine (sticky): spares are per-mat, so a subarray
     // with any fully-exhausted mat has no remapping headroom where
@@ -88,37 +94,7 @@ HealthPolicy::evaluate(std::span<const BankHealth> health,
         }
     }
 
-    // 3. Re-plan: hand the fresh wear ranking and the quarantine
-    // set to the planner so in-flight lowering shifts toward the
-    // least-worn survivors (and re-tiles over the shrunk set).
-    if (planner_ != nullptr) {
-        planner_->observeWear(d.wear);
-        std::vector<std::uint32_t> quar;
-        for (unsigned s = 0; s < totalSubarrays_; ++s)
-            if (quarantined_[s])
-                quar.push_back(s);
-        if (!quar.empty())
-            planner_->applyQuarantine(quar);
-        d.replanned = true;
-    }
-
-    // Candidate ranking for migration targets: the planner's
-    // re-ranked compute set (ascending wear, stable ties, pruned of
-    // quarantined subarrays) when attached, otherwise every
-    // subarray sorted ascending by (wear, id).
-    std::vector<std::uint32_t> order;
-    if (planner_ != nullptr) {
-        order = planner_->computeSet();
-    } else {
-        order.resize(totalSubarrays_);
-        std::iota(order.begin(), order.end(), 0);
-        std::stable_sort(order.begin(), order.end(),
-                         [&d](std::uint32_t a, std::uint32_t b) {
-                             return d.wear[a] < d.wear[b];
-                         });
-    }
-
-    // 4. Migration decisions, one home at a time in operand order.
+    // 3. Migration decisions, one home at a time in operand order.
     // A home moves when its bank's spare pool dropped below the
     // spare threshold, its worst track crossed the wear threshold,
     // or the subarray itself is quarantined — onto the best-ranked
@@ -134,17 +110,17 @@ HealthPolicy::evaluate(std::span<const BankHealth> health,
         const bool forced = isQuarantined(h);
         const unsigned rem = bankRemainingSpares(health, h);
         const bool worn = cfg_.migrationWearThreshold > 0 &&
-                          d.wear[h] > cfg_.migrationWearThreshold;
+                          worst(h) > cfg_.migrationWearThreshold;
         if (!forced && !worn && rem >= cfg_.migrationSpareThreshold)
             continue;
-        for (std::uint32_t c : order) {
+        for (std::uint32_t c : rank_) {
             if (c == h || isQuarantined(c))
                 continue;
             if (std::find(cur.begin(), cur.end(), c) != cur.end())
                 continue;
             const unsigned crem = bankRemainingSpares(health, c);
             const bool healthier =
-                crem > rem || d.wear[c] < d.wear[h];
+                crem > rem || worst(c) < worst(h);
             if (!forced && !healthier)
                 continue;
             d.migrations.push_back({r, h, c});

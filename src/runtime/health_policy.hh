@@ -1,36 +1,33 @@
 /**
  * @file
- * HealthPolicy: the closed-loop device-health subsystem.
+ * HealthPolicy: the closed-loop device-health subsystem, and the one
+ * place that ranks subarrays for operand migration.
  *
- * PRs 2-5 built an open-loop endurance stack: the device surfaces
- * SMART-style BankHealth and per-subarray wear, and the Planner can
- * re-rank placement with observeWear(), but nothing ever fed the
- * telemetry back into a running workload. HealthPolicy closes that
- * loop. Between endurance-campaign rounds (or, for the timed path,
- * between plan() calls) it consumes bankHealth()/wearSummaries()
+ * The device surfaces SMART-style BankHealth and per-subarray wear;
+ * HealthPolicy feeds that telemetry back into a running endurance
+ * campaign. Between rounds it consumes bankHealth()/wearSummaries()
  * snapshots and, at a configurable cadence:
  *
- *  1. re-plans — re-runs Planner::observeWear with the fresh wear
- *     vector so subsequent lowering prefers the least-worn
- *     subarrays;
- *  2. quarantines — subarrays whose spare save-track pool is
- *     exhausted are removed from the planner's compute/staging sets
- *     (Planner::applyQuarantine) and excluded as migration targets,
- *     so the system degrades by shrinking capacity (re-tiling
- *     follows automatically: the tiler slots over the surviving
- *     compute set) instead of emitting Failed VPCs;
+ *  1. re-ranks — a stable sort of every subarray ascending by its
+ *     worst live save track, so ties keep the previous evaluation's
+ *     order and the least-worn subarrays lead the candidate list;
+ *  2. quarantines — subarrays with a spare-exhausted mat are
+ *     retired for good and never chosen as migration targets, so
+ *     the device degrades by shrinking capacity instead of emitting
+ *     Failed VPCs;
  *  3. migrates — live operands homed on banks whose remaining spare
- *     pool fell below a threshold are moved to the least-worn
- *     surviving subarrays. The policy only decides; the caller
- *     executes the copies (the functional campaign as TRAN VPCs on
- *     both the golden and faulty systems, the timed path through
- *     Planner::planMigration, charged as the Migration
- *     energy/cycle category of the Executor).
+ *     pool fell below a threshold (or on worn or quarantined
+ *     subarrays) are moved to the best-ranked surviving subarray.
+ *     The policy only decides; the campaign executes the copies as
+ *     TRAN VPCs on both the golden and the faulty system.
+ *
+ * Wear-driven re-placement is this reproduction's extension: the
+ * paper's runtime places operands statically, so the timed planner
+ * never consults the policy.
  *
  * Everything is deterministic: decisions are pure functions of the
- * telemetry snapshots and the config, the ranking inherits the
- * stable tie-breaking of Planner::observeWear, and candidate scans
- * run in ascending subarray-id order. A campaign driven by the
+ * telemetry snapshots, the config and the previous ranking, and
+ * candidate scans run in ranking order. A campaign driven by the
  * policy is therefore one reproducible sample path, byte-identical
  * at any engine job count (DESIGN.md §8).
  */
@@ -43,7 +40,6 @@
 #include <vector>
 
 #include "core/stream_pim.hh"
-#include "runtime/planner.hh"
 
 namespace streampim
 {
@@ -83,8 +79,7 @@ struct HealthPolicyConfig
     std::uint64_t migrationWearThreshold = 0;
 
     /**
-     * Quarantine spare-exhausted subarrays: drop them from the
-     * planner's compute/staging sets and never migrate onto them.
+     * Quarantine spare-exhausted subarrays: never migrate onto them.
      * Off = the policy may keep placing work on dead subarrays
      * (ablation knob; expect earlier Failed VPCs).
      */
@@ -110,11 +105,6 @@ struct HealthDecision
     std::vector<MigrationStep> migrations;
     /** Subarrays newly quarantined by this evaluation. */
     std::vector<std::uint32_t> newlyQuarantined;
-    /** The wear vector fed to Planner::observeWear (by global
-     * subarray id; the re-plan input, kept for reporting). */
-    std::vector<std::uint64_t> wear;
-    /** True when an attached planner was re-ranked. */
-    bool replanned = false;
 };
 
 /** Closed-loop health policy over one device's telemetry. */
@@ -133,13 +123,6 @@ class HealthPolicy
 
     const HealthPolicyConfig &config() const { return cfg_; }
 
-    /**
-     * Attach the planner the policy re-plans through. Optional: a
-     * policy without a planner still quarantines and migrates, with
-     * candidate ranking falling back to ascending (wear, id).
-     */
-    void attachPlanner(Planner *planner) { planner_ = planner; }
-
     /** True when round @p round (0-based) is an evaluation point. */
     bool
     shouldEvaluate(unsigned round) const
@@ -150,8 +133,8 @@ class HealthPolicy
     /**
      * One closed-loop evaluation: consume a bankHealth() +
      * wearSummaries() snapshot pair and the current live-operand
-     * homes; re-rank the attached planner, update the quarantine
-     * set, and decide operand migrations. Deterministic in the
+     * homes; re-rank the subarrays, update the quarantine set, and
+     * decide operand migrations. Deterministic in the
      * inputs. Homes are never migrated onto each other and targets
      * are always distinct, so operands stay on disjoint subarrays.
      */
@@ -170,9 +153,8 @@ class HealthPolicy
      * Quarantine @p sub immediately (recovery-ladder rung 3,
      * runtime/recovery.hh): the failing subarray is proven bad by a
      * Failed VPC, so the ladder does not wait for the next cadence
-     * point. Sticky like evaluate()'s quarantines and pruned from
-     * an attached planner the same way. Returns false when @p sub
-     * was already quarantined (idempotent).
+     * point. Sticky like evaluate()'s quarantines. Returns false
+     * when @p sub was already quarantined (idempotent).
      */
     bool
     forceQuarantine(std::uint32_t sub)
@@ -180,8 +162,6 @@ class HealthPolicy
         if (sub >= quarantined_.size() || quarantined_[sub])
             return false;
         quarantined_[sub] = true;
-        if (planner_)
-            planner_->applyQuarantine({sub});
         return true;
     }
 
@@ -203,7 +183,9 @@ class HealthPolicy
     HealthPolicyConfig cfg_;
     unsigned totalSubarrays_;
     unsigned subarraysPerBank_;
-    Planner *planner_ = nullptr;
+    /** Migration candidates, best first: every subarray, re-sorted
+     * stably by worst-track wear on each evaluation. */
+    std::vector<std::uint32_t> rank_;
     std::vector<bool> quarantined_;
     unsigned evaluations_ = 0;
     unsigned migrations_ = 0;

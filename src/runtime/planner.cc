@@ -58,55 +58,15 @@ Planner::Planner(const SystemConfig &config) : cfg_(config)
     }
 }
 
-void
-Planner::observeWear(const std::vector<std::uint64_t> &wear)
-{
-    auto wear_of = [&wear](std::uint32_t id) {
-        return id < wear.size() ? wear[id] : 0;
-    };
-    auto rank = [&wear_of](std::vector<std::uint32_t> &set) {
-        std::stable_sort(set.begin(), set.end(),
-                         [&wear_of](std::uint32_t a,
-                                    std::uint32_t b) {
-                             return wear_of(a) < wear_of(b);
-                         });
-    };
-    rank(computeSet_);
-    if (cfg_.optLevel == OptLevel::Unblock)
-        rank(stagingSet_);
-    else
-        // Non-unblock staging follows the compute front-runner.
-        stagingSet_ = {computeSet_.front()};
-}
-
-void
-Planner::applyQuarantine(const std::vector<std::uint32_t> &subarrays)
-{
-    auto prune = [&subarrays](std::vector<std::uint32_t> &set) {
-        for (std::uint32_t q : subarrays) {
-            if (set.size() <= 1)
-                break; // graceful floor: never empty the set
-            auto it = std::find(set.begin(), set.end(), q);
-            if (it != set.end())
-                set.erase(it);
-        }
-    };
-    prune(computeSet_);
-    if (cfg_.optLevel == OptLevel::Unblock)
-        prune(stagingSet_);
-    else
-        stagingSet_ = {computeSet_.front()};
-}
-
 VpcSchedule
-Planner::planMigration(
+Planner::planRecovery(
     const std::vector<std::pair<std::uint32_t, std::uint32_t>> &moves,
     std::uint64_t bytes) const
 {
-    SPIM_ASSERT(bytes > 0, "migrating zero bytes");
+    SPIM_ASSERT(bytes > 0, "moving zero bytes");
     VpcSchedule sched;
     for (const auto &[from, to] : moves) {
-        SPIM_ASSERT(from != to, "migration onto the source subarray");
+        SPIM_ASSERT(from != to, "recovery copy onto the source subarray");
         VpcBatch b;
         b.kind = VpcKind::Tran;
         b.subarray = from;
@@ -114,21 +74,8 @@ Planner::planMigration(
         b.vpcCount = 1;
         // TRAN batch elements are bytes (Executor::runTransfer).
         b.vectorLen = std::uint32_t(bytes);
-        b.migration = true;
-        sched.push(b);
-    }
-    return sched;
-}
-
-VpcSchedule
-Planner::planRecovery(
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>> &moves,
-    std::uint64_t bytes) const
-{
-    VpcSchedule sched = planMigration(moves, bytes);
-    for (auto &b : sched.batches) {
-        b.migration = false;
         b.recovery = true;
+        sched.push(b);
     }
     return sched;
 }

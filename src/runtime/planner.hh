@@ -11,6 +11,10 @@
  *    for base/distribute, on a disjoint staging set in the memory
  *    banks for unblock ("operands and results are placed in
  *    different predefined subarray sets that do not overlap").
+ *  - Both sets are fixed at construction, as in the paper's static
+ *    placement. Wear-driven re-placement is this reproduction's
+ *    extension and belongs to the functional endurance campaign
+ *    (runtime/health_policy.hh), which the planner never consults.
  *
  * Issue-order policy (what unblock actually changes):
  *  - distribute: the natural per-subarray order [compute(s);
@@ -86,49 +90,13 @@ class Planner
     }
 
     /**
-     * Wear-aware placement (save-track endurance): re-rank the
-     * compute and staging sets by the supplied per-subarray wear,
-     * ascending with ties broken by the previous order. Row
-     * distribution hands the remainder rows of rowsOnSlot to the
-     * leading slots and vector homes hash into the staging set in
-     * order, so after re-ranking, hot operands and the extra rows
-     * land on the least-worn subarrays. @p wear is indexed by
-     * global subarray id (e.g. SubarrayWear::deposits or
-     * maxTrackWear from StreamPimSystem::wearSummaries); ids
-     * beyond the vector count as pristine.
-     */
-    void observeWear(const std::vector<std::uint64_t> &wear);
-
-    /**
-     * Graceful degradation (health policy): drop the listed
-     * spare-exhausted subarrays from the compute and staging sets so
-     * subsequent lowering re-tiles over the survivors. Never empties
-     * a set — the last subarray standing keeps serving (degraded)
-     * rather than leaving the planner with nowhere to place work.
-     * Under base/distribute the staging set is re-derived as the
-     * head of the pruned compute set, mirroring the constructor.
-     */
-    void applyQuarantine(const std::vector<std::uint32_t> &subarrays);
-
-    /**
-     * Lower health-policy operand migrations to a schedule of
-     * independent migration-flagged TRAN batches, one per (from, to)
-     * move of @p bytes bytes each (rounded up to whole elements).
-     * The executor charges these under the Migration energy/cycle
-     * category (EnergyOp::Migration, TimeBreakdown::migrationTicks).
-     */
-    VpcSchedule
-    planMigration(const std::vector<
-                      std::pair<std::uint32_t, std::uint32_t>> &moves,
-                  std::uint64_t bytes) const;
-
-    /**
-     * Same lowering as planMigration but for recovery-ladder traffic
-     * (runtime/recovery.hh): journal snapshots, rollback restores,
-     * and re-home copies of a Failed VPC's operands. Batches carry
+     * Lower recovery-ladder traffic (runtime/recovery.hh) — journal
+     * snapshots, rollback restores, and re-home copies of a Failed
+     * VPC's operands — to a schedule of independent TRAN batches,
+     * one per (from, to) move of @p bytes bytes each. Batches carry
      * the recovery flag so the executor charges them under the
      * Recovery energy/cycle category (EnergyOp::Recovery,
-     * TimeBreakdown::recoveryTicks) instead of Migration.
+     * TimeBreakdown::recoveryTicks).
      */
     VpcSchedule
     planRecovery(const std::vector<

@@ -1,7 +1,5 @@
 #include "runtime/recovery.hh"
 
-#include <tuple>
-
 #include "core/stream_pim.hh"
 #include "runtime/health_policy.hh"
 
@@ -63,11 +61,7 @@ RecoveryManager::pickTarget(std::uint32_t failing,
     const std::vector<SubarrayWear> wear = system_.wearSummaries();
     const std::uint32_t total = std::uint32_t(wear.size());
     std::uint32_t best = total;
-    auto key = [&](std::uint32_t s) {
-        const SubarrayWear &w = wear[s];
-        return std::make_tuple(w.exhaustedMats, w.sparesUsed,
-                               w.maxTrackWear, w.deposits, s);
-    };
+    auto key = [&](std::uint32_t s) { return healthKey(wear[s], s); };
     for (std::uint32_t s = 0; s < total; ++s) {
         if (s == failing || isQuarantined(s))
             continue;
@@ -84,11 +78,7 @@ RecoveryManager::pickTarget(std::uint32_t failing,
     // handles that; only an identical-or-worse candidate is
     // rejected here.
     if (best != total && failing < total &&
-        key(best) >= std::make_tuple(wear[failing].exhaustedMats,
-                                     wear[failing].sparesUsed,
-                                     wear[failing].maxTrackWear,
-                                     wear[failing].deposits,
-                                     std::uint32_t(0)))
+        key(best) >= healthKey(wear[failing], 0))
         return total;
     return best;
 }

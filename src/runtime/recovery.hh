@@ -23,11 +23,12 @@
  *                home, up to RecoveryConfig::retryBudget times;
  *       rung 2 — re-home: move the VPC's operands onto a strictly
  *                healthier subarray (least (exhaustedMats,
- *                sparesUsed, maxTrackWear, deposits, id)) and
+ *                sparesUsed, maxTrackWear, deposits, id), the
+ *                healthKey order of mem/subarray.hh) and
  *                re-execute there;
  *       rung 3 — re-plan: quarantine the failing subarray
- *                (HealthPolicy::forceQuarantine + planner prune)
- *                and re-home onto the shrunken survivor set;
+ *                (HealthPolicy::forceQuarantine) and re-home onto
+ *                the shrunken survivor set;
  *       rung 4 — re-tile: for tiled matmul plans whose compute set
  *                shrank below the tiler's needs, the tiled runner
  *                re-tiles the in-flight plan with a smaller
@@ -285,7 +286,7 @@ class RecoveryManager
      * @param cfg ladder budgets (validate() is enforced).
      * @param system the faulty system recovery acts on.
      * @param policy optional: quarantines of rung 3 go through
-     *        HealthPolicy::forceQuarantine (sticky, planner-pruning);
+     *        HealthPolicy::forceQuarantine (sticky);
      *        without a policy the manager keeps its own sticky set.
      */
     RecoveryManager(const RecoveryConfig &cfg,

@@ -78,14 +78,6 @@ struct VpcBatch
     bool barrier = false;
 
     /**
-     * TRAN only: this transfer is a health-policy operand migration
-     * (runtime/health_policy.hh), not workload data movement. The
-     * executor accounts it under the separate Migration energy and
-     * cycle category so lifetime-extension overhead is visible.
-     */
-    bool migration = false;
-
-    /**
      * This batch is recovery-ladder traffic (runtime/recovery.hh):
      * a journal snapshot/rollback copy or the re-execution of a
      * rolled-back VPC. The executor accounts it under the separate
@@ -96,8 +88,8 @@ struct VpcBatch
 
     /**
      * Run length: this descriptor stands for @c repeat logical
-     * batches. Kind, vpcCount, vectorLen and the migration/recovery
-     * flags are shared by the whole run; only the first batch carries
+     * batches. Kind, vpcCount, vectorLen and the recovery flag
+     * are shared by the whole run; only the first batch carries
      * @c barrier. Logical batch r of the run has subarray
      * `subarray + r * subarrayStep` (likewise dstSubarray, depA,
      * depB, all modulo 2^32); a kNoBatch dependency has step 0 and
@@ -262,7 +254,7 @@ struct VpcSchedule
     {
         if (b.barrier || b.kind != run.kind ||
             b.vpcCount != run.vpcCount || b.vectorLen != run.vectorLen ||
-            b.migration != run.migration || b.recovery != run.recovery ||
+            b.recovery != run.recovery ||
             (b.depA == kNoBatch) != (run.depA == kNoBatch) ||
             (b.depB == kNoBatch) != (run.depB == kNoBatch))
             return false;

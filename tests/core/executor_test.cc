@@ -142,37 +142,6 @@ TEST(Executor, TransferMovesThroughReadBusWrite)
     EXPECT_EQ(r.energy.count(EnergyOp::RmWrite), 10u);
 }
 
-TEST(Executor, MigrationTransfersAreChargedSeparately)
-{
-    // A migration-flagged TRAN costs the same device time as a
-    // regular one but lands in its own energy/time category, so
-    // reports can separate policy overhead from program traffic.
-    SystemConfig cfg = baseConfig();
-    Executor ex(cfg);
-    VpcSchedule s;
-    VpcBatch mv = tran(0, 1, 1, 640); // 640 B = 10 row ops
-    mv.migration = true;
-    s.push(mv);
-    ExecutionReport r = ex.run(s);
-    EXPECT_EQ(r.breakdown.migrationTicks,
-              10 * (cfg.rm.readTicks() + cfg.rm.writeTicks()));
-    EXPECT_EQ(r.breakdown.readTicks, 0u);
-    EXPECT_EQ(r.breakdown.writeTicks, 0u);
-    EXPECT_EQ(r.energy.count(EnergyOp::Migration), 10u);
-    EXPECT_EQ(r.energy.count(EnergyOp::RmRead), 0u);
-    EXPECT_EQ(r.energy.count(EnergyOp::RmWrite), 0u);
-    EXPECT_GT(r.energy.energyPj(EnergyOp::Migration), 0.0);
-
-    // Identical makespan to the unflagged TRAN: the flag only
-    // reroutes the accounting, never the device model.
-    VpcSchedule plain;
-    plain.push(tran(0, 1, 1, 640));
-    ExecutionReport p = ex.run(plain);
-    EXPECT_EQ(r.makespan, p.makespan);
-    EXPECT_NEAR(r.energy.totalPj(), p.energy.totalPj(),
-                1e-9 * p.energy.totalPj());
-}
-
 TEST(Executor, HeadOfLineBlockingSerializesBank)
 {
     // Under distribute (HOL on), a collect waiting on subarray 0's
@@ -506,19 +475,19 @@ TEST(ExecutorCoverage, RmBusFillAndCorrectionTail)
     EXPECT_EQ(r.breakdown.idle, 0u);
 }
 
-TEST(ExecutorCoverage, MigrationAndRecoveryCountAsTransferCover)
+TEST(ExecutorCoverage, RecoveryCountsAsTransferCover)
 {
-    // Migration and recovery TRANs run concurrently with a long
-    // compute on the same bank bus. Their flags reroute accounting
-    // only, so their spans cover time exactly like plain TRANs.
+    // Recovery TRANs run concurrently with a long compute on the
+    // same bank bus. The flag reroutes accounting only, so their
+    // spans cover time exactly like plain TRANs.
     SystemConfig cfg = baseConfig();
     Timings t(cfg);
     auto build = [](bool flagged) {
         VpcSchedule s;
         s.push(compute(0, 1, 2000));
-        VpcBatch mv = tran(2, 3, 1, 640);
-        mv.migration = flagged;
-        s.push(mv);
+        VpcBatch snap = tran(2, 3, 1, 640);
+        snap.recovery = flagged;
+        s.push(snap);
         VpcBatch rb = tran(4, 5, 1, 640);
         rb.recovery = flagged;
         s.push(rb);
@@ -529,8 +498,12 @@ TEST(ExecutorCoverage, MigrationAndRecoveryCountAsTransferCover)
     };
     Executor ex(cfg);
     ExecutionReport r = ex.run(build(true));
-    EXPECT_GT(r.breakdown.migrationTicks, 0u);
-    EXPECT_GT(r.breakdown.recoveryTicks, 0u);
+    EXPECT_EQ(r.breakdown.readTicks, 0u);
+    EXPECT_EQ(r.breakdown.writeTicks, 0u);
+    EXPECT_EQ(r.breakdown.recoveryTicks,
+              2 * (t.read(640) + t.write(640)) + t.mul(1, 100));
+    EXPECT_EQ(r.energy.count(EnergyOp::RmRead), 0u);
+    EXPECT_GT(r.energy.count(EnergyOp::Recovery), 0u);
 
     const Tick f = t.fill();
     const Tick rd = t.read(640);
@@ -550,7 +523,11 @@ TEST(ExecutorCoverage, MigrationAndRecoveryCountAsTransferCover)
     EXPECT_GT(r.breakdown.overlapped, 0u);
 
     ExecutionReport plain = ex.run(build(false));
+    EXPECT_EQ(plain.breakdown.recoveryTicks, 0u);
+    EXPECT_EQ(plain.energy.count(EnergyOp::Recovery), 0u);
     EXPECT_EQ(plain.makespan, r.makespan);
+    EXPECT_NEAR(plain.energy.totalPj(), r.energy.totalPj(),
+                1e-9 * plain.energy.totalPj());
     expectSameCoverage(plain.breakdown, r.breakdown);
 }
 

@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests for the report/stat plumbing.
+ * Tests for the report plumbing: summaries and `key value` dumps.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/report.hh"
@@ -27,18 +29,6 @@ sampleReport()
     return e.run(p.plan(makePolybench(PolybenchKernel::Atax, 64)));
 }
 
-TEST(Report, StatsCarryAllFigures)
-{
-    ExecutionReport r = sampleReport();
-    StatGroup g("run");
-    reportToStats(r, g);
-    EXPECT_EQ(g.findCounter("makespan_ticks").value(), r.makespan);
-    EXPECT_EQ(g.findCounter("pim_vpcs").value(), r.pimVpcs);
-    EXPECT_EQ(g.findCounter("process_ticks").value(),
-              r.breakdown.processTicks);
-    EXPECT_TRUE(g.hasCounter("ops_pim_mul"));
-}
-
 TEST(Report, SummaryMentionsKeyNumbers)
 {
     ExecutionReport r = sampleReport();
@@ -52,9 +42,29 @@ TEST(Report, DumpIsParsable)
     ExecutionReport r = sampleReport();
     std::ostringstream os;
     dumpReport(r, os, "dev");
-    std::string text = os.str();
-    EXPECT_NE(text.find("dev.makespan_ticks "), std::string::npos);
-    EXPECT_NE(text.find("dev.batches "), std::string::npos);
+    // Every line is `dev.<key> <value>` with a unique key.
+    std::istringstream in(os.str());
+    std::map<std::string, std::string> values;
+    std::string line;
+    while (std::getline(in, line)) {
+        const auto space = line.find(' ');
+        ASSERT_NE(space, std::string::npos) << line;
+        ASSERT_EQ(line.rfind("dev.", 0), 0u) << line;
+        const std::string key = line.substr(4, space - 4);
+        EXPECT_TRUE(values.emplace(key, line.substr(space + 1)).second)
+            << key;
+    }
+    EXPECT_EQ(values.at("makespan_ticks"), std::to_string(r.makespan));
+    EXPECT_EQ(values.at("pim_vpcs"), std::to_string(r.pimVpcs));
+    EXPECT_EQ(values.at("batches"), std::to_string(r.batches));
+    EXPECT_EQ(values.at("process_ticks"),
+              std::to_string(r.breakdown.processTicks));
+    EXPECT_EQ(values.at("ops_pim_mul"),
+              std::to_string(r.energy.count(EnergyOp::PimMul)));
+    EXPECT_EQ(values.count("energy_pj_pim_mul.sum"), 1u);
+    EXPECT_EQ(values.count("energy_pj_pim_mul.mean"), 1u);
+    // Categories that recorded nothing are left out.
+    EXPECT_EQ(values.count("ops_dram_access"), 0u);
 }
 
 TEST(Report, CoveragePercentagesAreSane)
@@ -88,22 +98,6 @@ sampleHealth()
 }
 
 } // namespace
-
-TEST(Report, BankHealthStatsCarryEveryCounter)
-{
-    StatGroup g("smart");
-    auto health = sampleHealth();
-    bankHealthToStats(health, g);
-    EXPECT_EQ(g.findCounter("bank0_remaining_spares").value(), 14u);
-    EXPECT_EQ(g.findCounter("bank0_spares_total").value(), 16u);
-    EXPECT_EQ(g.findCounter("bank0_max_wear").value(), 37u);
-    EXPECT_EQ(g.findCounter("bank0_deposits").value(), 1200u);
-    EXPECT_EQ(g.findCounter("bank0_track_remaps").value(), 2u);
-    EXPECT_EQ(g.findCounter("bank0_redeposits").value(), 9u);
-    EXPECT_EQ(g.findCounter("bank0_write_failures").value(), 1u);
-    EXPECT_EQ(g.findCounter("bank1_remaining_spares").value(), 16u);
-    EXPECT_EQ(g.findCounter("bank1_deposits").value(), 0u);
-}
 
 TEST(Report, BankHealthSummaryIsOneLinePerBank)
 {

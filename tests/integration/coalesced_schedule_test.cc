@@ -43,7 +43,6 @@ expectSameReport(const ExecutionReport &a, const ExecutionReport &b,
     EXPECT_EQ(x.writeTicks, y.writeTicks) << what;
     EXPECT_EQ(x.shiftTicks, y.shiftTicks) << what;
     EXPECT_EQ(x.processTicks, y.processTicks) << what;
-    EXPECT_EQ(x.migrationTicks, y.migrationTicks) << what;
     EXPECT_EQ(x.recoveryTicks, y.recoveryTicks) << what;
     EXPECT_EQ(x.exclusiveTransfer, y.exclusiveTransfer) << what;
     EXPECT_EQ(x.exclusiveProcess, y.exclusiveProcess) << what;

@@ -4,7 +4,7 @@
  * quarantine stickiness, migration triggers (spare threshold, wear
  * threshold, forced by quarantine), target selection (healthier
  * only, distinct, never a home or a quarantined subarray), and the
- * planner integration (re-rank + prune).
+ * stable wear ranking carried across evaluations.
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/system_config.hh"
 #include "runtime/health_policy.hh"
-#include "runtime/planner.hh"
 
 namespace streampim
 {
@@ -90,11 +88,8 @@ TEST(HealthPolicy, NoTriggersMeansNoMigrations)
                         homes);
     EXPECT_TRUE(d.migrations.empty());
     EXPECT_TRUE(d.newlyQuarantined.empty());
-    EXPECT_FALSE(d.replanned); // no planner attached
     EXPECT_EQ(p.evaluations(), 1u);
     EXPECT_EQ(p.migrationsPlanned(), 0u);
-    ASSERT_EQ(d.wear.size(), kSubs);
-    EXPECT_EQ(d.wear[0], 100u);
 }
 
 TEST(HealthPolicy, SpareThresholdMigratesOffDrainedBank)
@@ -199,29 +194,36 @@ TEST(HealthPolicy, QuarantineOffNeverRetires)
     EXPECT_FALSE(p.isQuarantined(0));
 }
 
-TEST(HealthPolicy, AttachedPlannerIsRerankedAndPruned)
+TEST(HealthPolicy, WearTiesKeepPreviousRankingAndSkipQuarantined)
 {
-    SystemConfig sys;
-    sys.rm = smallFunctionalParams();
-    sys.optLevel = OptLevel::Distribute;
-    Planner planner(sys);
-    ASSERT_EQ(planner.computeSet().size(), kSubs);
-
     HealthPolicyConfig cfg = enabledConfig();
+    cfg.migrationWearThreshold = 600;
     HealthPolicy p(cfg, kSubs, kSubsPerBank);
-    p.attachPlanner(&planner);
+    const std::uint32_t homes[] = {0};
 
-    const std::uint32_t homes[] = {0, 1};
-    auto wear = wearOf({900, 300, 100, 0});
-    wear[0].exhaustedMats = 1;
-    auto d = p.evaluate(healthOf(16, 0), wear, homes);
-    EXPECT_TRUE(d.replanned);
-    // Subarray 0 quarantined out; survivors ranked by wear asc.
-    const auto &cs = planner.computeSet();
-    ASSERT_EQ(cs.size(), 3u);
-    EXPECT_EQ(cs[0], 3u);
-    EXPECT_EQ(cs[1], 2u);
-    EXPECT_EQ(cs[2], 1u);
+    // First evaluation: nothing crosses the threshold; the ranking
+    // becomes 1, 3, 2, 0 (ascending wear).
+    auto d1 = p.evaluate(healthOf(0, 0), wearOf({500, 100, 300, 200}),
+                         homes);
+    EXPECT_TRUE(d1.migrations.empty());
+
+    // Second evaluation: 1, 2 and 3 tie at zero wear, so they keep
+    // the first evaluation's order; 1 leads it but is quarantined,
+    // so the worn home moves to 3 rather than to 1 or the lower id 2.
+    auto wear = wearOf({900, 0, 0, 0});
+    wear[1].exhaustedMats = 1;
+    auto d2 = p.evaluate(healthOf(0, 0), wear, homes);
+    ASSERT_EQ(d2.newlyQuarantined.size(), 1u);
+    EXPECT_EQ(d2.newlyQuarantined[0], 1u);
+    ASSERT_EQ(d2.migrations.size(), 1u);
+    EXPECT_EQ(d2.migrations[0].from, 0u);
+    EXPECT_EQ(d2.migrations[0].to, 3u);
+
+    // Without the first evaluation the tie falls to subarray ids.
+    HealthPolicy fresh(cfg, kSubs, kSubsPerBank);
+    auto d3 = fresh.evaluate(healthOf(0, 0), wear, homes);
+    ASSERT_EQ(d3.migrations.size(), 1u);
+    EXPECT_EQ(d3.migrations[0].to, 2u);
 }
 
 TEST(HealthPolicyDeath, RejectsBadConfigAndInputs)

@@ -399,186 +399,6 @@ TEST(Planner, OpResultBatchWellFormed)
     }
 }
 
-TEST(Planner, ObserveWearReranksTowardLeastWorn)
-{
-    SystemConfig cfg = cfgWith(OptLevel::Unblock);
-    Planner p(cfg);
-    const auto before_compute = p.computeSet();
-    const auto before_staging = p.stagingSet();
-    ASSERT_GT(before_compute.size(), 1u);
-
-    // Pristine device (empty wear vector): stable sort keeps the
-    // constructor's order, including for ids beyond the vector.
-    p.observeWear({});
-    EXPECT_EQ(p.computeSet(), before_compute);
-    EXPECT_EQ(p.stagingSet(), before_staging);
-
-    // Make the current compute front-runner the most worn subarray:
-    // it must drop to the back of the ranking, since the remainder
-    // rows of row distribution land on the leading slots.
-    const std::uint32_t hot = before_compute.front();
-    std::vector<std::uint64_t> wear(cfg.rm.totalSubarrays(), 0);
-    wear[hot] = 1000;
-    p.observeWear(wear);
-    EXPECT_NE(p.computeSet().front(), hot);
-    EXPECT_EQ(p.computeSet().back(), hot);
-    // Re-ranking permutes, never changes membership.
-    std::set<std::uint32_t> a(before_compute.begin(),
-                              before_compute.end());
-    std::set<std::uint32_t> b(p.computeSet().begin(),
-                              p.computeSet().end());
-    EXPECT_EQ(a, b);
-    std::set<std::uint32_t> sa(before_staging.begin(),
-                               before_staging.end());
-    std::set<std::uint32_t> sb(p.stagingSet().begin(),
-                               p.stagingSet().end());
-    EXPECT_EQ(sa, sb);
-
-    // Plans remain well-formed after re-ranking.
-    VpcSchedule s = p.plan(tinyMatVec());
-    checkWellFormed(s, cfg);
-}
-
-TEST(Planner, ObserveWearKeepsNonUnblockStagingInvariant)
-{
-    // Under base/distribute the staging set is pinned to the compute
-    // front-runner; wear re-ranking must preserve that coupling.
-    SystemConfig cfg = cfgWith(OptLevel::Distribute);
-    Planner p(cfg);
-    const std::uint32_t hot = p.computeSet().front();
-    std::vector<std::uint64_t> wear(cfg.rm.totalSubarrays(), 0);
-    wear[hot] = 77;
-    p.observeWear(wear);
-    ASSERT_EQ(p.stagingSet().size(), 1u);
-    EXPECT_EQ(p.stagingSet()[0], p.computeSet().front());
-    EXPECT_NE(p.computeSet().front(), hot);
-    checkWellFormed(p.plan(tinyMatVec()), cfg);
-}
-
-TEST(Planner, ObserveWearIdsBeyondVectorArePristine)
-{
-    // A wear vector shorter than the subarray count is legal: ids
-    // beyond it count as pristine (wear 0) and must rank ahead of
-    // explicitly worn subarrays.
-    SystemConfig cfg = cfgWith(OptLevel::Unblock);
-    Planner p(cfg);
-    const auto before = p.computeSet();
-    ASSERT_GT(before.size(), 2u);
-
-    // Wear only the first member; everyone beyond index 1 reads
-    // from past the vector's end.
-    std::vector<std::uint64_t> wear = {1000};
-    // Index 0 holds the global id of some subarray; make sure the
-    // short vector actually covers the current front-runner.
-    ASSERT_EQ(before.front(), 0u);
-    p.observeWear(wear);
-    EXPECT_EQ(p.computeSet().back(), 0u);
-    // Everyone else (implicitly pristine) keeps relative order.
-    for (std::size_t i = 0; i + 1 < before.size(); ++i)
-        EXPECT_EQ(p.computeSet()[i], before[i + 1]) << i;
-}
-
-TEST(Planner, ObserveWearTiesPreservePreviousOrder)
-{
-    SystemConfig cfg = cfgWith(OptLevel::Unblock);
-    Planner p(cfg);
-    const auto baseline = p.computeSet();
-    ASSERT_GT(baseline.size(), 3u);
-
-    // All-equal wear: a full permutation-free no-op, twice.
-    std::vector<std::uint64_t> flat(cfg.rm.totalSubarrays(), 42);
-    p.observeWear(flat);
-    EXPECT_EQ(p.computeSet(), baseline);
-    p.observeWear(flat);
-    EXPECT_EQ(p.computeSet(), baseline);
-
-    // Two-level wear: the worn half moves back but keeps its own
-    // internal order, as does the pristine half (stable re-rank —
-    // the deterministic-replan regression this test pins).
-    std::vector<std::uint64_t> wear(cfg.rm.totalSubarrays(), 0);
-    std::vector<std::uint32_t> worn, fresh;
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-        if (i % 2 == 0) {
-            wear[baseline[i]] = 9;
-            worn.push_back(baseline[i]);
-        } else {
-            fresh.push_back(baseline[i]);
-        }
-    }
-    p.observeWear(wear);
-    std::vector<std::uint32_t> expect = fresh;
-    expect.insert(expect.end(), worn.begin(), worn.end());
-    EXPECT_EQ(p.computeSet(), expect);
-}
-
-TEST(Planner, ApplyQuarantineShrinksSetsGracefully)
-{
-    SystemConfig cfg = cfgWith(OptLevel::Distribute);
-    Planner p(cfg);
-    const auto before = p.computeSet();
-    ASSERT_GT(before.size(), 2u);
-
-    // Retire the front-runner: membership shrinks by one, order of
-    // the survivors is untouched, staging follows the new front.
-    p.applyQuarantine({before.front()});
-    ASSERT_EQ(p.computeSet().size(), before.size() - 1);
-    for (std::size_t i = 0; i < p.computeSet().size(); ++i)
-        EXPECT_EQ(p.computeSet()[i], before[i + 1]) << i;
-    ASSERT_EQ(p.stagingSet().size(), 1u);
-    EXPECT_EQ(p.stagingSet()[0], p.computeSet().front());
-
-    // Unknown ids are ignored.
-    p.applyQuarantine({9999});
-    EXPECT_EQ(p.computeSet().size(), before.size() - 1);
-
-    // Graceful floor: quarantining everything leaves one survivor
-    // serving degraded rather than an empty compute set.
-    p.applyQuarantine(before);
-    ASSERT_EQ(p.computeSet().size(), 1u);
-    EXPECT_EQ(p.stagingSet()[0], p.computeSet()[0]);
-
-    // Plans over the shrunk set stay well-formed (re-tiling over
-    // the survivors happens automatically in lowering).
-    checkWellFormed(p.plan(tinyMatVec()), cfg);
-}
-
-TEST(Planner, ApplyQuarantineRepeatedlyDownToSurvivorFloor)
-{
-    // The recovery ladder quarantines one subarray at a time across
-    // repeated rungs; the planner must shrink monotonically to the
-    // >= 1-survivor floor and then hold there, staying plannable
-    // after every step.
-    SystemConfig cfg = cfgWith(OptLevel::Distribute);
-    Planner p(cfg);
-    const auto initial = p.computeSet();
-    ASSERT_GT(initial.size(), 1u);
-
-    for (std::uint32_t victim : initial) {
-        const std::size_t before = p.computeSet().size();
-        p.applyQuarantine({victim});
-        const std::size_t after = p.computeSet().size();
-        if (before > 1) {
-            EXPECT_EQ(after, before - 1);
-            EXPECT_EQ(std::count(p.computeSet().begin(),
-                                 p.computeSet().end(), victim),
-                      0);
-        } else {
-            // Floor: the last survivor keeps serving even when it
-            // is itself the quarantine target.
-            EXPECT_EQ(after, 1u);
-        }
-        ASSERT_GE(p.stagingSet().size(), 1u);
-        checkWellFormed(p.plan(tinyMatVec()), cfg);
-    }
-    ASSERT_EQ(p.computeSet().size(), 1u);
-    // Idempotent at the floor: repeated application cannot empty
-    // the set.
-    const auto floor_set = p.computeSet();
-    p.applyQuarantine(floor_set);
-    p.applyQuarantine(floor_set);
-    EXPECT_EQ(p.computeSet(), floor_set);
-}
-
 TEST(Planner, PlanRecoveryEmitsRecoveryFlaggedTrans)
 {
     SystemConfig cfg = cfgWith(OptLevel::Distribute);
@@ -589,23 +409,6 @@ TEST(Planner, PlanRecoveryEmitsRecoveryFlaggedTrans)
     for (const VpcBatch &b : batches) {
         EXPECT_EQ(b.kind, VpcKind::Tran);
         EXPECT_TRUE(b.recovery);
-        EXPECT_FALSE(b.migration);
-        EXPECT_EQ(b.vpcCount, 1u);
-        EXPECT_EQ(b.vectorLen, 4096u);
-    }
-}
-
-TEST(Planner, PlanMigrationEmitsFlaggedIndependentTrans)
-{
-    SystemConfig cfg = cfgWith(OptLevel::Distribute);
-    Planner p(cfg);
-    VpcSchedule s =
-        p.planMigration({{0, 2}, {1, 3}}, 4096);
-    const std::vector<VpcBatch> batches = expandedBatches(s);
-    ASSERT_EQ(batches.size(), 2u);
-    for (const VpcBatch &b : batches) {
-        EXPECT_EQ(b.kind, VpcKind::Tran);
-        EXPECT_TRUE(b.migration);
         EXPECT_EQ(b.vpcCount, 1u);
         EXPECT_EQ(b.vectorLen, 4096u);
         EXPECT_EQ(b.depA, kNoBatch);
@@ -619,12 +422,12 @@ TEST(Planner, PlanMigrationEmitsFlaggedIndependentTrans)
     EXPECT_EQ(s.pimVpcs(), 0u);
 }
 
-TEST(PlannerDeath, PlanMigrationRejectsDegenerateMoves)
+TEST(PlannerDeath, PlanRecoveryRejectsDegenerateMoves)
 {
     SystemConfig cfg = cfgWith(OptLevel::Distribute);
     Planner p(cfg);
-    EXPECT_DEATH(p.planMigration({{2, 2}}, 4096), "source");
-    EXPECT_DEATH(p.planMigration({{0, 1}}, 0), "zero bytes");
+    EXPECT_DEATH(p.planRecovery({{2, 2}}, 4096), "source");
+    EXPECT_DEATH(p.planRecovery({{0, 1}}, 0), "zero bytes");
 }
 
 TEST(ScheduleDeath, ForwardDependencyPanics)
