@@ -298,6 +298,38 @@ class BitVec
     }
 
     /**
+     * The @p len (<= 64) bits starting at @p pos, packed LSB first;
+     * the span must lie inside the vector.
+     */
+    std::uint64_t
+    bits(std::size_t pos, unsigned len) const
+    {
+        SPIM_ASSERT(len <= kWordBits && pos + len <= size_,
+                    "BitVec span [", pos, ", ", pos + len,
+                    ") out of ", size_);
+        if (len == 0)
+            return 0;
+        const std::uint64_t *w = words();
+        const unsigned s = unsigned(pos % kWordBits);
+        std::uint64_t v = w[pos / kWordBits] >> s;
+        if (s != 0 && s + len > kWordBits)
+            v |= w[pos / kWordBits + 1] << (kWordBits - s);
+        return len == kWordBits ? v
+                                : v & ((std::uint64_t(1) << len) - 1);
+    }
+
+    /** Overwrite the @p len (<= 64) bits at @p pos with @p value's
+     * low bits. */
+    void
+    setBits(std::size_t pos, unsigned len, std::uint64_t value)
+    {
+        SPIM_ASSERT(len <= kWordBits && pos + len <= size_,
+                    "BitVec span [", pos, ", ", pos + len,
+                    ") out of ", size_);
+        simd::copyBits(words(), pos, &value, 0, len);
+    }
+
+    /**
      * Packed binary addition: sum = (a + b + cin) mod 2^sum.size(),
      * computed word-wise. Operands narrower than the sum are
      * zero-extended; wider operands are a caller bug.

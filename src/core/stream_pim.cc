@@ -40,10 +40,10 @@ StreamPimSystem::StreamPimSystem(RmParams params)
     const unsigned tracks = params_.saveTracksPerMat;
     const unsigned domains = params_.domainsPerTrack();
     const unsigned total = params_.totalSubarrays();
-    SPIM_ASSERT(total <= 64,
-                "functional geometry too large: ", total,
-                " subarrays; use the timed executor for full-size "
-                "configurations");
+    if (total > 64)
+        SPIM_FATAL("functional geometry too large: ", total,
+                   " subarrays; use the timed executor for full-size "
+                   "configurations");
     subarrays_.reserve(total);
     for (unsigned i = 0; i < total; ++i)
         subarrays_.push_back(std::make_unique<FunctionalSubarray>(

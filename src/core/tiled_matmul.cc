@@ -390,19 +390,19 @@ runTiledMatmul(StreamPimSystem &device,
                const TiledMatmulConfig &config,
                TiledMatmulStats *stats)
 {
-    SPIM_ASSERT(n > 0 && k > 0 && m > 0,
-                "degenerate matmul shape ", n, "x", k, "x", m);
-    SPIM_ASSERT(a.size() == std::uint64_t(n) * k,
-                "A shape mismatch: ", a.size(), " vs ", n, "x", k);
-    SPIM_ASSERT(b.size() == std::uint64_t(k) * m,
-                "B shape mismatch: ", b.size(), " vs ", k, "x", m);
+    if (n == 0 || k == 0 || m == 0)
+        SPIM_FATAL("degenerate matmul shape ", n, "x", k, "x", m);
+    if (a.size() != std::uint64_t(n) * k)
+        SPIM_FATAL("A shape mismatch: ", a.size(), " vs ", n, "x", k);
+    if (b.size() != std::uint64_t(k) * m)
+        SPIM_FATAL("B shape mismatch: ", b.size(), " vs ", k, "x", m);
 
     const RmParams &rm = device.params();
     const unsigned total = rm.totalSubarrays();
-    SPIM_ASSERT(total >= 2,
-                "tiled matmul needs a compute and a backing "
-                "subarray; geometry has ",
-                total);
+    if (total < 2)
+        SPIM_FATAL("tiled matmul needs a compute and a backing "
+                   "subarray; geometry has ",
+                   total);
     const std::uint64_t sub_bytes = rm.bytesPerSubarray();
 
     // Subarray roles: last = backing store, second-to-last = tile
@@ -432,10 +432,10 @@ runTiledMatmul(StreamPimSystem &device,
         partial_off + 4ull * t.tileRows * t.tileCols;
     const std::uint64_t compute_end =
         acc_off + std::uint64_t(t.tileRows) * t.tileCols;
-    SPIM_ASSERT(compute_end + 64 <= sub_bytes,
-                "tile working set (", compute_end,
-                " B) does not fit a compute subarray (", sub_bytes,
-                " B); shrink the tile shape");
+    if (compute_end + 64 > sub_bytes)
+        SPIM_FATAL("tile working set (", compute_end,
+                   " B) does not fit a compute subarray (", sub_bytes,
+                   " B); shrink the tile shape");
 
     // Backing layout: A row-major, then B transposed (so a column's
     // K elements are contiguous for staging), then C.
@@ -458,13 +458,12 @@ runTiledMatmul(StreamPimSystem &device,
     const std::uint64_t backing_used =
         a_bytes + bt_bytes + c_bytes +
         (staging_sub == backing_sub ? 2 * stage_bytes : 0);
-    SPIM_ASSERT(backing_used + 64 <= sub_bytes,
-                "operands (", backing_used,
-                " B) do not fit the backing subarray (", sub_bytes,
-                " B)");
-    if (staging_sub != backing_sub)
-        SPIM_ASSERT(2 * stage_bytes + 64 <= sub_bytes,
-                    "staging buffers do not fit their subarray");
+    if (backing_used + 64 > sub_bytes)
+        SPIM_FATAL("operands (", backing_used,
+                   " B) do not fit the backing subarray (", sub_bytes,
+                   " B)");
+    if (staging_sub != backing_sub && 2 * stage_bytes + 64 > sub_bytes)
+        SPIM_FATAL("staging buffers do not fit their subarray");
 
     const TiledLayout lay{.subBytes = sub_bytes,
                           .computeSubs = compute_subs,

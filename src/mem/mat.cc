@@ -3,10 +3,81 @@
 #include <algorithm>
 
 #include "common/log.hh"
+#include "dwlogic/mode.hh"
 #include "rm/fault_injector.hh"
 
 namespace streampim
 {
+
+namespace
+{
+
+/**
+ * Transpose an 8x8 bit matrix held one row per byte: bit j of byte i
+ * moves to bit i of byte j (Hacker's Delight, transpose8).
+ */
+std::uint64_t
+transpose8x8(std::uint64_t x)
+{
+    std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
+    x ^= t ^ (t << 7);
+    t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
+    x ^= t ^ (t << 14);
+    t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
+    x ^= t ^ (t << 28);
+    return x;
+}
+
+/**
+ * Gather the bytes held by domains [first, first + n) of one 8-track
+ * group (bit b on track b) into dst[0], dst[stride], …: 64 domains
+ * per track word, turned into bytes 8 at a time by a bit transpose.
+ */
+void
+gatherBytes(const Nanowire *const tracks[8], unsigned first,
+            std::uint64_t n, std::uint8_t *dst, std::uint64_t stride)
+{
+    for (std::uint64_t c = 0; c < n; c += 64) {
+        const unsigned len = unsigned(std::min<std::uint64_t>(64, n - c));
+        std::uint64_t rows[8];
+        for (unsigned b = 0; b < 8; ++b)
+            rows[b] = tracks[b]->peekDomains(first + unsigned(c), len);
+        for (unsigned k = 0; k < len; k += 8) {
+            std::uint64_t x = 0;
+            for (unsigned b = 0; b < 8; ++b)
+                x |= ((rows[b] >> k) & 0xFF) << (8 * b);
+            x = transpose8x8(x);
+            const unsigned m = std::min(8u, len - k);
+            for (unsigned j = 0; j < m; ++j)
+                dst[(c + k + j) * stride] = std::uint8_t(x >> (8 * j));
+        }
+    }
+}
+
+/** Inverse of gatherBytes: deposit src[0], src[stride], … into
+ * domains [first, first + n) of one 8-track group. */
+void
+scatterBytes(Nanowire *const tracks[8], unsigned first, std::uint64_t n,
+             const std::uint8_t *src, std::uint64_t stride)
+{
+    for (std::uint64_t c = 0; c < n; c += 64) {
+        const unsigned len = unsigned(std::min<std::uint64_t>(64, n - c));
+        std::uint64_t rows[8] = {};
+        for (unsigned k = 0; k < len; k += 8) {
+            std::uint64_t x = 0;
+            const unsigned m = std::min(8u, len - k);
+            for (unsigned j = 0; j < m; ++j)
+                x |= std::uint64_t(src[(c + k + j) * stride]) << (8 * j);
+            x = transpose8x8(x);
+            for (unsigned b = 0; b < 8; ++b)
+                rows[b] |= ((x >> (8 * b)) & 0xFF) << k;
+        }
+        for (unsigned b = 0; b < 8; ++b)
+            tracks[b]->pokeDomains(first + unsigned(c), len, rows[b]);
+    }
+}
+
+} // namespace
 
 Mat::Mat(unsigned tracks, unsigned domains_per_track,
          unsigned domains_per_port, bool has_transfer_tracks,
@@ -43,6 +114,29 @@ Mat::locate(std::uint64_t offset) const
     pos.domain = unsigned(offset / bytes_per_row);
     pos.trackGroup = unsigned(offset % bytes_per_row) * 8;
     return pos;
+}
+
+bool
+Mat::wordPath() const
+{
+    return !strictGates() && (!faults_ || !faults_->anyEnabled());
+}
+
+template <class Fn>
+void
+Mat::forEachGroupRun(std::uint64_t offset, std::uint64_t count,
+                     Fn &&fn)
+{
+    const std::uint64_t bytes_per_row = tracks() / 8;
+    for (std::uint64_t i = 0; i < std::min(count, bytes_per_row);
+         ++i) {
+        const BytePos pos = locate(offset + i);
+        Nanowire *group[8];
+        for (unsigned b = 0; b < 8; ++b)
+            group[b] = &save(pos.trackGroup + b);
+        fn(pos, group, (count - i + bytes_per_row - 1) / bytes_per_row,
+           i);
+    }
 }
 
 void
@@ -224,6 +318,22 @@ Mat::writeBytes(std::uint64_t offset,
                 std::span<const std::uint8_t> data)
 {
     checkRange(offset, data.size());
+    if (wordPath()) {
+        // Per track: one aligned sweep over its domain run, one
+        // nucleation per domain written.
+        forEachGroupRun(offset, data.size(),
+                        [&](BytePos pos, Nanowire *const group[8],
+                            std::uint64_t n, std::uint64_t i) {
+            for (unsigned b = 0; b < 8; ++b) {
+                activity_.shiftSteps +=
+                    group[b]->alignSweep(pos.domain, unsigned(n));
+                wear_[trackMap_[pos.trackGroup + b]] += n;
+            }
+            scatterBytes(group, pos.domain, n, &data[i], tracks() / 8);
+        });
+        activity_.portWrites += data.size();
+        return;
+    }
     for (std::uint64_t i = 0; i < data.size(); ++i) {
         BytePos pos = locate(offset + i);
         for (unsigned b = 0; b < 8; ++b) {
@@ -258,6 +368,21 @@ Mat::readBytesInto(std::uint64_t offset, std::uint64_t count,
                    std::vector<std::uint8_t> &out)
 {
     checkRange(offset, count);
+    if (wordPath()) {
+        const std::size_t base = out.size();
+        out.resize(base + count);
+        forEachGroupRun(offset, count,
+                        [&](BytePos pos, Nanowire *const group[8],
+                            std::uint64_t n, std::uint64_t i) {
+            for (unsigned b = 0; b < 8; ++b)
+                activity_.shiftSteps +=
+                    group[b]->alignSweep(pos.domain, unsigned(n));
+            gatherBytes(group, pos.domain, n, &out[base + i],
+                        tracks() / 8);
+        });
+        activity_.portReads += count;
+        return;
+    }
     for (std::uint64_t i = 0; i < count; ++i) {
         BytePos pos = locate(offset + i);
         std::uint8_t byte = 0;
@@ -290,6 +415,21 @@ Mat::copyOutViaTransferTracksInto(std::uint64_t offset,
     // branch length). Transfer tracks carry no wear state: the
     // replica is driven by the fan-out current, not a port
     // nucleation (and they are rewritten wholesale on every copy).
+    if (wordPath()) {
+        forEachGroupRun(offset, count,
+                        [&](BytePos pos, Nanowire *const group[8],
+                            std::uint64_t n, std::uint64_t i) {
+            for (unsigned b = 0; b < 8; ++b) {
+                Nanowire &xfer = transferTracks_[pos.trackGroup + b];
+                activity_.shiftSteps +=
+                    xfer.alignSweep(pos.domain, unsigned(n)) + n;
+                xfer.copyDomainsFrom(*group[b], pos.domain, unsigned(n));
+                activity_.fanOutCopies += n;
+            }
+            gatherBytes(group, pos.domain, n, &out[i], tracks() / 8);
+        });
+        return;
+    }
     for (std::uint64_t i = 0; i < count; ++i) {
         BytePos pos = locate(offset + i);
         std::uint8_t byte = 0;
@@ -322,6 +462,21 @@ Mat::shiftOutDestructiveInto(std::uint64_t offset,
 {
     const std::uint64_t count = out.size();
     checkRange(offset, count);
+    if (wordPath()) {
+        forEachGroupRun(offset, count,
+                        [&](BytePos pos, Nanowire *const group[8],
+                            std::uint64_t n, std::uint64_t i) {
+            gatherBytes(group, pos.domain, n, &out[i], tracks() / 8);
+            for (unsigned b = 0; b < 8; ++b)
+                for (std::uint64_t c = 0; c < n; c += 64)
+                    group[b]->pokeDomains(
+                        pos.domain + unsigned(c),
+                        unsigned(std::min<std::uint64_t>(64, n - c)),
+                        0);
+        });
+        activity_.shiftSteps += 8 * count;
+        return;
+    }
     for (std::uint64_t i = 0; i < count; ++i) {
         BytePos pos = locate(offset + i);
         // The 8-track group ejects this byte's domains with one
@@ -350,6 +505,17 @@ Mat::shiftInFromBus(std::uint64_t offset,
                     std::span<const std::uint8_t> data)
 {
     checkRange(offset, data.size());
+    if (wordPath()) {
+        forEachGroupRun(offset, data.size(),
+                        [&](BytePos pos, Nanowire *const group[8],
+                            std::uint64_t n, std::uint64_t i) {
+            for (unsigned b = 0; b < 8; ++b)
+                wear_[trackMap_[pos.trackGroup + b]] += n;
+            scatterBytes(group, pos.domain, n, &data[i], tracks() / 8);
+        });
+        activity_.shiftSteps += 8 * data.size();
+        return;
+    }
     for (std::uint64_t i = 0; i < data.size(); ++i) {
         BytePos pos = locate(offset + i);
         // One shared deposit pulse per byte; a residual displacement

@@ -20,6 +20,18 @@
  * save tracks through the remap table. Logical track indices are
  * stable — only the mapping to physical nanowires changes.
  *
+ * Two equivalent implementations move every byte range. The per-bit
+ * path aligns, senses and writes one domain of one track at a time,
+ * sampling the injector at every pulse and commit. When no fault
+ * class is live, the word path moves the 8 tracks of a group as one
+ * shared pulse (as the hardware does): each track takes one
+ * closed-form alignment sweep over its domain run
+ * (Nanowire::alignSweep), bytes are gathered/scattered 64 domains at
+ * a time through an 8x8 bit transpose, and the activity and wear
+ * counters advance by the same totals the per-bit loop would add.
+ * STREAMPIM_STRICT_GATES (dwlogic/mode.hh) keeps the per-bit path
+ * everywhere as the oracle for the word path.
+ *
  * Only small geometries are instantiated functionally (tests and
  * examples); the timed simulation uses capacity/latency parameters
  * only.
@@ -158,6 +170,26 @@ class Mat
 
     BytePos locate(std::uint64_t offset) const;
     void checkRange(std::uint64_t offset, std::uint64_t count) const;
+
+    /**
+     * True when a byte range may move a word at a time: no fault
+     * class is live (nothing is sampled) and the strict gate mode,
+     * which keeps the per-bit mat as the oracle, is off.
+     */
+    bool wordPath() const;
+
+    /**
+     * Split the byte range [offset, offset + count) by track group:
+     * byte offset + i sits at domain (offset + i) / bpr of group
+     * (offset + i) % bpr (bpr = bytes per domain row), so each group
+     * sees one contiguous domain run. Calls fn(pos, group, n, i) per
+     * touched group, where pos locates the run's first byte (range
+     * index i), group holds its 8 physical save tracks in bit order
+     * and the run's n bytes sit at range indices i, i + bpr, ….
+     */
+    template <class Fn>
+    void forEachGroupRun(std::uint64_t offset, std::uint64_t count,
+                         Fn &&fn);
 
     /** Physical nanowire currently backing logical track @p l. */
     Nanowire &save(unsigned l) { return saveTracks_[trackMap_[l]]; }

@@ -129,6 +129,24 @@ Nanowire::alignToPort(unsigned index)
     return unsigned(std::abs(steps));
 }
 
+std::uint64_t
+Nanowire::alignSweep(unsigned first, unsigned count)
+{
+    if (count == 0)
+        return 0;
+    const unsigned last = first + count - 1;
+    SPIM_ASSERT(last < dataDomains_, "domain index out of range");
+    const std::int64_t p = domainsPerPort_;
+    const std::int64_t crossings =
+        std::int64_t(last / p) - std::int64_t(first / p);
+    const std::int64_t steps = std::abs(stepsToAlign(first)) +
+                               std::int64_t(count - 1) +
+                               crossings * (p - 2);
+    offset_ = -int(last % domainsPerPort_);
+    totalShiftSteps_ += std::uint64_t(steps);
+    return std::uint64_t(steps);
+}
+
 bool
 Nanowire::senseAtPortOf(unsigned index) const
 {

@@ -94,6 +94,18 @@ class Nanowire
     unsigned alignToPort(unsigned index);
 
     /**
+     * Net effect of alignToPort(first), alignToPort(first + 1), …,
+     * alignToPort(first + count - 1), in closed form: within a port
+     * group each next domain is one step further, and crossing into
+     * the next group swings the train back by P - 1 steps (P =
+     * domainsPerPort), so the sweep costs |stepsToAlign(first)| +
+     * (count - 1) + (last/P - first/P)·(P - 2) steps and leaves the
+     * train aligned to the last domain.
+     * @return the shift steps taken (0 when @p count is 0).
+     */
+    std::uint64_t alignSweep(unsigned first, unsigned count);
+
+    /**
      * Read the bit of logical domain @p index. The domain must be
      * aligned with its access port (call alignToPort first).
      */
@@ -145,6 +157,28 @@ class Nanowire
     {
         SPIM_ASSERT(index < dataDomains_, "domain index out of range");
         bits_.set(index, value);
+    }
+
+    /** Word-wide forms: @p count (<= 64) domains from @p first,
+     * packed LSB first. */
+    std::uint64_t
+    peekDomains(unsigned first, unsigned count) const
+    {
+        return bits_.bits(first, count);
+    }
+
+    void
+    pokeDomains(unsigned first, unsigned count, std::uint64_t value)
+    {
+        bits_.setBits(first, count, value);
+    }
+
+    /** Copy domains [first, first + count) of @p src onto the same
+     * domains of this wire (the fan-out replica of Sec. III-E). */
+    void
+    copyDomainsFrom(const Nanowire &src, unsigned first, unsigned count)
+    {
+        bits_.copyRange(src.bits_, first, first, count);
     }
     /** @} */
 

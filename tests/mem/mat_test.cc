@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.hh"
+#include "dwlogic/mode.hh"
 #include "mem/mat.hh"
 #include "rm/fault_injector.hh"
 
@@ -253,6 +256,169 @@ TEST(Mat, RandomRoundTrips)
         m.writeBytes(off, data);
         EXPECT_EQ(readBytes(m, off, len), data);
     }
+}
+
+/** The activity and wear counters of two mats agree. */
+void
+expectSameCounters(const Mat &a, const Mat &b, const std::string &at)
+{
+    EXPECT_EQ(a.activity().portReads, b.activity().portReads) << at;
+    EXPECT_EQ(a.activity().portWrites, b.activity().portWrites) << at;
+    EXPECT_EQ(a.activity().shiftSteps, b.activity().shiftSteps) << at;
+    EXPECT_EQ(a.activity().fanOutCopies, b.activity().fanOutCopies)
+        << at;
+    const MatWear wa = a.wear(), wb = b.wear();
+    EXPECT_EQ(wa.deposits, wb.deposits) << at;
+    EXPECT_EQ(wa.maxTrackWear, wb.maxTrackWear) << at;
+    EXPECT_EQ(wa.remaps, wb.remaps) << at;
+    EXPECT_EQ(wa.sparesUsed, wb.sparesUsed) << at;
+}
+
+/**
+ * Differential check of the word path against the per-bit oracle:
+ * run @p ops seeded random byte-range ops on @p start (packed) and
+ * on a copy under the strict mode (per bit), comparing the bytes
+ * each op returns and both mats' counters after every op. A final
+ * whole-mat read compares the contents, and its shiftSteps expose
+ * any difference in the tracks' offsets.
+ */
+void
+runWordPathDifferential(const Mat &start, std::uint64_t seed,
+                        int ops)
+{
+    Mat word = start;
+    Mat oracle = start;
+    const std::uint64_t cap = start.capacityBytes();
+    const unsigned kinds = start.hasTransferTracks() ? 5 : 4;
+    Rng rng(seed);
+    for (int op = 0; op < ops; ++op) {
+        // Mostly short ranges, some spanning much of the mat; one in
+        // eight ends flush against the mat end.
+        const std::uint64_t len =
+            1 + rng.below(rng.below(8) == 0 ? cap
+                                            : std::min<std::uint64_t>(
+                                                  cap, 300));
+        const std::uint64_t off = rng.below(8) == 0
+                                      ? cap - len
+                                      : rng.below(cap - len + 1);
+        const unsigned kind = unsigned(rng.below(kinds));
+        std::vector<std::uint8_t> data(len);
+        for (auto &v : data)
+            v = std::uint8_t(rng.below(256));
+        auto apply = [&](Mat &m, bool strict) {
+            ScopedStrictGates mode(strict);
+            std::vector<std::uint8_t> got;
+            switch (kind) {
+              case 0:
+                m.writeBytes(off, data);
+                break;
+              case 1:
+                m.readBytesInto(off, len, got);
+                break;
+              case 2:
+                m.shiftInFromBus(off, data);
+                break;
+              case 3:
+                got.resize(len);
+                m.shiftOutDestructiveInto(off, got);
+                break;
+              default:
+                got.resize(len);
+                m.copyOutViaTransferTracksInto(off, got);
+                break;
+            }
+            return got;
+        };
+        const std::string at = "op " + std::to_string(op) + " kind " +
+                               std::to_string(kind) + " [" +
+                               std::to_string(off) + ", " +
+                               std::to_string(off + len) + ")";
+        ASSERT_EQ(apply(word, false), apply(oracle, true)) << at;
+        expectSameCounters(word, oracle, at);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    std::vector<std::uint8_t> all_word, all_oracle;
+    {
+        ScopedStrictGates mode(false);
+        word.readBytesInto(0, cap, all_word);
+    }
+    {
+        ScopedStrictGates mode(true);
+        oracle.readBytesInto(0, cap, all_oracle);
+    }
+    EXPECT_EQ(all_word, all_oracle);
+    expectSameCounters(word, oracle, "whole-mat read");
+}
+
+TEST(MatWordPath, OnePortPerDomain)
+{
+    runWordPathDifferential(Mat(16, 128, 1, true), 1, 400);
+}
+
+TEST(MatWordPath, SixteenDomainsPerPort)
+{
+    // 24 tracks: 3 bytes per domain row, so group runs interleave
+    // with a non-power-of-two stride.
+    runWordPathDifferential(Mat(24, 256, 16, true, 2), 2, 400);
+}
+
+TEST(MatWordPath, SixtyFourDomainsPerPort)
+{
+    runWordPathDifferential(Mat(16, 512, 64, true, 4), 3, 400);
+}
+
+TEST(MatWordPath, OnePortPerTrack)
+{
+    runWordPathDifferential(Mat(16, 128, 128, true), 4, 400);
+    runWordPathDifferential(Mat(8, 192, 192, false), 5, 400);
+}
+
+TEST(MatWordPath, RemappedTrack)
+{
+    // Wear the tracks of byte 0 out under write faults until one is
+    // retired onto a spare, then detach: the word path must follow
+    // the remap table.
+    Mat m(16, 128, 64, true, 8);
+    FaultInjector inj = writeFaultInjector(300.0);
+    m.setFaultInjector(&inj);
+    std::uint8_t value = 1;
+    for (int i = 0; i < 2000; ++i, ++value)
+        m.writeBytes(0, {&value, 1});
+    m.setFaultInjector(nullptr);
+    ASSERT_GT(m.wear().remaps, 0u);
+    runWordPathDifferential(m, 6, 400);
+}
+
+TEST(MatWordPath, OffCanonicalOffsetsAfterDetachedShiftFaults)
+{
+    // A fallible run whose recovery often fails leaves tracks
+    // misaligned, some beyond the offsets any alignment leaves
+    // (+1..+P after an overshoot toward domain 0 of a port group);
+    // the campaign's journal and rollback traffic then meets them
+    // with the injector detached, on the word path.
+    Mat m(16, 256, 16, true);
+    FaultConfig cfg;
+    cfg.pStep = 0.2;
+    cfg.realignRetryBudget = 1;
+    cfg.seed = 11;
+    FaultInjector inj(cfg);
+    std::vector<std::uint8_t> data(m.capacityBytes());
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = std::uint8_t(i * 37 + 5);
+    m.writeBytes(0, data);
+    m.setFaultInjector(&inj);
+    std::vector<std::uint8_t> sink;
+    const std::uint64_t failed_before =
+        inj.stats().uncorrectable + inj.stats().budgetExhausted;
+    m.readBytesInto(0, m.capacityBytes(), sink);
+    // Every track swings back from the last domain of its group to
+    // domain 0, a long pulse that often overshoots past rest.
+    m.readBytesInto(0, 2, sink);
+    m.setFaultInjector(nullptr);
+    ASSERT_GT(inj.stats().uncorrectable + inj.stats().budgetExhausted,
+              failed_before);
+    runWordPathDifferential(m, 7, 400);
 }
 
 } // namespace

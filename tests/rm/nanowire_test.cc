@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "rm/fault_injector.hh"
 #include "rm/nanowire.hh"
 
@@ -245,6 +246,34 @@ TEST_P(NanowireSweep, WriteReadAnyDomain)
 INSTANTIATE_TEST_SUITE_P(DomainSweep, NanowireSweep,
                          ::testing::Values(0u, 1u, 31u, 63u, 64u, 100u,
                                            127u, 200u, 255u));
+
+TEST(Nanowire, AlignSweepMatchesRepeatedAlignToPort)
+{
+    Rng rng(5);
+    for (unsigned per_port : {1u, 2u, 16u, 64u, 256u}) {
+        for (int trial = 0; trial < 200; ++trial) {
+            Nanowire sweep(256, per_port), step(256, per_port);
+            // Start anywhere in the reserved region, including
+            // offsets no alignment would leave behind.
+            const int start = int(rng.below(2 * per_port + 1)) -
+                              int(per_port);
+            for (Nanowire *w : {&sweep, &step})
+                w->shift(start < 0 ? ShiftDir::TowardLower
+                                   : ShiftDir::TowardHigher,
+                         unsigned(start < 0 ? -start : start));
+            const unsigned first = unsigned(rng.below(256));
+            const unsigned count = unsigned(rng.below(256 - first + 1));
+            std::uint64_t stepped = 0;
+            for (unsigned i = 0; i < count; ++i)
+                stepped += step.alignToPort(first + i);
+            EXPECT_EQ(sweep.alignSweep(first, count), stepped)
+                << per_port << " " << start << " " << first << "+"
+                << count;
+            EXPECT_EQ(sweep.offset(), step.offset());
+            EXPECT_EQ(sweep.totalShiftSteps(), step.totalShiftSteps());
+        }
+    }
+}
 
 } // namespace
 } // namespace streampim
