@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "common/log.hh"
+#include "dwlogic/mode.hh"
 #include "rm/fault_injector.hh"
 
 namespace streampim
@@ -244,6 +245,15 @@ RmBus::lane(unsigned i)
     return lanes_[i];
 }
 
+bool
+RmBus::drained() const
+{
+    for (const auto &l : lanes_)
+        if (!l.drained())
+            return false;
+    return true;
+}
+
 unsigned
 RmBus::step(FaultInjector *faults, unsigned segment_domains)
 {
@@ -260,6 +270,23 @@ RmBus::transferAllInto(std::span<const std::uint64_t> words,
                        unsigned segment_domains)
 {
     const bool fallible = faults && faults->enabled();
+    if (!fallible && !strictGates() && drained()) {
+        // Fault-free pipeline in closed form (Fig. 12): every couple
+        // shifts one segment per cycle and words never overtake, so
+        // wave k (one word per lane, injected in lane order) enters
+        // in cycle 2k + 1 and leaves in cycle 2k + S - 1, after S - 1
+        // pulses. A 2-segment
+        // lane empties its output in the cycle it fills, so it takes
+        // a wave every cycle instead of every other one.
+        arrived.assign(words.begin(), words.end());
+        const Cycle waves = (words.size() + lanes_.size() - 1) /
+                            lanes_.size();
+        cycles_taken = waves == 0      ? 0
+                       : segments_ == 2 ? waves
+                                        : (segments_ - 1) +
+                                              2 * (waves - 1);
+        return;
+    }
     const std::uint64_t shifts_before =
         fallible ? faults->stats().correctionShifts : 0;
 

@@ -11,8 +11,12 @@
  * and (3) bounds shift-fault accumulation to one segment per pulse.
  *
  * Two models live here:
- *  - RmBusLane / RmBus: cycle-stepped functional model moving real
- *    words through segments (tests + the bus_inspector example),
+ *  - RmBusLane / RmBus: the functional model that carries every
+ *    streamed word of the datapath. A fault-free transfer is
+ *    resolved in closed form (words leave in injection order after a
+ *    fixed pipeline depth); a fallible or strict-mode transfer steps
+ *    every couple one pulse per cycle, sampling each pulse. The
+ *    stepped lanes also serve tests and the bus_inspector example,
  *  - RmBusTiming: closed-form cycles/energy used by the timed
  *    architecture simulation, validated against the functional model.
  */
@@ -197,14 +201,24 @@ class RmBus
 
     RmBusLane &lane(unsigned i);
 
+    /** True if every lane is empty. */
+    bool drained() const;
+
     /** Step every lane one cycle; returns total segment moves. */
     unsigned step(FaultInjector *faults = nullptr,
                   unsigned segment_domains = 0);
 
     /**
      * Functional end-to-end transfer: push all of @p words through
-     * the bus (round-robin over lanes), collecting them at the far
-     * end in order per lane.
+     * the bus (round-robin over lanes, one wave of lanes() words per
+     * injection slot), collecting them at the far end in injection
+     * order.
+     *
+     * On a drained bus with no fault sampling and the strict mode
+     * off, the transfer takes its closed form: with w =
+     * ceil(n / lanes) waves, (segments - 1) + 2 (w - 1) cycles, or w
+     * on a 2-segment bus, and 0 for no words — exactly the stepped
+     * sweep's order and count, without stepping.
      *
      * With a fault injector, every segment pulse is fallible
      * (@p segment_domains domain steps each), in-flight guard checks

@@ -13,83 +13,91 @@ namespace streampim
 bool
 Json::asBool() const
 {
-    SPIM_ASSERT(kind_ == Kind::Bool, "Json: not a bool");
-    return bool_;
+    SPIM_ASSERT(kind() == Kind::Bool, "Json: not a bool");
+    return std::get<bool>(v_);
 }
 
 double
 Json::asNumber() const
 {
-    SPIM_ASSERT(kind_ == Kind::Number, "Json: not a number");
-    return num_;
+    SPIM_ASSERT(kind() == Kind::Number, "Json: not a number");
+    return std::get<double>(v_);
 }
 
 const std::string &
 Json::asString() const
 {
-    SPIM_ASSERT(kind_ == Kind::String, "Json: not a string");
-    return str_;
+    SPIM_ASSERT(kind() == Kind::String, "Json: not a string");
+    return std::get<std::string>(v_);
 }
 
 double
 Json::asNumberOr(double fallback) const
 {
-    if (kind_ == Kind::Null)
+    if (kind() == Kind::Null)
         return fallback;
-    SPIM_ASSERT(kind_ == Kind::Number, "Json: not a number or null");
-    return num_;
+    SPIM_ASSERT(kind() == Kind::Number, "Json: not a number or null");
+    return std::get<double>(v_);
 }
 
 Json &
 Json::push(Json v)
 {
-    SPIM_ASSERT(kind_ == Kind::Null || kind_ == Kind::Array,
+    SPIM_ASSERT(kind() == Kind::Null || kind() == Kind::Array,
                 "Json: push on non-array");
-    kind_ = Kind::Array;
-    arr_.push_back(std::move(v));
+    if (kind() == Kind::Null)
+        v_.emplace<Array>();
+    std::get<Array>(v_).push_back(std::move(v));
     return *this;
 }
 
 std::size_t
 Json::size() const
 {
-    if (kind_ == Kind::Array)
-        return arr_.size();
-    if (kind_ == Kind::Object)
-        return obj_.size();
+    if (kind() == Kind::Array)
+        return std::get<Array>(v_).size();
+    if (kind() == Kind::Object)
+        return std::get<Object>(v_).size();
     return 0;
 }
 
 const Json &
 Json::at(std::size_t i) const
 {
-    SPIM_ASSERT(kind_ == Kind::Array && i < arr_.size(),
+    SPIM_ASSERT(kind() == Kind::Array && i < size(),
                 "Json: array index out of range");
-    return arr_[i];
+    return std::get<Array>(v_)[i];
 }
 
 Json &
 Json::operator[](const std::string &key)
 {
-    SPIM_ASSERT(kind_ == Kind::Null || kind_ == Kind::Object,
+    SPIM_ASSERT(kind() == Kind::Null || kind() == Kind::Object,
                 "Json: member access on non-object");
-    kind_ = Kind::Object;
-    for (auto &[k, v] : obj_)
+    if (kind() == Kind::Null)
+        v_.emplace<Object>();
+    Object &obj = std::get<Object>(v_);
+    for (auto &[k, v] : obj)
         if (k == key)
             return v;
-    obj_.emplace_back(key, Json());
-    return obj_.back().second;
+    obj.emplace_back(key, Json());
+    return obj.back().second;
 }
 
 const Json *
 Json::find(const std::string &key) const
 {
-    if (kind_ != Kind::Object)
-        return nullptr;
-    for (const auto &[k, v] : obj_)
+    for (const auto &[k, v] : members())
         if (k == key)
             return &v;
     return nullptr;
+}
+
+const std::vector<std::pair<std::string, Json>> &
+Json::members() const
+{
+    static const Object none;
+    return kind() == Kind::Object ? std::get<Object>(v_) : none;
 }
 
 namespace
@@ -153,51 +161,55 @@ newlineIndent(std::string &out, int indent, int depth)
 void
 Json::dumpTo(std::string &out, int indent, int depth) const
 {
-    switch (kind_) {
+    switch (kind()) {
       case Kind::Null:
         out += "null";
         break;
       case Kind::Bool:
-        out += bool_ ? "true" : "false";
+        out += std::get<bool>(v_) ? "true" : "false";
         break;
       case Kind::Number:
-        formatNumber(out, num_);
+        formatNumber(out, std::get<double>(v_));
         break;
       case Kind::String:
-        escapeString(out, str_);
+        escapeString(out, std::get<std::string>(v_));
         break;
-      case Kind::Array:
-        if (arr_.empty()) {
+      case Kind::Array: {
+        const Array &arr = std::get<Array>(v_);
+        if (arr.empty()) {
             out += "[]";
             break;
         }
         out += '[';
-        for (std::size_t i = 0; i < arr_.size(); ++i) {
+        for (std::size_t i = 0; i < arr.size(); ++i) {
             if (i)
                 out += ',';
             newlineIndent(out, indent, depth + 1);
-            arr_[i].dumpTo(out, indent, depth + 1);
+            arr[i].dumpTo(out, indent, depth + 1);
         }
         newlineIndent(out, indent, depth);
         out += ']';
         break;
-      case Kind::Object:
-        if (obj_.empty()) {
+      }
+      case Kind::Object: {
+        const Object &obj = std::get<Object>(v_);
+        if (obj.empty()) {
             out += "{}";
             break;
         }
         out += '{';
-        for (std::size_t i = 0; i < obj_.size(); ++i) {
+        for (std::size_t i = 0; i < obj.size(); ++i) {
             if (i)
                 out += ',';
             newlineIndent(out, indent, depth + 1);
-            escapeString(out, obj_[i].first);
+            escapeString(out, obj[i].first);
             out += indent > 0 ? ": " : ":";
-            obj_[i].second.dumpTo(out, indent, depth + 1);
+            obj[i].second.dumpTo(out, indent, depth + 1);
         }
         newlineIndent(out, indent, depth);
         out += '}';
         break;
+      }
     }
 }
 

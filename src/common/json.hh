@@ -17,6 +17,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace streampim
@@ -36,25 +37,40 @@ class Json
         Object,
     };
 
-    Json() : kind_(Kind::Null) {}
-    Json(bool b) : kind_(Kind::Bool), bool_(b) {}
-    Json(double n) : kind_(Kind::Number), num_(n) {}
-    Json(int n) : kind_(Kind::Number), num_(n) {}
-    Json(unsigned n) : kind_(Kind::Number), num_(n) {}
-    Json(std::int64_t n) : kind_(Kind::Number), num_(double(n)) {}
-    Json(std::uint64_t n) : kind_(Kind::Number), num_(double(n)) {}
-    Json(const char *s) : kind_(Kind::String), str_(s) {}
-    Json(std::string s) : kind_(Kind::String), str_(std::move(s)) {}
+    Json() = default;
+    Json(bool b) : v_(std::in_place_type<bool>, b) {}
+    Json(double n) : v_(std::in_place_type<double>, n) {}
+    Json(int n) : Json(double(n)) {}
+    Json(unsigned n) : Json(double(n)) {}
+    Json(std::int64_t n) : Json(double(n)) {}
+    Json(std::uint64_t n) : Json(double(n)) {}
+    Json(const char *s) : v_(std::in_place_type<std::string>, s) {}
+    Json(std::string s)
+        : v_(std::in_place_type<std::string>, std::move(s))
+    {}
 
-    static Json array() { Json j; j.kind_ = Kind::Array; return j; }
-    static Json object() { Json j; j.kind_ = Kind::Object; return j; }
+    static Json
+    array()
+    {
+        Json j;
+        j.v_.emplace<Array>();
+        return j;
+    }
 
-    Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
-    bool isNumber() const { return kind_ == Kind::Number; }
-    bool isString() const { return kind_ == Kind::String; }
-    bool isArray() const { return kind_ == Kind::Array; }
-    bool isObject() const { return kind_ == Kind::Object; }
+    static Json
+    object()
+    {
+        Json j;
+        j.v_.emplace<Object>();
+        return j;
+    }
+
+    Kind kind() const { return Kind(v_.index()); }
+    bool isNull() const { return kind() == Kind::Null; }
+    bool isNumber() const { return kind() == Kind::Number; }
+    bool isString() const { return kind() == Kind::String; }
+    bool isArray() const { return kind() == Kind::Array; }
+    bool isObject() const { return kind() == Kind::Object; }
 
     /** Value accessors; panic on kind mismatch. */
     bool asBool() const;
@@ -83,11 +99,8 @@ class Json
     Json &operator[](const std::string &key);
     /** Object: lookup; nullptr when absent. */
     const Json *find(const std::string &key) const;
-    /** Object: members in insertion order. */
-    const std::vector<std::pair<std::string, Json>> &members() const
-    {
-        return obj_;
-    }
+    /** Object: members in insertion order (none for a non-object). */
+    const std::vector<std::pair<std::string, Json>> &members() const;
 
     /**
      * Serialize; @p indent > 0 pretty-prints with that many spaces
@@ -105,14 +118,19 @@ class Json
                       std::string *error = nullptr);
 
   private:
+    using Array = std::vector<Json>;
+    using Object = std::vector<std::pair<std::string, Json>>;
+
     void dumpTo(std::string &out, int indent, int depth) const;
 
-    Kind kind_;
-    bool bool_ = false;
-    double num_ = 0.0;
-    std::string str_;
-    std::vector<Json> arr_;
-    std::vector<std::pair<std::string, Json>> obj_;
+    /**
+     * One alternative per Kind, in Kind's order, so a value stores
+     * only its own kind's data: reports and the benchmark harness
+     * keep many small objects.
+     */
+    std::variant<std::monostate, bool, double, std::string, Array,
+                 Object>
+        v_;
 };
 
 } // namespace streampim

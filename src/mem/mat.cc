@@ -414,18 +414,20 @@ Mat::copyOutViaTransferTracksInto(std::uint64_t offset,
     // plus one shift step per bit copied (the replica propagates one
     // branch length). Transfer tracks carry no wear state: the
     // replica is driven by the fan-out current, not a port
-    // nucleation (and they are rewritten wholesale on every copy).
+    // nucleation. Only the position a copy has just written is ever
+    // sensed (the per-bit path below), so the word path moves the
+    // transfer tracks and charges the copies but stores no replica:
+    // a stale transfer-track domain is never read.
     if (wordPath()) {
         forEachGroupRun(offset, count,
                         [&](BytePos pos, Nanowire *const group[8],
                             std::uint64_t n, std::uint64_t i) {
-            for (unsigned b = 0; b < 8; ++b) {
-                Nanowire &xfer = transferTracks_[pos.trackGroup + b];
+            for (unsigned b = 0; b < 8; ++b)
                 activity_.shiftSteps +=
-                    xfer.alignSweep(pos.domain, unsigned(n)) + n;
-                xfer.copyDomainsFrom(*group[b], pos.domain, unsigned(n));
-                activity_.fanOutCopies += n;
-            }
+                    transferTracks_[pos.trackGroup + b].alignSweep(
+                        pos.domain, unsigned(n)) +
+                    n;
+            activity_.fanOutCopies += 8 * n;
             gatherBytes(group, pos.domain, n, &out[i], tracks() / 8);
         });
         return;

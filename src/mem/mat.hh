@@ -29,6 +29,9 @@
  * (Nanowire::alignSweep), bytes are gathered/scattered 64 domains at
  * a time through an 8x8 bit transpose, and the activity and wear
  * counters advance by the same totals the per-bit loop would add.
+ * The word path's copy-out moves and charges the transfer tracks but
+ * stores no replica on them: only the port position a per-bit copy
+ * has just written is ever sensed, so their contents are never read.
  * STREAMPIM_STRICT_GATES (dwlogic/mode.hh) keeps the per-bit path
  * everywhere as the oracle for the word path.
  *

@@ -156,6 +156,8 @@ struct FaultStats
     std::uint64_t remapCopyBytes = 0;     //!< bytes migrated by remaps
     std::uint64_t writeFailures = 0;      //!< commits lost for good
 
+    bool operator==(const FaultStats &) const = default;
+
     /** Fold another injector's counters in (system aggregation). */
     void
     merge(const FaultStats &o)

@@ -172,14 +172,6 @@ class Nanowire
     {
         bits_.setBits(first, count, value);
     }
-
-    /** Copy domains [first, first + count) of @p src onto the same
-     * domains of this wire (the fan-out replica of Sec. III-E). */
-    void
-    copyDomainsFrom(const Nanowire &src, unsigned first, unsigned count)
-    {
-        bits_.copyRange(src.bits_, first, first, count);
-    }
     /** @} */
 
     /** Total shift steps performed over the lifetime (for stats). */

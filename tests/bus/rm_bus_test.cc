@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
 #include "bus/rm_bus.hh"
 #include "common/rng.hh"
+#include "dwlogic/mode.hh"
+#include "rm/fault_injector.hh"
 #include "rm/params.hh"
 
 namespace streampim
@@ -86,13 +92,9 @@ TEST(RmBus, TransferAllPreservesPayload)
     Cycle cycles = 0;
     std::vector<std::uint64_t> arrived;
     bus.transferAllInto(payload, arrived, cycles);
-    ASSERT_EQ(arrived.size(), payload.size());
-    // Arrival order may interleave across lanes; as a multiset the
-    // payload is conserved.
-    std::sort(arrived.begin(), arrived.end());
-    std::vector<std::uint64_t> expect = payload;
-    std::sort(expect.begin(), expect.end());
-    EXPECT_EQ(arrived, expect);
+    // Words never overtake and each wave leaves in lane order, so
+    // the payload arrives exactly in injection order.
+    EXPECT_EQ(arrived, payload);
     EXPECT_GT(cycles, 0u);
 }
 
@@ -108,8 +110,8 @@ TEST(RmBus, MoreLanesFewerCycles)
     EXPECT_LT(wide, narrow);
 }
 
-/** Property: the functional bus is never slower than the analytic
- * lower bound and close to the closed-form model. */
+/** Property: the functional bus takes exactly its pipeline count
+ * (one cycle under RmBusTiming::transferCycles). */
 class BusTimingSweep
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
 {};
@@ -122,20 +124,139 @@ TEST_P(BusTimingSweep, FunctionalMatchesClosedForm)
     std::vector<std::uint64_t> arrived;
     Cycle functional = 0;
     bus.transferAllInto(payload, arrived, functional);
-    // Closed-form: traversal + one wave per 2 cycles per lane. The
-    // functional model drains the output eagerly, so it can beat
-    // the model by up to the traversal latency; drain effects can
-    // cost a little extra at the tail.
+    // The first wave leaves after segments - 1 pulses, then one
+    // wave every 2 cycles (each data segment trails an empty one).
     std::uint64_t waves = (words + 8 - 1) / 8;
-    Cycle closed = segments + 2 * (waves - 1);
-    EXPECT_GE(functional + segments, closed);
-    EXPECT_LE(functional, closed + 2 * segments + 8);
+    EXPECT_EQ(functional, Cycle(segments - 1 + 2 * (waves - 1)));
+    EXPECT_EQ(arrived, payload);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     WordSegmentGrid, BusTimingSweep,
     ::testing::Combine(::testing::Values(1u, 8u, 64u, 333u),
                        ::testing::Values(4u, 8u, 16u)));
+
+/** One transfer of @p payload with the strict mode forced to
+ * @p strict (on: the per-pulse sweep; off: the closed form). */
+std::pair<std::vector<std::uint64_t>, Cycle>
+transferIn(RmBus &bus, const std::vector<std::uint64_t> &payload,
+           bool strict, FaultInjector *faults = nullptr)
+{
+    ScopedStrictGates mode(strict);
+    std::vector<std::uint64_t> arrived;
+    Cycle cycles = 0;
+    bus.transferAllInto(payload, arrived, cycles, faults, 8);
+    return {arrived, cycles};
+}
+
+std::vector<std::uint64_t>
+seededPayload(Rng &rng, std::uint64_t n)
+{
+    std::vector<std::uint64_t> payload(n);
+    for (auto &w : payload)
+        w = rng.next();
+    return payload;
+}
+
+TEST(RmBusClosedForm, MatchesSteppedSweepOnSeededGrid)
+{
+    // Segment counts around the 64-segment occupancy word boundary
+    // and past a second one, plus seeded draws in between.
+    std::vector<unsigned> seg_counts = {2, 3, 4, 5, 63, 64, 65,
+                                        127, 128, 129, 130};
+    Rng rng(2024);
+    for (int i = 0; i < 6; ++i)
+        seg_counts.push_back(2 + unsigned(rng.below(129)));
+    for (unsigned segments : seg_counts)
+        for (unsigned lanes = 1; lanes <= 9; ++lanes) {
+            // Empty, partial first wave, exact waves, and up to
+            // several waves plus a remainder.
+            std::vector<std::uint64_t> counts = {
+                0, 1, lanes, lanes + 1, 3 * lanes - 1,
+                1 + rng.below(6 * lanes)};
+            RmBus closed_bus(lanes, segments);
+            RmBus stepped_bus(lanes, segments);
+            for (std::uint64_t n : counts) {
+                const auto payload = seededPayload(rng, n);
+                const std::string at =
+                    "segments " + std::to_string(segments) +
+                    " lanes " + std::to_string(lanes) + " n " +
+                    std::to_string(n);
+                // Twice on the same buses: a transfer must leave
+                // nothing behind for the next one.
+                for (int rep = 0; rep < 2; ++rep) {
+                    const auto closed =
+                        transferIn(closed_bus, payload, false);
+                    const auto stepped =
+                        transferIn(stepped_bus, payload, true);
+                    ASSERT_EQ(closed.first, stepped.first) << at;
+                    ASSERT_EQ(closed.second, stepped.second) << at;
+                    ASSERT_EQ(closed.first, payload) << at;
+                    ASSERT_TRUE(closed_bus.drained()) << at;
+                }
+            }
+        }
+}
+
+TEST(RmBusClosedForm, FaultFreeTransferAfterAbandonedFlits)
+{
+    // A fallible transfer whose recovery often gives up (the
+    // smallest retry budget, a high step-fault rate) abandons flits;
+    // the fault-free transfer right after it on the same bus must
+    // still match the per-pulse sweep exactly.
+    FaultConfig cfg;
+    cfg.pStep = 0.1;
+    cfg.realignRetryBudget = 1;
+    cfg.seed = 41;
+    FaultInjector closed_inj(cfg), stepped_inj(cfg);
+    // Write faults alone do not make the bus fallible: only a
+    // step-fault rate does.
+    FaultConfig write_only;
+    write_only.pWrite0 = 0.5;
+    FaultInjector closed_wr(write_only), stepped_wr(write_only);
+
+    Rng rng(7);
+    RmBus closed_bus(8, 16), stepped_bus(8, 16);
+    for (int round = 0; round < 4; ++round) {
+        const auto faulty = seededPayload(rng, 100 + rng.below(200));
+        const auto f1 =
+            transferIn(closed_bus, faulty, false, &closed_inj);
+        const auto f2 =
+            transferIn(stepped_bus, faulty, true, &stepped_inj);
+        ASSERT_EQ(f1, f2);
+        ASSERT_EQ(closed_inj.stats(), stepped_inj.stats());
+
+        const auto clean = seededPayload(rng, 1 + rng.below(200));
+        const auto c1 =
+            transferIn(closed_bus, clean, false, &closed_wr);
+        const auto c2 =
+            transferIn(stepped_bus, clean, true, &stepped_wr);
+        EXPECT_EQ(c1, c2);
+        EXPECT_EQ(c1.first, clean);
+    }
+    EXPECT_GT(closed_inj.stats().uncorrectable +
+                  closed_inj.stats().budgetExhausted,
+              0u);
+    // Neither side sampled the write-only injector.
+    EXPECT_EQ(closed_wr.stats(), FaultStats{});
+    EXPECT_EQ(stepped_wr.stats(), FaultStats{});
+}
+
+TEST(RmBusClosedForm, BusHoldingWordsKeepsSteppedSweep)
+{
+    // A word injected by hand is still in flight when the transfer
+    // starts, so the transfer cannot take the closed form; it steps
+    // in both modes and delivers the same words in the same cycles.
+    const std::vector<std::uint64_t> payload = {1, 2, 3, 4, 5};
+    RmBus closed_bus(2, 6), stepped_bus(2, 6);
+    ASSERT_TRUE(closed_bus.lane(1).inject(99));
+    ASSERT_TRUE(stepped_bus.lane(1).inject(99));
+    const auto closed = transferIn(closed_bus, payload, false);
+    const auto stepped = transferIn(stepped_bus, payload, true);
+    EXPECT_EQ(closed, stepped);
+    EXPECT_NE(std::find(closed.first.begin(), closed.first.end(), 99u),
+              closed.first.end());
+}
 
 TEST(RmBusTiming, SegmentCountFromGeometry)
 {

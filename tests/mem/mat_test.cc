@@ -421,5 +421,59 @@ TEST(MatWordPath, OffCanonicalOffsetsAfterDetachedShiftFaults)
     runWordPathDifferential(m, 7, 400);
 }
 
+TEST(MatWordPath, StaleTransferReplicaIsNeverSensed)
+{
+    // The word path charges every fan-out copy but stores no
+    // replica, so after fault-free copy-outs its transfer tracks
+    // hold stale bits where the per-bit oracle's hold the data. Then
+    // fallible copy-outs, whose failed alignments sense whatever the
+    // port sits over, must still return the same bytes and counters
+    // on both: only the position just written is ever sensed.
+    Mat start(16, 256, 16, true);
+    std::vector<std::uint8_t> data(start.capacityBytes());
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = std::uint8_t(i * 29 + 3);
+    start.writeBytes(0, data);
+    Mat word = start;
+    Mat oracle = start;
+    Rng rng(13);
+    const std::uint64_t cap = start.capacityBytes();
+    auto copyOut = [&](Mat &m, bool strict, std::uint64_t off,
+                       std::uint64_t len) {
+        ScopedStrictGates mode(strict);
+        std::vector<std::uint8_t> got(len);
+        m.copyOutViaTransferTracksInto(off, got);
+        return got;
+    };
+    for (int op = 0; op < 40; ++op) {
+        const std::uint64_t len = 1 + rng.below(cap / 2);
+        const std::uint64_t off = rng.below(cap - len + 1);
+        ASSERT_EQ(copyOut(word, false, off, len),
+                  copyOut(oracle, true, off, len));
+    }
+    expectSameCounters(word, oracle, "fault-free copy-outs");
+
+    FaultConfig cfg;
+    cfg.pStep = 0.2;
+    cfg.realignRetryBudget = 1;
+    cfg.seed = 23;
+    FaultInjector word_inj(cfg), oracle_inj(cfg);
+    word.setFaultInjector(&word_inj);
+    oracle.setFaultInjector(&oracle_inj);
+    for (int op = 0; op < 40; ++op) {
+        const std::uint64_t len = 1 + rng.below(64);
+        const std::uint64_t off = rng.below(cap - len + 1);
+        const std::string at = "fallible op " + std::to_string(op);
+        ASSERT_EQ(copyOut(word, false, off, len),
+                  copyOut(oracle, true, off, len))
+            << at;
+        expectSameCounters(word, oracle, at);
+        ASSERT_EQ(word_inj.stats(), oracle_inj.stats()) << at;
+    }
+    EXPECT_GT(word_inj.stats().uncorrectable +
+                  word_inj.stats().budgetExhausted,
+              0u);
+}
+
 } // namespace
 } // namespace streampim
