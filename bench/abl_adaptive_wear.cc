@@ -21,12 +21,13 @@
  *  - the recovery invariant: every VPC not marked Failed is
  *    bit-exact against its golden twin, including migrated operand
  *    regions and everything after a quarantine re-plan;
- *  - lifetime strictly extends: on every operating point where the
- *    static policy fails, the full adaptive policy (cadence 1,
- *    quarantine on) first fails after strictly more PROGRAM deposit
- *    pulses (migration traffic is accounted separately and cannot
- *    inflate the score; surviving the whole campaign counts as a
- *    later failure);
+ *  - lifetime extends by a margin: on every operating point where
+ *    the static policy fails, the full adaptive policy (cadence 1,
+ *    quarantine on) first fails after at least kLifetimeMargin
+ *    times as many PROGRAM deposit pulses, and strictly more
+ *    (migration traffic is accounted separately and cannot inflate
+ *    the score; surviving the whole campaign counts as a later
+ *    failure);
  *  - the claim is non-vacuous: the static baseline must fail on at
  *    least two operating points.
  *
@@ -50,6 +51,9 @@ using namespace streampim::bench;
 
 namespace
 {
+
+/** Least first-failure program-write ratio of cad1 over static. */
+constexpr double kLifetimeMargin = 1.5;
 
 struct OperatingPoint
 {
@@ -244,13 +248,15 @@ main(int argc, char **argv)
 
         // The gate: wherever static placement dies inside the
         // campaign, the full adaptive policy must first-fail after
-        // strictly more program deposits.
+        // at least kLifetimeMargin times as many program deposits,
+        // and strictly more.
         const auto &base = sweep.cell("static", pt.name);
         if (base.metrics.at("first_failed_round") >= 0.0) {
             ++baseline_failures;
-            const auto &full = sweep.cell("cad1", pt.name);
-            if (!(lifetimeProgramDeposits(full) >
-                  lifetimeProgramDeposits(base)))
+            const double st = lifetimeProgramDeposits(base);
+            const double ad =
+                lifetimeProgramDeposits(sweep.cell("cad1", pt.name));
+            if (!(ad > st && ad >= kLifetimeMargin * st))
                 lifetime_ok = false;
         }
         std::printf("\n");
@@ -264,11 +270,11 @@ main(int argc, char **argv)
     lifetime_ok = lifetime_ok && baseline_failures >= 2;
     std::printf("%s: on every operating point where static "
                 "placement failed (%u/%zu, need >= 2),\nthe adaptive "
-                "policy first failed after strictly more program "
+                "policy first failed after >= %.1fx the program "
                 "deposit pulses.\n",
                 lifetime_ok ? "adaptive extended lifetime"
                             : "ADAPTIVE LIFETIME CLAIM VIOLATED",
-                baseline_failures, points.size());
+                baseline_failures, points.size(), kLifetimeMargin);
 
     // Opt-in (STREAMPIM_PERF_REF=1): serial reference timing +
     // byte-identity re-check of every cell, recorded in the report's

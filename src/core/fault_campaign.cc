@@ -179,7 +179,7 @@ runProtocol(const EnduranceCampaignConfig &cfg,
     // The recovery ladder (runtime/recovery.hh): per-round batch
     // journal + per-Failed-VPC escalation, serial and in submit
     // order so the campaign stays one deterministic sample path.
-    RecoveryManager recovery(cfg.recovery, faulty, &policy);
+    RecoveryManager recovery(cfg.recovery, faulty, policy);
     BatchJournal journal;
     std::vector<VpcRecoveryOutcome> outcomes;
     /** Which region a Failed group's blame landed on (-1 unset). */

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
+#include "runtime/health_policy.hh"
 #include "runtime/tiler.hh"
 
 namespace streampim
@@ -158,16 +159,20 @@ struct TileStream
  * granularity:
  *
  *   rung 1 — rollback + retry in place (retryBudget per episode);
- *   rungs 3/4 — quarantine the blamed compute subarray (it absorbs
- *       essentially every deposit of the slice), evacuate the
- *       in-flight accumulator onto the least-worn survivor, derate
- *       the k-edge for the shrunken pool, and re-run the slice
- *       there (replanBudget escalations per episode);
+ *   rung 3 + re-tile — quarantine the blamed compute subarray (it
+ *       absorbs essentially every deposit of the slice), evacuate
+ *       the in-flight accumulator onto the least-worn survivor,
+ *       derate the k-edge for the shrunken pool, and re-run the
+ *       slice there (replanBudget escalations per episode, each
+ *       with a fresh retry budget);
  *
  * after which the slice surfaces unrecoverable: rolled back to its
- * pre-slice bytes — stale, never corrupt. Deterministic at any job
- * count: drains are count-driven, quarantine/evacuation decisions
- * are pure functions of wear telemetry with a total order, and
+ * pre-slice bytes — stale, never corrupt. A run-local HealthPolicy
+ * keeps the quarantine set and picks evacuation targets (the scan
+ * RecoveryManager uses, without its strictly-healthier check).
+ * Deterministic at any job count: drains are count-driven,
+ * quarantine/evacuation decisions are pure functions of wear
+ * telemetry with a total order, and
  * journal/rollback/evacuation traffic runs injection-detached.
  */
 void
@@ -181,27 +186,13 @@ runRecoverableTasks(TileStream &run)
     config.recovery.validate();
     BatchJournal journal;
     RecoveryStats &rs = st.recovery;
-    std::vector<bool> quarantined(lay.computeSubs, false);
-    unsigned lost_subs = 0;
+    // Owns this run's quarantine set and evacuation order; it never
+    // evaluates, so its config is the default.
+    HealthPolicy policy(HealthPolicyConfig{},
+                        device.params().totalSubarrays(),
+                        device.params().subarraysPerBank);
     std::uint32_t cur_tile_k = t.tileK;
     std::uint64_t attempt = 0; // staging-buffer parity
-
-    // Least-worn live compute subarray other than @p avoid, or
-    // computeSubs when none survive — the same total order as
-    // RecoveryManager::pickTarget, so evacuation targets are
-    // deterministic.
-    auto pickHealthier = [&](unsigned avoid) {
-        const std::vector<SubarrayWear> wear = device.wearSummaries();
-        auto key = [&](unsigned s) { return healthKey(wear[s], s); };
-        unsigned best = lay.computeSubs;
-        for (unsigned s = 0; s < lay.computeSubs; ++s) {
-            if (s == avoid || quarantined[s])
-                continue;
-            if (best == lay.computeSubs || key(s) < key(best))
-                best = s;
-        }
-        return best;
-    };
 
     // One attempt at the [kpos, kpos + tk) slice of tile (i, j) on
     // compute subarray @p sub, drained on its own; true when no VPC
@@ -219,7 +210,7 @@ runRecoverableTasks(TileStream &run)
         for (std::uint32_t j = 0; j < t.jTiles; ++j) {
             std::vector<unsigned> live;
             for (unsigned s = 0; s < lay.computeSubs; ++s)
-                if (!quarantined[s])
+                if (!policy.isQuarantined(s))
                     live.push_back(s);
             if (live.empty()) {
                 // The whole compute pool is quarantined: the tile
@@ -309,15 +300,19 @@ runRecoverableTasks(TileStream &run)
                     continue;
                 }
 
-                // Rungs 3/4: quarantine, evacuate, re-tile.
+                // Rung 3: quarantine, evacuate, re-tile.
                 if (escalations >= config.recovery.replanBudget) {
                     tile_lost = true;
                     break;
                 }
-                quarantined[sub] = true;
-                lost_subs++;
+                policy.forceQuarantine(sub);
                 rs.replans++;
-                const unsigned to = pickHealthier(sub);
+                // The least-worn live compute subarray; anything
+                // >= computeSubs means none survive.
+                const unsigned to = policy.leastWornTarget(
+                    device.wearSummaries(), sub, [&](std::uint32_t s) {
+                        return s >= lay.computeSubs;
+                    });
                 if (to >= lay.computeSubs) {
                     tile_lost = true;
                     break;
@@ -329,7 +324,8 @@ runRecoverableTasks(TileStream &run)
                 // bound every later transaction's blast radius and
                 // retry cost.
                 const std::uint32_t derated = tileEdgeForBudget(
-                    lay.subBytes, 8u << std::min(2 * lost_subs, 20u));
+                    lay.subBytes,
+                    8u << std::min(2 * policy.quarantinedCount(), 20u));
                 if (derated < cur_tile_k) {
                     cur_tile_k = derated;
                     rs.retiles++;

@@ -56,6 +56,26 @@ HealthPolicy::quarantinedCount() const
                                quarantined_.end(), true));
 }
 
+std::uint32_t
+HealthPolicy::leastWornTarget(
+    std::span<const SubarrayWear> wear, std::uint32_t avoid,
+    const std::function<bool(std::uint32_t)> &excluded) const
+{
+    SPIM_ASSERT(wear.size() == totalSubarrays_,
+                "wear snapshot covers ", wear.size(),
+                " subarrays, device has ", totalSubarrays_);
+    const auto total = std::uint32_t(wear.size());
+    std::uint32_t best = total;
+    for (std::uint32_t s = 0; s < total; ++s) {
+        if (s == avoid || isQuarantined(s) || (excluded && excluded(s)))
+            continue;
+        if (best == total ||
+            healthKey(wear[s], s) < healthKey(wear[best], best))
+            best = s;
+    }
+    return best;
+}
+
 HealthDecision
 HealthPolicy::evaluate(std::span<const BankHealth> health,
                        std::span<const SubarrayWear> wear,

@@ -1,7 +1,9 @@
 /**
  * @file
  * HealthPolicy: the closed-loop device-health subsystem, and the one
- * place that ranks subarrays for operand migration.
+ * owner of subarray retirement: it ranks subarrays for operand
+ * migration, keeps the only quarantine set, and picks the recovery
+ * ladders' re-home and evacuation targets (leastWornTarget).
  *
  * The device surfaces SMART-style BankHealth and per-subarray wear;
  * HealthPolicy feeds that telemetry back into a running endurance
@@ -21,6 +23,12 @@
  *     The policy only decides; the campaign executes the copies as
  *     TRAN VPCs on both the golden and the faulty system.
  *
+ * Both recovery ladders — RecoveryManager (runtime/recovery.hh) and
+ * the tiled matmul's task ladder (core/tiled_matmul.cc) — quarantine
+ * through forceQuarantine and take targets from leastWornTarget, so
+ * "which subarrays are retired" and "which healthy one comes next"
+ * are each written once.
+ *
  * Wear-driven re-placement is this reproduction's extension: the
  * paper's runtime places operands statically, so the timed planner
  * never consults the policy.
@@ -36,6 +44,7 @@
 #define STREAMPIM_RUNTIME_HEALTH_POLICY_HH_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -153,17 +162,29 @@ class HealthPolicy
      * Quarantine @p sub immediately (recovery-ladder rung 3,
      * runtime/recovery.hh): the failing subarray is proven bad by a
      * Failed VPC, so the ladder does not wait for the next cadence
-     * point. Sticky like evaluate()'s quarantines. Returns false
-     * when @p sub was already quarantined (idempotent).
+     * point. Sticky like evaluate()'s quarantines; quarantining a
+     * retired subarray again is a no-op.
      */
-    bool
+    void
     forceQuarantine(std::uint32_t sub)
     {
-        if (sub >= quarantined_.size() || quarantined_[sub])
-            return false;
-        quarantined_[sub] = true;
-        return true;
+        if (sub < quarantined_.size())
+            quarantined_[sub] = true;
     }
+
+    /**
+     * The recovery ladders' re-home/evacuation target: the
+     * least-healthKey subarray (mem/subarray.hh) of the @p wear
+     * snapshot that is not @p avoid, not quarantined and not
+     * @p excluded (an empty predicate excludes nothing), or
+     * wear.size() when none is left. A pure function of the
+     * snapshot and the quarantine set, so targets are deterministic.
+     */
+    std::uint32_t
+    leastWornTarget(std::span<const SubarrayWear> wear,
+                    std::uint32_t avoid,
+                    const std::function<bool(std::uint32_t)> &excluded)
+        const;
 
     /** Number of quarantined subarrays so far. */
     unsigned quarantinedCount() const;

@@ -6,25 +6,10 @@
 namespace streampim
 {
 
-const char *
-recoveryRungName(RecoveryRung rung)
-{
-    switch (rung) {
-      case RecoveryRung::None: return "none";
-      case RecoveryRung::RetryInPlace: return "retry";
-      case RecoveryRung::Rehome: return "rehome";
-      case RecoveryRung::Replan: return "replan";
-      case RecoveryRung::Retile: return "retile";
-      case RecoveryRung::Unrecoverable: return "unrecoverable";
-    }
-    return "unknown";
-}
-
 RecoveryManager::RecoveryManager(const RecoveryConfig &cfg,
                                  StreamPimSystem &system,
-                                 HealthPolicy *policy)
-    : cfg_(cfg), system_(system), policy_(policy),
-      ownQuarantine_(system.params().totalSubarrays(), false)
+                                 HealthPolicy &policy)
+    : cfg_(cfg), system_(system), policy_(policy)
 {
     cfg_.validate();
 }
@@ -37,39 +22,14 @@ RecoveryManager::noteBatch(const BatchJournal &journal)
     stats_.snapshotBytes += journal.snapshotBytes();
 }
 
-bool
-RecoveryManager::isQuarantined(std::uint32_t sub) const
-{
-    if (policy_)
-        return policy_->isQuarantined(sub);
-    return sub < ownQuarantine_.size() && ownQuarantine_[sub];
-}
-
-void
-RecoveryManager::forceQuarantine(std::uint32_t sub)
-{
-    if (policy_)
-        policy_->forceQuarantine(sub);
-    else if (sub < ownQuarantine_.size())
-        ownQuarantine_[sub] = true;
-}
-
 std::uint32_t
 RecoveryManager::pickTarget(std::uint32_t failing,
                             const Hooks &hooks) const
 {
     const std::vector<SubarrayWear> wear = system_.wearSummaries();
     const std::uint32_t total = std::uint32_t(wear.size());
-    std::uint32_t best = total;
-    auto key = [&](std::uint32_t s) { return healthKey(wear[s], s); };
-    for (std::uint32_t s = 0; s < total; ++s) {
-        if (s == failing || isQuarantined(s))
-            continue;
-        if (hooks.excluded && hooks.excluded(s))
-            continue;
-        if (best == total || key(s) < key(best))
-            best = s;
-    }
+    const std::uint32_t best =
+        policy_.leastWornTarget(wear, failing, hooks.excluded);
     // "Strictly healthier": a target at least as worn as the
     // failing subarray on every axis would just fail the same way,
     // so re-homing onto it is wasted budget. Ties on the wear axes
@@ -78,7 +38,7 @@ RecoveryManager::pickTarget(std::uint32_t failing,
     // handles that; only an identical-or-worse candidate is
     // rejected here.
     if (best != total && failing < total &&
-        key(best) >= healthKey(wear[failing], 0))
+        healthKey(wear[best], best) >= healthKey(wear[failing], 0))
         return total;
     return best;
 }
@@ -150,10 +110,10 @@ RecoveryManager::recoverVpc(std::size_t g, BatchJournal &journal,
         }
 
         // Rung 3: the failing subarray is proven bad — quarantine it
-        // (sticky; prunes an attached planner through the policy) and
-        // re-plan onto the shrunken survivor set.
+        // (sticky, in the policy's set) and re-plan onto the
+        // shrunken survivor set.
         for (unsigned r = 0; r < cfg_.replanBudget; ++r) {
-            forceQuarantine(failing);
+            policy_.forceQuarantine(failing);
             stats_.replans++;
             const std::uint32_t to = pickTarget(failing, hooks);
             if (to >= system_.params().totalSubarrays())

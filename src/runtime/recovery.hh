@@ -29,14 +29,13 @@
  *       rung 3 — re-plan: quarantine the failing subarray
  *                (HealthPolicy::forceQuarantine) and re-home onto
  *                the shrunken survivor set;
- *       rung 4 — re-tile: for tiled matmul plans whose compute set
- *                shrank below the tiler's needs, the tiled runner
- *                re-tiles the in-flight plan with a smaller
- *                tileEdgeForBudget (core/tiled_matmul.cc) while
- *                preserving accumulated k-tiles;
- *     only when every budget is exhausted does the VPC surface
- *     RecoveryRung::Unrecoverable — rolled back to its pre-batch
- *     bytes, honestly reported, never silently corrupt.
+ *     both re-home rungs take their target from
+ *     HealthPolicy::leastWornTarget. Only when every budget is
+ *     exhausted does the VPC surface RecoveryRung::Unrecoverable —
+ *     rolled back to its pre-batch bytes, honestly reported, never
+ *     silently corrupt. The tiled matmul runs its own task ladder
+ *     (core/tiled_matmul.cc: no rung 2, a re-tile after each
+ *     quarantine) over the same policy scan.
  *
  * Determinism: snapshots and rollbacks run injection-detached (the
  * resume path reattaches without reseeding), recovery actions run
@@ -105,12 +104,8 @@ enum class RecoveryRung : std::uint8_t
     RetryInPlace,  //!< rung 1: rollback + same-home re-execution
     Rehome,        //!< rung 2: operands moved to a healthier home
     Replan,        //!< rung 3: culprit quarantined, plan shrunk
-    Retile,        //!< rung 4: in-flight tiled plan re-tiled
     Unrecoverable, //!< budgets exhausted; rolled back and surfaced
 };
-
-/** Human-readable rung name (reports/logs). */
-const char *recoveryRungName(RecoveryRung rung);
 
 /** Counters of one recovery ladder instance. */
 struct RecoveryStats
@@ -124,12 +119,12 @@ struct RecoveryStats
     std::uint64_t retries = 0;       //!< rung-1 re-executions
     std::uint64_t rehomes = 0;       //!< rung-2 operand moves
     std::uint64_t replans = 0;       //!< rung-3 quarantine escalations
-    std::uint64_t retiles = 0;       //!< rung-4 in-flight re-tilings
+    std::uint64_t retiles = 0;       //!< tiled in-flight re-tilings
     std::uint64_t recovered = 0;         //!< episodes ending bit-exact
     std::uint64_t recoveredByRetry = 0;  //!< ... at rung 1
     std::uint64_t recoveredByRehome = 0; //!< ... at rung 2
     std::uint64_t recoveredByReplan = 0; //!< ... at rung 3
-    std::uint64_t recoveredByRetile = 0; //!< ... at rung 4
+    std::uint64_t recoveredByRetile = 0; //!< ... after a re-tile
     std::uint64_t unrecoverable = 0;     //!< episodes surfaced lost
 
     void
@@ -285,13 +280,12 @@ class RecoveryManager
     /**
      * @param cfg ladder budgets (validate() is enforced).
      * @param system the faulty system recovery acts on.
-     * @param policy optional: quarantines of rung 3 go through
-     *        HealthPolicy::forceQuarantine (sticky);
-     *        without a policy the manager keeps its own sticky set.
+     * @param policy the device's health policy: it owns the sticky
+     *        quarantine set rung 3 adds to and orders re-home
+     *        targets (HealthPolicy::leastWornTarget).
      */
     RecoveryManager(const RecoveryConfig &cfg,
-                    StreamPimSystem &system,
-                    HealthPolicy *policy = nullptr);
+                    StreamPimSystem &system, HealthPolicy &policy);
 
     const RecoveryConfig &config() const { return cfg_; }
     const RecoveryStats &stats() const { return stats_; }
@@ -310,25 +304,18 @@ class RecoveryManager
                                   BatchJournal &journal,
                                   const Hooks &hooks);
 
-    /** Sticky quarantine view (policy-backed when attached). */
-    bool isQuarantined(std::uint32_t sub) const;
-
   private:
     /**
-     * Least-worn eligible re-home target, or totalSubarrays when
-     * none: strict weak order on (exhaustedMats, sparesUsed,
-     * maxTrackWear, deposits, id), excluding @p failing, quarantined
-     * subarrays and hook exclusions. Deterministic.
+     * The policy's least-worn eligible target (excluding @p failing
+     * and hook exclusions), kept only when strictly healthier than
+     * @p failing; totalSubarrays when there is none.
      */
     std::uint32_t pickTarget(std::uint32_t failing,
                              const Hooks &hooks) const;
 
-    void forceQuarantine(std::uint32_t sub);
-
     RecoveryConfig cfg_;
     StreamPimSystem &system_;
-    HealthPolicy *policy_ = nullptr;
-    std::vector<bool> ownQuarantine_; //!< fallback when no policy
+    HealthPolicy &policy_;
     RecoveryStats stats_;
 };
 

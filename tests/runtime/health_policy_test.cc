@@ -3,13 +3,15 @@
  * Unit tests for the closed-loop HealthPolicy: evaluation cadence,
  * quarantine stickiness, migration triggers (spare threshold, wear
  * threshold, forced by quarantine), target selection (healthier
- * only, distinct, never a home or a quarantined subarray), and the
- * stable wear ranking carried across evaluations.
+ * only, distinct, never a home or a quarantined subarray), the
+ * stable wear ranking carried across evaluations, and the recovery
+ * ladders' least-worn target scan.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "runtime/health_policy.hh"
@@ -226,6 +228,39 @@ TEST(HealthPolicy, WearTiesKeepPreviousRankingAndSkipQuarantined)
     EXPECT_EQ(d3.migrations[0].to, 2u);
 }
 
+TEST(HealthPolicy, LeastWornTargetSkipsAvoidQuarantinedAndExcluded)
+{
+    // The recovery ladders' target scan: least healthKey among the
+    // subarrays that are not avoided, quarantined or excluded.
+    HealthPolicy p(enabledConfig(), kSubs, kSubsPerBank);
+    const std::function<bool(std::uint32_t)> none;
+    auto wear = wearOf({900, 100, 100, 50});
+    wear[3].exhaustedMats = 1; // an exhausted mat outweighs any wear
+
+    // 1 and 2 tie on every wear axis: the id breaks it.
+    EXPECT_EQ(p.leastWornTarget(wear, 0, none), 1u);
+    EXPECT_EQ(p.leastWornTarget(wear, 1, none), 2u);
+    EXPECT_EQ(p.leastWornTarget(wear, kSubs, none), 1u);
+
+    auto not_one = [](std::uint32_t s) { return s == 1; };
+    EXPECT_EQ(p.leastWornTarget(wear, 0, not_one), 2u);
+
+    p.forceQuarantine(2);
+    p.forceQuarantine(2); // idempotent
+    EXPECT_EQ(p.quarantinedCount(), 1u);
+    EXPECT_EQ(p.leastWornTarget(wear, 0, not_one), 3u)
+        << "only the exhausted subarray is left";
+    EXPECT_EQ(p.leastWornTarget(wear, 3, not_one), 0u);
+
+    // Every candidate avoided, excluded or quarantined.
+    auto one_or_three = [](std::uint32_t s) { return s == 1 || s == 3; };
+    EXPECT_EQ(p.leastWornTarget(wear, 0, one_or_three), kSubs);
+    p.forceQuarantine(0);
+    p.forceQuarantine(1);
+    p.forceQuarantine(3);
+    EXPECT_EQ(p.leastWornTarget(wear, kSubs, none), kSubs);
+}
+
 TEST(HealthPolicyDeath, RejectsBadConfigAndInputs)
 {
     HealthPolicyConfig cfg = enabledConfig();
@@ -239,6 +274,8 @@ TEST(HealthPolicyDeath, RejectsBadConfigAndInputs)
     EXPECT_DEATH(
         p.evaluate(healthOf(0, 0), wearOf({0, 0}), homes),
         "wear snapshot");
+    EXPECT_DEATH(p.leastWornTarget(wearOf({0, 0}), 0, {}),
+                 "wear snapshot");
     // A home outside the device.
     const std::uint32_t bad_homes[] = {0, 99};
     EXPECT_DEATH(p.evaluate(healthOf(0, 0),

@@ -2,8 +2,9 @@
  * @file
  * Transactional VPC recovery: journal roundtrip fidelity, the
  * fault-free purity of snapshot/rollback traffic, each rung of the
- * RecoveryManager escalation ladder, and the honest rolled-back
- * surfacing of an exhausted ladder.
+ * RecoveryManager escalation ladder (quarantining into and taking
+ * targets from a HealthPolicy), and the honest rolled-back surfacing
+ * of an exhausted ladder.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "common/rng.hh"
 #include "core/stream_pim.hh"
+#include "runtime/health_policy.hh"
 #include "runtime/recovery.hh"
 
 namespace streampim
@@ -109,6 +111,16 @@ TEST(BatchJournal, SnapshotAndRollbackSampleNoFaults)
     sys.disableFaultInjection();
 }
 
+/** The health policy a ladder test hands its RecoveryManager: the
+ * default config over @p sys's geometry (it never evaluates). */
+HealthPolicy
+policyFor(const StreamPimSystem &sys)
+{
+    return HealthPolicy(HealthPolicyConfig{},
+                        sys.params().totalSubarrays(),
+                        sys.params().subarraysPerBank);
+}
+
 /** Fixture state shared by the ladder tests: two 64-byte operands on
  * subarray 0 and the byte-wise mod-256 sum they should produce. */
 struct LadderSetup
@@ -150,7 +162,8 @@ TEST(RecoveryManager, RetryInPlaceRestoresAndRecomputes)
     rc.retryBudget = 2;
     rc.rehomeBudget = 0;
     rc.replanBudget = 0;
-    RecoveryManager mgr(rc, sys);
+    HealthPolicy policy = policyFor(sys);
+    RecoveryManager mgr(rc, sys, policy);
     RecoveryManager::Hooks hooks;
     hooks.failingSubarray = [](std::size_t) { return 0u; };
 
@@ -205,17 +218,24 @@ TEST(RecoveryManager, RehomePicksStrictlyHealthierSubarray)
     rc.retryBudget = 0; // skip straight to rung 2
     rc.rehomeBudget = 1;
     rc.replanBudget = 0;
-    RecoveryManager mgr(rc, sys);
+    HealthPolicy policy = policyFor(sys);
+    // Retired before the episode: pristine subarray 1 would lead the
+    // id order, but a quarantined subarray is never a target.
+    policy.forceQuarantine(1);
+    RecoveryManager mgr(rc, sys, policy);
 
     const VpcRecoveryOutcome out =
         mgr.recoverVpc(0, journal, movingHooks(sys, journal));
     EXPECT_EQ(out.rung, RecoveryRung::Rehome);
     EXPECT_TRUE(out.rehomed);
-    EXPECT_EQ(out.newHome, 1u) << "least-worn survivor by id order";
-    EXPECT_EQ(sys.read(per + 256, 64), s.want);
+    EXPECT_EQ(out.newHome, 2u) << "least-worn live survivor by id order";
+    EXPECT_EQ(sys.read(2 * per + 256, 64), s.want);
+    EXPECT_EQ(sys.read(per, 512), std::vector<std::uint8_t>(512))
+        << "the quarantined subarray is never written";
     EXPECT_EQ(mgr.stats().recoveredByRehome, 1u);
     EXPECT_EQ(mgr.stats().rehomes, 1u);
-    EXPECT_FALSE(mgr.isQuarantined(0));
+    EXPECT_FALSE(policy.isQuarantined(0)) << "rung 2 quarantines nothing";
+    EXPECT_EQ(policy.quarantinedCount(), 1u);
     sys.disableFaultInjection();
 }
 
@@ -236,7 +256,8 @@ TEST(RecoveryManager, RehomeRefusesEquallyWornTargets)
     rc.retryBudget = 0;
     rc.rehomeBudget = 1;
     rc.replanBudget = 0;
-    RecoveryManager mgr(rc, sys);
+    HealthPolicy policy = policyFor(sys);
+    RecoveryManager mgr(rc, sys, policy);
 
     bool moved = false;
     RecoveryManager::Hooks hooks;
@@ -270,13 +291,16 @@ TEST(RecoveryManager, ReplanQuarantinesTheCulprit)
     rc.retryBudget = 0;
     rc.rehomeBudget = 0; // skip straight to rung 3
     rc.replanBudget = 1;
-    RecoveryManager mgr(rc, sys);
+    HealthPolicy policy = policyFor(sys);
+    RecoveryManager mgr(rc, sys, policy);
 
     const VpcRecoveryOutcome out =
         mgr.recoverVpc(0, journal, movingHooks(sys, journal));
     EXPECT_EQ(out.rung, RecoveryRung::Replan);
-    EXPECT_TRUE(mgr.isQuarantined(0)) << "culprit is sticky-bad";
-    EXPECT_FALSE(mgr.isQuarantined(out.newHome));
+    EXPECT_TRUE(policy.isQuarantined(0)) << "culprit is sticky-bad";
+    EXPECT_FALSE(policy.isQuarantined(out.newHome));
+    EXPECT_EQ(policy.quarantinedCount(), 1u);
+    EXPECT_EQ(out.newHome, 1u);
     EXPECT_EQ(sys.read(per + 256, 64), s.want);
     EXPECT_EQ(mgr.stats().replans, 1u);
     EXPECT_EQ(mgr.stats().recoveredByReplan, 1u);
@@ -313,7 +337,8 @@ TEST(RecoveryManager, ExhaustedLadderRollsBackBitExact)
     rc.retryBudget = 2;
     rc.rehomeBudget = 0;
     rc.replanBudget = 0;
-    RecoveryManager mgr(rc, sys);
+    HealthPolicy policy = policyFor(sys);
+    RecoveryManager mgr(rc, sys, policy);
     RecoveryManager::Hooks hooks;
     hooks.failingSubarray = [](std::size_t) { return 0u; };
 
