@@ -331,7 +331,6 @@ Executor::run(const VpcSchedule &schedule)
     hostLink_.reset();
     breakdown_ = TimeBreakdown{};
     coverage_.reset(subarrays_.size());
-    costValid_ = false;
 
     // Completion ticks live in a ring that spans the longest
     // dependency distance, so dependencies read live slots only.
@@ -342,13 +341,31 @@ Executor::run(const VpcSchedule &schedule)
     std::uint64_t pim_vpcs = 0;
     std::uint64_t move_vpcs = 0;
 
-    schedule.forEachBatch([&](std::uint32_t i, const VpcBatch &b) {
+    // What a run's batches share is worked out once per descriptor:
+    // the kind, the VPC tallies, the host-link slot and the cost of
+    // the shape, recomputed only when the shape changes.
+    bool pim = false;
+    Tick host_slot = 0;
+    BatchCost cost;
+    VpcBatch shape;
+    bool shape_known = false;
+    auto on_run = [&](const VpcBatch &run) {
+        pim = isPimVpc(run.kind);
+        (pim ? pim_vpcs : move_vpcs) +=
+            std::uint64_t(run.vpcCount) * run.repeat;
         // Host link: commands stream to the device asynchronously;
         // each VPC costs a fixed serialization slot.
-        TickSpan host = hostLink_.acquire(
-            0, Tick(b.vpcCount) * cfg_.vpcIssueTicks);
+        host_slot = Tick(run.vpcCount) * cfg_.vpcIssueTicks;
+        if (!shape_known || !sameShape(run, shape)) {
+            cost = pim ? computeCost(run) : transferCost(run);
+            shape = run;
+            shape_known = true;
+        }
+    };
 
-        Tick ready = host.end;
+    schedule.forEachBatch(on_run, [&](std::uint32_t i,
+                                      const VpcBatch &b) {
+        Tick ready = hostLink_.acquire(0, host_slot).end;
         if (b.barrier)
             ready = std::max(ready, all_done);
         if (b.depA != kNoBatch) {
@@ -364,15 +381,8 @@ Executor::run(const VpcSchedule &schedule)
             ready = std::max(ready, done_[b.depB & mask]);
         }
 
-        const bool pim = isPimVpc(b.kind);
-        (pim ? pim_vpcs : move_vpcs) += b.vpcCount;
-        if (!costValid_ || !sameShape(b, costShape_)) {
-            cost_ = pim ? computeCost(b) : transferCost(b);
-            costShape_ = b;
-            costValid_ = true;
-        }
-        const Tick end = pim ? runCompute(b, cost_, ready)
-                             : runTransfer(b, cost_, ready);
+        const Tick end = pim ? runCompute(b, cost, ready)
+                             : runTransfer(b, cost, ready);
         done_[i & mask] = end;
         all_done = std::max(all_done, end);
     });

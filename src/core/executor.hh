@@ -65,6 +65,8 @@ struct TimeBreakdown
     Tick exclusiveProcess = 0;
     Tick overlapped = 0;
     Tick idle = 0;
+
+    bool operator==(const TimeBreakdown &) const = default;
 };
 
 /** Result of executing one schedule. */
@@ -85,6 +87,8 @@ struct ExecutionReport
 
     double seconds() const { return ticksToSeconds(makespan); }
     double joules() const { return energy.totalPj() * 1e-12; }
+
+    bool operator==(const ExecutionReport &) const = default;
 };
 
 /** Replays schedules; one instance per experiment run. */
@@ -102,9 +106,10 @@ class Executor
      * (kind, vpcCount, vectorLen, recovery): the durations,
      * breakdown shares and energy counts the per-batch path would
      * otherwise recompute with several integer divisions.
-     * A run's batches share one shape, so run() computes the cost
-     * once per change of shape. Energy is still recorded per logical
-     * batch, in order (DESIGN §13).
+     * A run's batches share one shape, so run() checks the shape
+     * once per run and computes the cost only when it changes.
+     * Energy is still recorded per logical batch, in order
+     * (DESIGN §13).
      */
     struct BatchCost
     {
@@ -186,10 +191,6 @@ class Executor
      */
     std::vector<Tick> done_;
     TimeBreakdown breakdown_;
-    /** Cost of the last batch shape seen; run() invalidates it. */
-    BatchCost cost_;
-    VpcBatch costShape_;
-    bool costValid_ = false;
     /** Fig. 19 coverage of transfer and process spans per subarray. */
     CoverageUnion coverage_;
 };

@@ -385,6 +385,13 @@ StreamPimSystem::ensurePool(unsigned jobs)
 }
 
 void
+StreamPimSystem::releaseWorkers()
+{
+    pool_.reset();
+    poolJobs_ = 0;
+}
+
+void
 StreamPimSystem::runParallel(
     const std::vector<Vpc> &batch,
     const std::vector<std::uint64_t> &masks,

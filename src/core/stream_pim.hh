@@ -148,6 +148,14 @@ class StreamPimSystem
     void processQueueInto(std::vector<VpcExecutionRecord> &records,
                           unsigned jobs, BatchJournal &journal);
 
+    /**
+     * Join and drop the parallel engine's worker threads. The next
+     * drain at more than one job starts them again, so a caller that
+     * is done with the device can pay for the join inside its own
+     * work instead of in the device's destructor.
+     */
+    void releaseWorkers();
+
     /** Transactional-recovery primitives (runtime/recovery.hh). @{ */
 
     /**

@@ -500,6 +500,9 @@ runTiledMatmul(StreamPimSystem &device,
     }
 
     std::vector<std::uint8_t> c = device.read(c_base, c_bytes);
+    // The join is part of this call's work, not the caller's later
+    // teardown of the device.
+    device.releaseWorkers();
     if (stats != nullptr)
         *stats = st;
     return c;

@@ -114,7 +114,8 @@ std::vector<std::uint8_t> hostMatmulReference(
  * backing subarray when the geometry has fewer than three
  * subarrays); the rest compute. Operands may exceed any compute
  * subarray's capacity — only one tile's working set must fit, which
- * the runner checks up front.
+ * the runner checks up front. The device's engine workers are joined
+ * before the call returns (StreamPimSystem::releaseWorkers).
  */
 std::vector<std::uint8_t> runTiledMatmul(
     StreamPimSystem &device, std::span<const std::uint8_t> a,

@@ -97,6 +97,8 @@ class EnergyMeter
         energyPj_.fill(0.0);
     }
 
+    bool operator==(const EnergyMeter &) const = default;
+
   private:
     static constexpr unsigned kN =
         static_cast<unsigned>(EnergyOp::NumOps);

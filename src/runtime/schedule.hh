@@ -204,7 +204,21 @@ struct VpcSchedule
     void
     forEachBatch(Fn &&fn) const
     {
+        forEachBatch([](const VpcBatch &) {}, fn);
+    }
+
+    /**
+     * forEachBatch(fn), calling @p onRun(run) once per descriptor
+     * before that descriptor's logical batches. What a run's batches
+     * share (kind, vpcCount, vectorLen, recovery) can be worked out
+     * there once instead of once per batch.
+     */
+    template <typename RunFn, typename Fn>
+    void
+    forEachBatch(RunFn &&onRun, Fn &&fn) const
+    {
         for (const VpcBatch &run : batches) {
+            onRun(run);
             VpcBatch b = run;
             b.repeat = 1;
             b.subarrayStep = b.dstSubarrayStep = 0;

@@ -24,6 +24,7 @@ CoverageUnion::reset(std::size_t resources)
         cat.merged.clear();
         cat.late.clear();
         cat.recent = 0;
+        cat.finger = 0;
     }
 }
 
@@ -52,6 +53,8 @@ CoverageUnion::Category::reopen(std::size_t resource, Tick start,
 void
 CoverageUnion::Category::insert(Tick start, Tick end)
 {
+    if (inFinger(start, end))
+        return;
     // The first component whose end reaches start is the one the run
     // touches or precedes; components before it end before start.
     // Components that touch merge, so the set stays disjoint with
@@ -69,6 +72,7 @@ CoverageUnion::Category::insert(Tick start, Tick end)
     auto cur = std::lower_bound(
         window, last, start,
         [](const Run &r, Tick t) { return r.end < t; });
+    finger = std::size_t(cur - merged.begin());
     if (cur == last || cur->start > end) {
         merged.insert(cur, {start, end});
         return;

@@ -12,13 +12,22 @@
  * components for its category; memory is O(resources + components),
  * not O(spans).
  *
+ * A span that starts past its run's end still extends the run when
+ * the gap between them is already covered: by the component the last
+ * insert touched (the finger) or by the open run extended last. The
+ * union stays exact because the gap's ticks are in it anyway:
+ * components only grow, and an open run is inserted whole when it
+ * closes. Bridging keeps a resource that idles inside busy time from
+ * closing one run per span.
+ *
  * Runs close in near time order, so almost every closed run lands
- * among the last few components: a binary search over that tail and
- * an in-place merge there keep the common case in cache, with no
- * per-run allocation. A run that lands further back waits in a late
- * buffer that is sorted and merged into the components in one linear
- * pass once it holds about half as many runs as there are components,
- * so any arrival order costs O(log) per run amortized.
+ * among the last few components: a run inside the finger is dropped
+ * at once, and a binary search over the tail and an in-place merge
+ * there keep the rest in cache, with no per-run allocation. A run
+ * that lands further back waits in a late buffer that is sorted and
+ * merged into the components in one linear pass once it holds about
+ * half as many runs as there are components, so any arrival order
+ * costs O(log) per run amortized.
  */
 
 #ifndef STREAMPIM_SIM_COVERAGE_HH_
@@ -74,7 +83,7 @@ class CoverageUnion
         SPIM_ASSERT(start >= run.start, "span at ", start,
                     " starts before resource ", resource,
                     "'s open run at ", run.start);
-        if (start <= run.end)
+        if (start <= run.end || cat.covers(run.end, start))
             run.end = std::max(run.end, end);
         else
             cat.reopen(resource, start, end);
@@ -110,6 +119,31 @@ class CoverageUnion
         std::vector<Run> merged;  //!< disjoint, gapped, by start
         std::vector<Run> late;    //!< closed runs awaiting a merge
         std::size_t recent = 0;   //!< resource extended last
+        /**
+         * Index of the component the last insert touched. Any index
+         * below merged.size() names a component of the union, so one
+         * made stale by a late merge costs hits, never exactness.
+         */
+        std::size_t finger = 0;
+
+        /** Whether the finger component holds [@p from, @p to). */
+        bool
+        inFinger(Tick from, Tick to) const
+        {
+            return finger < merged.size() &&
+                   merged[finger].start <= from && to <= merged[finger].end;
+        }
+
+        /**
+         * Whether [@p from, @p to) is already covered, as far as the
+         * finger component or the open run extended last can tell.
+         */
+        bool
+        covers(Tick from, Tick to) const
+        {
+            const Run &o = open[recent];
+            return inFinger(from, to) || (o.start <= from && to <= o.end);
+        }
 
         /**
          * Close @p resource's open run into the disjoint set and open

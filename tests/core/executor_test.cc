@@ -13,8 +13,12 @@
 #include "common/rng.hh"
 #include "common/rss.hh"
 #include "core/executor.hh"
+#include "runtime/planner.hh"
 #include "runtime/schedule.hh"
 #include "sim/coverage.hh"
+#include "support/schedules.hh"
+#include "workloads/dnn.hh"
+#include "workloads/polybench.hh"
 
 namespace streampim
 {
@@ -708,6 +712,130 @@ TEST(CoverageUnion, LateRunsFarBehindTheTailMatchOracle)
     }
 }
 
+TEST(CoverageUnion, BridgedGapsMatchSortOracle)
+{
+    // Sparse resources leave gaps of three kinds between their spans:
+    // inside a merged component (the long run resource 0 closes
+    // first), inside the open run extended last (resource 1's busy
+    // stream, added just before), or covered by nothing yet. The
+    // first two may be bridged, the last closes the run; the union
+    // must match the oracle either way.
+    Rng rng(0xb21d9e);
+    std::size_t gaps[3] = {}; // component, open run, uncovered
+    for (unsigned trial = 0; trial < 300; ++trial) {
+        const std::size_t resources = 3 + rng.below(6);
+        const CoverageKind kind = rng.below(2) ? CoverageKind::Transfer
+                                               : CoverageKind::Process;
+        const CoverageKind other = kind == CoverageKind::Transfer
+            ? CoverageKind::Process
+            : CoverageKind::Transfer;
+        // Resource 1 streams the other kind in a third of the trials,
+        // so the gaps then only see the component and each other.
+        const CoverageKind busy_kind = rng.below(3) ? kind : other;
+
+        CoverageUnion cov;
+        cov.reset(resources);
+        std::vector<Span> transfer, process;
+        Tick makespan = 0;
+        auto add = [&](CoverageKind k, std::size_t r, Span s) {
+            cov.add(k, r, s.start, s.end);
+            (k == CoverageKind::Transfer ? transfer : process)
+                .push_back(s);
+            makespan = std::max(makespan, s.end);
+        };
+        auto covered = [&](Span gap) {
+            for (const Span &s :
+                 kind == CoverageKind::Transfer ? transfer : process)
+                if (s.start <= gap.start && gap.end <= s.end)
+                    return true;
+            return false;
+        };
+
+        // [0, h) closes into a component when resource 0 moves on.
+        const Tick h = 200 + rng.below(400);
+        add(kind, 0, {0, h});
+        add(kind, 0, {5000 + rng.below(100), 5200});
+
+        Span busy = {h / 2 + rng.below(h), 0};
+        busy.end = busy.start;
+        std::vector<Tick> last_end(resources, 0);
+        std::vector<bool> started(resources, false);
+        for (unsigned step = 0; step < 200; ++step) {
+            bool busy_last = false;
+            if (rng.below(2)) {
+                const Tick len = 1 + rng.below(30);
+                add(busy_kind, 1, {busy.end, busy.end + len});
+                busy.end += len;
+                busy_last = true;
+            }
+            const std::size_t r = 2 + rng.below(resources - 2);
+            const Tick start = last_end[r] + rng.below(60);
+            const Span span = {start, start + 1 + rng.below(20)};
+            if (rng.below(5) == 0) {
+                add(other, r, span);
+                last_end[r] = span.end;
+                continue;
+            }
+            const Span gap = {last_end[r], span.start};
+            if (started[r] && gap.start < gap.end) {
+                if (gap.end <= h)
+                    ++gaps[0];
+                else if (busy_last && busy_kind == kind &&
+                         busy.start <= gap.start && gap.end <= busy.end)
+                    ++gaps[1];
+                else if (!covered(gap))
+                    ++gaps[2];
+            }
+            add(kind, r, span);
+            last_end[r] = span.end;
+            started[r] = true;
+        }
+
+        const Coverage c = cov.finish();
+        SCOPED_TRACE(trial);
+        EXPECT_EQ(c.transfer, unionTicks(transfer));
+        EXPECT_EQ(c.process, unionTicks(process));
+        EXPECT_EQ(cov.components(CoverageKind::Transfer),
+                  unionComponents(transfer));
+        EXPECT_EQ(cov.components(CoverageKind::Process),
+                  unionComponents(process));
+        expectSameCoverage(
+            coverageSplit(c.transfer, c.process, c.either, makespan),
+            oracleSplit(transfer, process, makespan));
+    }
+    EXPECT_GT(gaps[0], 1000u);
+    EXPECT_GT(gaps[1], 1000u);
+    EXPECT_GT(gaps[2], 1000u);
+}
+
+TEST(CoverageUnion, CoveredGapsAddNoComponents)
+{
+    // Two streams whose every gap is already covered: one inside a
+    // merged component, one inside the open run extended just
+    // before. Both extend their open run across the gaps, so neither
+    // adds a component while it streams.
+    CoverageUnion cov;
+    cov.reset(4);
+    cov.add(CoverageKind::Transfer, 0, 0, 1000);
+    cov.add(CoverageKind::Transfer, 0, 5000, 5010); // closes [0, 1000)
+    ASSERT_EQ(cov.components(CoverageKind::Transfer), 1u);
+    for (Tick i = 0; i < 100; ++i) {
+        cov.add(CoverageKind::Transfer, 1, 10 * i, 10 * i + 4);
+        EXPECT_EQ(cov.components(CoverageKind::Transfer), 1u) << i;
+    }
+    for (Tick i = 0; i < 100; ++i) {
+        cov.add(CoverageKind::Transfer, 3, 6000 + 10 * i,
+                6010 + 10 * i);
+        cov.add(CoverageKind::Transfer, 2, 6000 + 10 * i,
+                6003 + 10 * i);
+        EXPECT_EQ(cov.components(CoverageKind::Transfer), 1u) << i;
+    }
+    const Coverage c = cov.finish();
+    EXPECT_EQ(c.transfer, 1000u + 10u + 1000u);
+    EXPECT_EQ(c.either, 1000u + 10u + 1000u);
+    EXPECT_EQ(cov.components(CoverageKind::Transfer), 3u);
+}
+
 TEST(CoverageUnionDeath, SpanBeforeOpenRunPanics)
 {
     CoverageUnion cov;
@@ -754,6 +882,49 @@ TEST(Executor, ReusableAcrossRuns)
     ExecutionReport r2 = ex.run(s);
     EXPECT_EQ(r1.makespan, r2.makespan);
     EXPECT_EQ(r1.energy.totalPj(), r2.energy.totalPj());
+}
+
+TEST(Executor, RunLengthScheduleMatchesExpandedCopy)
+{
+    // Executor::run works out a run's shared kind, tallies, host slot
+    // and cost once per descriptor. A copy with one descriptor per
+    // logical batch walks the same batches one run at a time and
+    // must give the same report, energy bit for bit.
+    BertConfig bert;
+    bert.layers = 1;
+    bert.seqLen = 32;
+    bert.hidden = 256;
+    bert.heads = 4;
+    bert.ffnDim = 1024;
+    struct Case
+    {
+        const char *name;
+        TaskGraph graph;
+        OptLevel level;
+    };
+    const Case cases[] = {
+        {"bert-1", makeBert(bert), OptLevel::Unblock},
+        {"gemm-256", makePolybench(PolybenchKernel::Gemm, 256),
+         OptLevel::Distribute},
+    };
+    for (const Case &c : cases) {
+        SystemConfig cfg = SystemConfig::paperDefault();
+        cfg.optLevel = c.level;
+        const VpcSchedule runs = Planner(cfg).plan(c.graph);
+        VpcSchedule flat;
+        flat.batches = expandedBatches(runs);
+        flat.opResultBatch = runs.opResultBatch;
+        ASSERT_LT(runs.batches.size(), flat.batches.size())
+            << c.name << ": the planner's schedule has no long runs";
+
+        Executor ex(cfg);
+        const ExecutionReport want = ex.run(flat);
+        const ExecutionReport got = ex.run(runs);
+        EXPECT_EQ(got.makespan, want.makespan) << c.name;
+        EXPECT_EQ(got.energy.totalPj(), want.energy.totalPj()) << c.name;
+        EXPECT_EQ(got.breakdown, want.breakdown) << c.name;
+        EXPECT_TRUE(got == want) << c.name;
+    }
 }
 
 TEST(Executor, HostLinkThrottlesVpcIssue)

@@ -165,6 +165,23 @@ TEST(TiledMatmul, ByteIdenticalAcrossJobCounts)
     }
 }
 
+TEST(TiledMatmul, SecondRunOnOneDeviceRestartsItsWorkers)
+{
+    // Each call joins the device's engine workers before it returns;
+    // the next call's first parallel drain starts them again.
+    const Shape s = {40, 24, 36};
+    StreamPimSystem sys;
+    TiledMatmulConfig cfg;
+    cfg.jobs = 2;
+    for (std::uint64_t seed : {11u, 12u}) {
+        const auto a = randomBytes(std::uint64_t(s.n) * s.k, seed);
+        const auto b = randomBytes(std::uint64_t(s.k) * s.m, seed + 50);
+        EXPECT_EQ(runTiledMatmul(sys, a, b, s.n, s.k, s.m, cfg),
+                  hostMatmulReference(a, b, s.n, s.k, s.m))
+            << "seed " << seed;
+    }
+}
+
 TEST(TiledMatmul, MatchesShadowSimulationAtEightJobs)
 {
     // The host-side shadow (mod-256 reference) predicts the exact
