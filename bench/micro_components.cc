@@ -7,12 +7,13 @@
  *
  * After the microbenchmarks, a fast-vs-strict functional matmul
  * comparison runs the same deterministic dot-product workload in
- * both modes (packed word-parallel default, then the
- * STREAMPIM_STRICT_GATES netlist oracle), interleaved over a few
- * repetitions with best-of timing, and reports both throughputs,
- * the speedup, and the mode-invariant outputs (checksum, logic
- * counters, energy) into BENCH_micro_components.json via the shared
- * `--json` / STREAMPIM_JSON convention.
+ * both modes (the RM processor's closed-form default, reported as
+ * the "packed" row, then the STREAMPIM_STRICT_GATES netlist
+ * oracle), interleaved over a few repetitions with best-of timing,
+ * and reports both throughputs, the speedup, and the
+ * mode-invariant outputs (checksum, logic counters, energy) into
+ * BENCH_micro_components.json via the shared `--json` /
+ * STREAMPIM_JSON convention.
  */
 
 #include <benchmark/benchmark.h>

@@ -20,7 +20,6 @@ PlatformResult
 StreamPimPlatform::run(const TaskGraph &graph)
 {
     VpcSchedule schedule = planner_.plan(graph);
-    planStats_ = planner_.stats();
     lastReport_ = executor_.run(schedule);
 
     const std::uint64_t nl = nonlinearElements(graph);

@@ -31,9 +31,6 @@ class StreamPimPlatform : public Platform
     /** The raw execution report of the last run (Fig. 19/20). */
     const ExecutionReport &lastReport() const { return lastReport_; }
 
-    /** The plan statistics of the last run (Table IV). */
-    const PlanStats &lastPlanStats() const { return planStats_; }
-
     const SystemConfig &config() const { return cfg_; }
 
     /** Host-side nonlinear op costs (same host as CPU-RM). @{ */
@@ -46,7 +43,6 @@ class StreamPimPlatform : public Platform
     Planner planner_;
     Executor executor_;
     ExecutionReport lastReport_;
-    PlanStats planStats_;
 };
 
 } // namespace streampim

@@ -1,6 +1,5 @@
 #include "bus/rm_bus.hh"
 
-#include <bit>
 #include <cstdlib>
 
 #include "common/log.hh"
@@ -11,11 +10,8 @@ namespace streampim
 {
 
 RmBusLane::RmBusLane(unsigned segments)
-    : segments_(segments),
-      topMask_(segments % 64 ? (std::uint64_t(1) << (segments % 64))
-                                   - 1
-                             : ~std::uint64_t(0)),
-      occ_((segments + 63) / 64, 0), flits_(segments)
+    : segments_(segments), occ_((segments + 63) / 64, 0),
+      flits_(segments)
 {
     SPIM_ASSERT(segments >= 2,
                 "a lane needs at least a data and an empty segment");
@@ -40,79 +36,14 @@ RmBusLane::inject(std::uint64_t word)
 unsigned
 RmBusLane::step(FaultInjector *faults, unsigned segment_domains)
 {
-    if (faults && faults->enabled())
-        return stepFallible(faults, segment_domains);
-    return stepFast();
-}
-
-unsigned
-RmBusLane::stepFast()
-{
-    // One pulse of the sweep "a data segment advances only into an
-    // empty segment", resolved whole-word: sweeping from the output
-    // end, segment i advances exactly when some segment above i is
-    // empty (its successor is either empty already or vacated
-    // earlier in the same sweep). Locate the highest empty segment
-    // h; occupied segments below h are the movers, everything at or
-    // above h stays put.
-    const std::size_t nwords = occ_.size();
-    if (nwords == 1) {
-        // Single-word lane (<= 64 segments, the common geometry):
-        // the whole pulse is a handful of scalar bit operations —
-        // payloads live in the FIFO ring and never move.
-        const std::uint64_t occ = occ_[0];
-        const std::uint64_t empty = ~occ & topMask_;
-        if (!empty)
-            return 0;
-        const int hb = 63 - std::countl_zero(empty);
-        const std::uint64_t movers =
-            occ & ((std::uint64_t(1) << hb) - 1);
-        occ_[0] = (occ ^ movers) | (movers << 1);
-        return unsigned(std::popcount(movers));
-    }
-
-    std::size_t hw = nwords;
-    int hb = -1;
-    for (std::size_t w = nwords; w-- > 0;) {
-        const std::uint64_t valid =
-            w == nwords - 1 ? topMask_ : ~std::uint64_t(0);
-        if (const std::uint64_t empty = ~occ_[w] & valid) {
-            hw = w;
-            hb = 63 - std::countl_zero(empty);
-            break;
-        }
-    }
-    if (hb < 0)
-        return 0; // lane completely full: nothing can advance
-
-    unsigned moved = 0;
-    // Words above hw are fully occupied and frozen; process the rest
-    // top-down (a couple crossing a word boundary carries into the
-    // already-finalized word above). Payloads never move: only the
-    // occupancy mask advances.
-    for (std::size_t w = hw + 1; w-- > 0;) {
-        std::uint64_t movers = occ_[w];
-        if (w == hw)
-            movers &= (std::uint64_t(1) << hb) - 1;
-        if (!movers)
-            continue;
-        moved += unsigned(std::popcount(movers));
-        occ_[w] = (occ_[w] ^ movers) | (movers << 1);
-        if (movers >> 63)
-            occ_[w + 1] |= 1; // couple crossing the word boundary
-    }
-    return moved;
-}
-
-unsigned
-RmBusLane::stepFallible(FaultInjector *faults,
-                        unsigned segment_domains)
-{
-    // Per-segment sweep from the output end, kept exactly as the
-    // bit-serial model so the per-move fault sampling order (and
-    // with it every fault-campaign report) is byte-identical. The
-    // k-th occupied position from the top is the k-th-oldest flit;
-    // a move advances the position without reordering the FIFO.
+    // Per-segment sweep from the output end: a data segment advances
+    // only into an empty segment (its successor is either empty
+    // already or vacated earlier in the same sweep). The k-th
+    // occupied position from the top is the k-th-oldest flit; a move
+    // advances the position without reordering the FIFO. Moves are
+    // fault-sampled in sweep order; every fault-campaign golden pins
+    // that RNG draw order.
+    const bool fallible = faults && faults->enabled();
     unsigned moved = 0;
     unsigned k = occupied(segments_ - 1) ? 1 : 0;
     for (std::size_t i = segments_ - 1; i-- > 0;) {
@@ -125,6 +56,8 @@ RmBusLane::stepFallible(FaultInjector *faults,
         setOccupied(i + 1, true);
         setOccupied(i, false);
         moved++;
+        if (!fallible)
+            continue;
         // One pulse of segment_domains domain steps moved this
         // couple; a fault displaces the word by one domain within
         // its segment (Sec. III-D per-pulse bound).

@@ -12,11 +12,13 @@
  *
  * Two models live here:
  *  - RmBusLane / RmBus: the functional model that carries every
- *    streamed word of the datapath. A fault-free transfer is
- *    resolved in closed form (words leave in injection order after a
- *    fixed pipeline depth); a fallible or strict-mode transfer steps
- *    every couple one pulse per cycle, sampling each pulse. The
- *    stepped lanes also serve tests and the bus_inspector example,
+ *    streamed word of the datapath, at two levels. The fast path
+ *    resolves a fault-free transfer in closed form (words leave in
+ *    injection order after a fixed pipeline depth). The oracle is
+ *    the per-segment sweep of RmBusLane::step, one pulse per couple
+ *    per cycle; it runs every fallible transfer (sampling each
+ *    pulse), every strict-mode transfer (STREAMPIM_STRICT_GATES,
+ *    dwlogic/mode.hh), the tests and the bus_inspector example;
  *  - RmBusTiming: closed-form cycles/energy used by the timed
  *    architecture simulation, validated against the functional model.
  */
@@ -60,9 +62,10 @@ class RmBusLane
     /**
      * Advance one bus clock: every data segment whose successor is
      * empty moves forward one segment (all couples shift with one
-     * pulse each, Fig. 12). With a fault injector, each couple's
-     * pulse of @p segment_domains domain steps may over- or
-     * under-shift the word by one position within its segment.
+     * pulse each, Fig. 12), swept segment by segment from the output
+     * end. With an enabled fault injector, each couple's pulse of
+     * @p segment_domains domain steps may over- or under-shift the
+     * word by one position within its segment.
      * @return number of data segments that moved.
      */
     unsigned step(FaultInjector *faults = nullptr,
@@ -134,17 +137,6 @@ class RmBusLane
             occ_[i / 64] &= ~mask;
     }
 
-    /** One fault-free pulse, word-packed over the occupancy mask. */
-    unsigned stepFast();
-
-    /**
-     * One fallible pulse: the exact per-segment sweep, preserving
-     * the fault-sampling order of the bit-serial model so fault
-     * campaigns stay byte-identical.
-     */
-    unsigned stepFallible(FaultInjector *faults,
-                          unsigned segment_domains);
-
     /**
      * Payload of the @p k-th flit in descending-position order
      * (k = 0 is the oldest word, sitting at the highest occupied
@@ -170,12 +162,9 @@ class RmBusLane
     }
 
     unsigned segments_;
-    /** Valid-bit mask of the top occupancy word. */
-    std::uint64_t topMask_;
     /**
      * Packed occupancy bitmask: bit s of word s/64 = segment s
-     * holds a data wave. A pulse advances whole words of couples
-     * with bitwise ops.
+     * holds a data wave.
      */
     std::vector<std::uint64_t> occ_;
     /**
@@ -281,6 +270,14 @@ class RmBusTiming
      * pipelined injection: traversal (segmentCount) for the first
      * wave, then a new wave every 2 cycles (each data segment needs
      * a trailing empty segment).
+     *
+     * The traversal counts segmentCount hops: the shift that moves
+     * the wave from the source port into the entry segment, then
+     * segmentCount - 1 segment-to-segment pulses. The functional
+     * RmBus places an injected word in the entry segment without a
+     * pulse, so for a wave of the same size its transfer takes one
+     * cycle less (segments - 1 + 2 (w - 1)); recordTransferEnergy
+     * charges the entry hop as well.
      */
     Cycle
     transferCycles(std::uint64_t elements) const
@@ -350,22 +347,6 @@ class RmBusTiming
         if (params_.shiftFaultPStep <= 0.0 || elements == 0)
             return 0;
         return Cycle(std::ceil(expectedCorrectionShifts(elements)));
-    }
-
-    /**
-     * Record the reliability energy of moving @p elements: one
-     * guard sense per segment pulse plus the expected compensating
-     * shifts at the in-mat shift energy.
-     */
-    void
-    recordReliabilityEnergy(RmEnergyModel &energy,
-                            std::uint64_t elements) const
-    {
-        if (params_.shiftFaultPStep <= 0.0 || elements == 0)
-            return;
-        energy.guardSense(pulsesFor(elements));
-        energy.shift(std::uint64_t(
-            std::ceil(expectedCorrectionShifts(elements))));
     }
 
   private:

@@ -65,17 +65,6 @@ class BumpArena
         return {p, n};
     }
 
-    /** Typed allocation; @p T must be trivially 8-byte alignable. */
-    template <typename T>
-    std::span<T>
-    allocOf(std::size_t n)
-    {
-        static_assert(alignof(T) <= kAlign,
-                      "BumpArena aligns to 8 bytes");
-        auto bytes = alloc(n * sizeof(T));
-        return {reinterpret_cast<T *>(bytes.data()), n};
-    }
-
     /**
      * Recycle the arena: every outstanding span is invalidated, all
      * retained storage becomes available again. A multi-block arena

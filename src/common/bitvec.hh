@@ -5,12 +5,11 @@
  * is the domain closest to the component's output in the shift
  * direction.
  *
- * The store is packed: 64 domains per machine word, so whole-vector
- * operations (conversion, comparison, bitwise combination, shifts,
- * packed addition) cost O(words) instead of O(bits). The packed
- * representation is what makes the word-parallel fast path of the
- * dwlogic units (see dwlogic/mode.hh) cheap; the bit-accurate
- * netlist still drives individual get()/set() accesses.
+ * The store is packed: 64 domains per machine word, so conversion
+ * to and from integers, clearing, and the span accessors bits() /
+ * setBits() (the mat's word path, see mem/mat.hh) cost O(words)
+ * instead of O(bits). The dwlogic gate netlist drives individual
+ * get()/set() accesses.
  *
  * Vectors of up to kInlineWords * 64 bits (all the dwlogic operand
  * and accumulator widths) live in inline storage — constructing and
@@ -18,18 +17,14 @@
  * images) spill to the heap transparently.
  *
  * Invariant: bits at positions >= size() inside the top word are
- * always zero, so equality, popcount and word extraction never need
- * masking.
+ * always zero, so word extraction never needs masking.
  */
 
 #ifndef STREAMPIM_COMMON_BITVEC_HH_
 #define STREAMPIM_COMMON_BITVEC_HH_
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 #include "common/log.hh"
@@ -116,10 +111,6 @@ class BitVec
     }
 
     std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-    /** Number of backing words. */
-    std::size_t wordCount() const { return nwords_; }
 
     /** Backing word @p w (bits [64w, 64w+63], LSB first). */
     std::uint64_t
@@ -128,16 +119,6 @@ class BitVec
         SPIM_ASSERT(w < nwords_, "BitVec word index ", w, " out of ",
                     nwords_);
         return words()[w];
-    }
-
-    /** Overwrite backing word @p w; bits beyond size() are masked. */
-    void
-    setWord(std::size_t w, std::uint64_t value)
-    {
-        SPIM_ASSERT(w < nwords_, "BitVec word index ", w, " out of ",
-                    nwords_);
-        words()[w] = value;
-        maskTop();
     }
 
     bool
@@ -158,18 +139,6 @@ class BitVec
             words()[i / kWordBits] &= ~mask;
     }
 
-    /** Append one bit at the MSB end. */
-    void
-    push(bool v)
-    {
-        if (size_ % kWordBits == 0)
-            setWordCount(nwords_ + 1);
-        size_ += 1;
-        if (v)
-            words()[(size_ - 1) / kWordBits] |=
-                std::uint64_t(1) << ((size_ - 1) % kWordBits);
-    }
-
     /** Widen (zero-extend) or truncate to @p n bits. */
     void
     resize(std::size_t n)
@@ -179,122 +148,11 @@ class BitVec
         maskTop();
     }
 
-    /** Number of set bits. */
-    std::size_t
-    popcount() const
-    {
-        return simd::popcountWords(words(), nwords_);
-    }
-
-    /** MSB-first human-readable form, e.g. "0b0101". */
-    std::string
-    toString() const
-    {
-        std::string s = "0b";
-        for (std::size_t i = size_; i-- > 0;)
-            s += get(i) ? '1' : '0';
-        return s;
-    }
-
-    bool
-    operator==(const BitVec &o) const
-    {
-        return size_ == o.size_ &&
-               simd::equalWords(words(), o.words(), nwords_);
-    }
-
-    bool operator!=(const BitVec &o) const { return !(*this == o); }
-
-    /** Bitwise combination; operands must have equal width. @{ */
-    BitVec &
-    operator&=(const BitVec &o)
-    {
-        SPIM_ASSERT(size_ == o.size_, "BitVec width mismatch: ",
-                    size_, " vs ", o.size_);
-        simd::andWords(words(), o.words(), nwords_);
-        return *this;
-    }
-
-    BitVec &
-    operator|=(const BitVec &o)
-    {
-        SPIM_ASSERT(size_ == o.size_, "BitVec width mismatch: ",
-                    size_, " vs ", o.size_);
-        simd::orWords(words(), o.words(), nwords_);
-        return *this;
-    }
-
-    BitVec &
-    operator^=(const BitVec &o)
-    {
-        SPIM_ASSERT(size_ == o.size_, "BitVec width mismatch: ",
-                    size_, " vs ", o.size_);
-        simd::xorWords(words(), o.words(), nwords_);
-        return *this;
-    }
-    /** @} */
-
-    /** Invert every bit in place (width unchanged). */
-    BitVec &
-    invert()
-    {
-        simd::notWords(words(), nwords_);
-        maskTop();
-        return *this;
-    }
-
-    /**
-     * Shift toward the MSB end by @p n positions (width unchanged,
-     * bits shifted past size() are dropped, zeros shift in at the
-     * LSB end).
-     */
-    BitVec &
-    operator<<=(std::size_t n)
-    {
-        if (n >= size_) {
-            clear();
-            return *this;
-        }
-        simd::shlWords(words(), nwords_, n / kWordBits,
-                       unsigned(n % kWordBits));
-        maskTop();
-        return *this;
-    }
-
-    /** Shift toward the LSB end by @p n positions (zero fill). */
-    BitVec &
-    operator>>=(std::size_t n)
-    {
-        if (n >= size_) {
-            clear();
-            return *this;
-        }
-        simd::shrWords(words(), nwords_, n / kWordBits,
-                       unsigned(n % kWordBits));
-        return *this;
-    }
-
     /** Zero every bit (width unchanged). */
     void
     clear()
     {
         simd::zeroWords(words(), nwords_);
-    }
-
-    /**
-     * Copy @p len bits from @p src starting at @p src_pos into this
-     * vector starting at @p dst_pos (word-wise; regions must lie
-     * inside both vectors).
-     */
-    void
-    copyRange(const BitVec &src, std::size_t src_pos,
-              std::size_t dst_pos, std::size_t len)
-    {
-        SPIM_ASSERT(src_pos + len <= src.size_,
-                    "copyRange source overrun");
-        SPIM_ASSERT(dst_pos + len <= size_,
-                    "copyRange destination overrun");
-        simd::copyBits(words(), dst_pos, src.words(), src_pos, len);
     }
 
     /**
@@ -327,32 +185,6 @@ class BitVec
                     "BitVec span [", pos, ", ", pos + len,
                     ") out of ", size_);
         simd::copyBits(words(), pos, &value, 0, len);
-    }
-
-    /**
-     * Packed binary addition: sum = (a + b + cin) mod 2^sum.size(),
-     * computed word-wise. Operands narrower than the sum are
-     * zero-extended; wider operands are a caller bug.
-     * @return the carry out of bit sum.size()-1.
-     */
-    static bool
-    addPacked(BitVec &sum, const BitVec &a, const BitVec &b,
-              bool cin = false)
-    {
-        SPIM_ASSERT(a.size_ <= sum.size_ && b.size_ <= sum.size_,
-                    "addPacked operands wider than the sum");
-        std::uint64_t *sumw = sum.words();
-        bool carry =
-            simd::addWords(sumw, sum.nwords_, a.words(), a.nwords_,
-                           b.words(), b.nwords_, cin);
-        // The carry out of the sum width lives at bit size() of the
-        // unmasked top word when the width is not word-aligned.
-        const std::size_t top = sum.size_ % kWordBits;
-        if (top != 0) {
-            carry = (sumw[sum.nwords_ - 1] >> top) & 1u;
-            sum.maskTop();
-        }
-        return carry;
     }
 
   private:

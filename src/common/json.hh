@@ -67,9 +67,6 @@ class Json
 
     Kind kind() const { return Kind(v_.index()); }
     bool isNull() const { return kind() == Kind::Null; }
-    bool isNumber() const { return kind() == Kind::Number; }
-    bool isString() const { return kind() == Kind::String; }
-    bool isArray() const { return kind() == Kind::Array; }
     bool isObject() const { return kind() == Kind::Object; }
 
     /** Value accessors; panic on kind mismatch. */

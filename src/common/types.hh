@@ -43,13 +43,6 @@ nsToTicks(NanoSec ns)
     return static_cast<Tick>(ns * static_cast<double>(kTicksPerNs) + 0.5);
 }
 
-/** Convert ticks back to nanoseconds. */
-constexpr double
-ticksToNs(Tick t)
-{
-    return static_cast<double>(t) / static_cast<double>(kTicksPerNs);
-}
-
 /** Convert ticks to seconds (for bandwidth/throughput reporting). */
 constexpr double
 ticksToSeconds(Tick t)

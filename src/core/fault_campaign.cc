@@ -110,13 +110,9 @@ campaignParams(const FaultCampaignConfig &cfg)
     RmParams params = smallFunctionalParams();
     params.busSegmentSize = cfg.busSegmentSize;
     params.shiftFaultPStep = cfg.pStep;
-    params.guardCoverage = cfg.guardCoverage;
-    params.guardDomains = cfg.guardDomains;
-    params.realignRetryBudget = cfg.realignRetryBudget;
     params.writeFaultP0 = cfg.pWrite0;
     params.writeEndurance = cfg.writeEndurance;
     params.weibullShape = cfg.weibullShape;
-    params.redepositRetryBudget = cfg.redepositRetryBudget;
     params.spareTracksPerMat = cfg.spareTracks;
     params.validate();
     return params;

@@ -128,7 +128,7 @@ class StreamPimSystem
      * processQueue writing into @p records (resized to the batch).
      * Reuses the records' command buffers and the system's batch/
      * mask scratch: once warm, a serial (jobs == 1) drain of a
-     * same-shaped batch in the packed functional mode performs zero
+     * same-shaped batch in the default functional mode performs zero
      * heap allocations (tests/allocfree pins this). The parallel
      * engine still builds its per-batch conflict graph.
      */

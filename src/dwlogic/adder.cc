@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "common/log.hh"
-#include "dwlogic/mode.hh"
 
 namespace streampim
 {
@@ -40,16 +39,6 @@ DwRippleCarryAdder::add(const BitVec &a, const BitVec &b, bool cin)
                 "operand a wider than adder: ", a.size(), " > ", width_);
     SPIM_ASSERT(b.size() <= width_,
                 "operand b wider than adder: ", b.size(), " > ", width_);
-
-    if (!strictGates()) {
-        // Packed fast path: one word-parallel addition, charged
-        // through the same closed-form delta the batched
-        // processor-level accounting uses.
-        counters_ += addDelta(width_);
-        BitVec sum(width_);
-        bool carry = BitVec::addPacked(sum, a, b, cin);
-        return {std::move(sum), carry};
-    }
 
     BitVec sum(width_);
     bool carry = cin;

@@ -73,10 +73,9 @@ class DwRippleCarryAdder
     /**
      * Closed-form counter delta of one add(): the netlist evaluates
      * @p width full adders of kGatesPerBit NANDs, one gate op and
-     * one shift step each. The single source of truth shared by the
-     * component fast path and the processor-level batched
-     * accounting (pinned against the netlist by the fast-path
-     * equivalence tests).
+     * one shift step each. The single source of truth for the
+     * processor-level batched accounting (pinned against the
+     * netlist by the fast-path equivalence tests).
      */
     static constexpr LogicCounters
     addDelta(unsigned width)
@@ -107,7 +106,6 @@ class DwAdderTree
                 LogicCounters &counters);
 
     unsigned operands() const { return operands_; }
-    unsigned operandWidth() const { return operandWidth_; }
 
     /** Output width: operand width + tree depth. */
     unsigned resultWidth() const;
@@ -117,7 +115,7 @@ class DwAdderTree
 
     /**
      * Sum the given operand vector (must contain exactly operands()
-     * entries, each at most operandWidth() bits).
+     * entries, each at most the operand width).
      */
     BitVec sum(const std::vector<BitVec> &values);
 

@@ -1,7 +1,6 @@
 #include "dwlogic/circle_adder.hh"
 
 #include "common/log.hh"
-#include "dwlogic/mode.hh"
 
 namespace streampim
 {
@@ -54,16 +53,10 @@ CircleAdder::step()
       case CircleAdderStep::Added: {
         // Step 2: s2 shifts across the diode (one step per bit wire).
         diode_.enable();
-        if (!strictGates()) {
-            // Fast path: the diode leaves values unchanged; charge
-            // the width_ per-bit passes in closed form.
-            counters_ += LogicCounters{0, width_, 0, width_};
-        } else {
-            for (unsigned i = 0; i < width_; ++i) {
-                bool bit = pending_.get(i);
-                bool passed = diode_.passForward(bit);
-                SPIM_ASSERT(passed, "diode rejected an enabled pass");
-            }
+        for (unsigned i = 0; i < width_; ++i) {
+            bool bit = pending_.get(i);
+            bool passed = diode_.passForward(bit);
+            SPIM_ASSERT(passed, "diode rejected an enabled pass");
         }
         phase_ = CircleAdderStep::DiodePassed;
         break;

@@ -1,7 +1,6 @@
 #include "dwlogic/duplicator.hh"
 
 #include "common/log.hh"
-#include "dwlogic/mode.hh"
 
 namespace streampim
 {
@@ -43,25 +42,15 @@ Duplicator::step()
         // Step 2: every bit splits in two at the fan-out point.
         SPIM_ASSERT(!output_.has_value(),
                     "previous replica not consumed before duplication");
-        if (!strictGates()) {
-            // Fast path: both branches are word-wise copies of the
-            // origin; charge the width_ per-bit splits in closed
-            // form (1 fan-out event + 1 shift step each).
-            counters_.fanOuts += width_;
-            counters_.shiftSteps += width_;
-            output_ = *origin_;
-            inFlight_ = *origin_;
-        } else {
-            BitVec forward(width_);
-            BitVec backward(width_);
-            for (unsigned i = 0; i < width_; ++i) {
-                auto pair = fanOut_.split(origin_->get(i));
-                forward.set(i, pair.first);
-                backward.set(i, pair.second);
-            }
-            output_ = forward;
-            inFlight_ = backward;
+        BitVec forward(width_);
+        BitVec backward(width_);
+        for (unsigned i = 0; i < width_; ++i) {
+            auto pair = fanOut_.split(origin_->get(i));
+            forward.set(i, pair.first);
+            backward.set(i, pair.second);
         }
+        output_ = std::move(forward);
+        inFlight_ = std::move(backward);
         phase_ = DuplicatorStep::Split;
         break;
       }
@@ -71,17 +60,10 @@ Duplicator::step()
         // diode toward the origin. The diode prevents the forward
         // branch from back-flowing.
         diode_.enable();
-        if (!strictGates()) {
-            // Fast path: the diode leaves values unchanged; charge
-            // the width_ per-bit passes in closed form.
-            counters_.diodePasses += width_;
-            counters_.shiftSteps += width_;
-        } else {
-            for (unsigned i = 0; i < width_; ++i) {
-                bool bit = inFlight_->get(i);
-                bool passed = diode_.passForward(bit);
-                SPIM_ASSERT(passed, "diode rejected an enabled pass");
-            }
+        for (unsigned i = 0; i < width_; ++i) {
+            bool bit = inFlight_->get(i);
+            bool passed = diode_.passForward(bit);
+            SPIM_ASSERT(passed, "diode rejected an enabled pass");
         }
         phase_ = DuplicatorStep::ReturnReplica;
         break;

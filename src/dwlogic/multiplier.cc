@@ -1,7 +1,6 @@
 #include "dwlogic/multiplier.hh"
 
 #include "common/log.hh"
-#include "dwlogic/mode.hh"
 
 namespace streampim
 {
@@ -19,15 +18,6 @@ DwMultiplier::partialProduct(const BitVec &replica, bool b_bit,
     SPIM_ASSERT(replica.size() == width_, "replica width mismatch");
     SPIM_ASSERT(row < width_, "partial product row out of range");
     BitVec pp(productWidth());
-    if (!strictGates()) {
-        // Packed fast path: the row is the replica ANDed with b_bit
-        // and deposited at the row offset — a word-wise copy,
-        // charged through the shared closed-form delta.
-        counters_ += partialProductDelta(width_);
-        if (b_bit)
-            pp.copyRange(replica, 0, row, width_);
-        return pp;
-    }
     DwGate and_gate(DwGateType::And, counters_);
     for (unsigned i = 0; i < width_; ++i)
         pp.set(row + i, and_gate.eval(replica.get(i), b_bit));

@@ -128,7 +128,7 @@ class FunctionalSubarray
      * Writes into @p res, reusing its values storage. All staging
      * buffers come from the subarray's bump arena and
      * reused member vectors, so a warm subarray executes a VPC with
-     * zero heap allocations in the packed functional mode (the
+     * zero heap allocations in the default functional mode (the
      * strict gate-netlist mode allocates BitVec scratch freely).
      */
     void executeVpcInto(VpcKind kind, std::uint64_t src1,

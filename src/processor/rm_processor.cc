@@ -14,10 +14,10 @@ namespace
  * Per-element closed-form counter deltas of the three vector ops —
  * the composition of the component deltas exactly as the pipeline
  * invokes them (kOperandBits duplications + one replica multiply
- * per element, plus the circle-adder step of the op). The packed
- * paths below accumulate these in registers and commit once per
- * call; the fast-path equivalence tests pin them against the
- * NAND-by-NAND netlist.
+ * per element, plus the circle-adder step of the op). The
+ * closed-form paths below accumulate these in registers and commit
+ * once per call; the fast-path equivalence tests pin them against
+ * the NAND-by-NAND netlist.
  */
 constexpr LogicCounters
 dotElementDelta()
@@ -113,7 +113,7 @@ RmProcessor::dotProductInto(std::span<const std::uint8_t> a,
         faults_ ? faults_->stats().correctionShifts : 0;
 
     if (!strictGates()) {
-        // Closed-form packed path: the duplicator/multiplier/adder-
+        // Closed-form path: the duplicator/multiplier/adder-
         // tree/circle-adder pipeline reduces per element to one
         // integer multiply-accumulate mod 2^kAccumulatorBits with a
         // sticky carry. Operand ingest (fault sampling, in element
@@ -193,7 +193,7 @@ RmProcessor::scalarVectorMulInto(std::uint8_t scalar,
     const std::uint8_t s = ingestOperand(scalar);
 
     if (!strictGates()) {
-        // Closed-form packed path: each product is exact in
+        // Closed-form path: each product is exact in
         // kProductBits, so the pipeline reduces to one integer
         // multiply per element.
         for (std::size_t i = 0; i < v.size(); ++i) {

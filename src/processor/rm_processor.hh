@@ -54,11 +54,11 @@ class RmProcessor
      * Vector dot product: sum_i a[i]*b[i] (MUL VPC).
      * Operands are 8-bit; the result is the 32-bit accumulator.
      *
-     * In the packed mode the whole pipeline reduces to a
-     * closed-form integer recurrence with one batched counter
-     * commit per call; STREAMPIM_STRICT_GATES walks the full
-     * component netlist. Values, counters, cycles and energy are
-     * identical in both modes.
+     * By default the whole pipeline reduces to a closed-form
+     * integer recurrence with one batched counter commit per call;
+     * STREAMPIM_STRICT_GATES walks the full component netlist.
+     * Values, counters, cycles and energy are identical in both
+     * modes.
      *
      * Writes into @p res, reusing its values storage
      * (allocation-free once warm).

@@ -54,8 +54,6 @@ class ShiftFaultModel
                     "over-shift fraction out of range");
     }
 
-    double stepFaultProbability() const { return pStep_; }
-
     /** Probability that a pulse covering @p steps faults. */
     double
     pulseFaultProbability(unsigned steps) const

@@ -64,19 +64,6 @@ enum class FaultStatus : std::uint8_t
     Failed,    //!< retry budget exhausted or error beyond guard range
 };
 
-/** Human-readable status name. */
-constexpr const char *
-faultStatusName(FaultStatus s)
-{
-    switch (s) {
-      case FaultStatus::Clean: return "clean";
-      case FaultStatus::Corrected: return "corrected";
-      case FaultStatus::Retried: return "retried";
-      case FaultStatus::Failed: return "failed";
-    }
-    return "?";
-}
-
 /** Knobs of one fault-injection session. */
 struct FaultConfig
 {
@@ -107,27 +94,29 @@ struct FaultConfig
      * the spare pool can still save the current VPC). */
     unsigned remapAfterExhaustions = 1;
 
+    /** Bad knobs are caller input: fatal() with a message. */
     void
     validate() const
     {
-        SPIM_ASSERT(pStep >= 0.0 && pStep < 1.0,
-                    "step fault probability out of range");
-        SPIM_ASSERT(guardCoverage > 0.0 && guardCoverage <= 1.0,
-                    "guard coverage out of range");
-        SPIM_ASSERT(guardDomains >= 2,
-                    "need at least 2 guard domains");
-        SPIM_ASSERT(realignRetryBudget >= 1,
-                    "realign retry budget must be >= 1");
-        SPIM_ASSERT(pWrite0 >= 0.0 && pWrite0 < 1.0,
-                    "write fault floor out of range");
-        SPIM_ASSERT(writeEndurance > 0.0,
-                    "write endurance must be > 0");
-        SPIM_ASSERT(weibullShape >= 1.0,
-                    "Weibull shape must be >= 1");
-        SPIM_ASSERT(redepositRetryBudget >= 1,
-                    "re-deposit retry budget must be >= 1");
-        SPIM_ASSERT(remapAfterExhaustions >= 1,
-                    "remap threshold must be >= 1");
+        if (!(pStep >= 0.0 && pStep < 1.0))
+            SPIM_FATAL("step fault probability out of range: ", pStep);
+        if (!(guardCoverage > 0.0 && guardCoverage <= 1.0))
+            SPIM_FATAL("guard coverage out of range: ", guardCoverage);
+        if (guardDomains < 2)
+            SPIM_FATAL("need at least 2 guard domains, got ",
+                       guardDomains);
+        if (realignRetryBudget < 1)
+            SPIM_FATAL("realign retry budget must be >= 1");
+        if (!(pWrite0 >= 0.0 && pWrite0 < 1.0))
+            SPIM_FATAL("write fault floor out of range: ", pWrite0);
+        if (!(writeEndurance > 0.0))
+            SPIM_FATAL("write endurance must be > 0");
+        if (!(weibullShape >= 1.0))
+            SPIM_FATAL("Weibull shape must be >= 1");
+        if (redepositRetryBudget < 1)
+            SPIM_FATAL("re-deposit retry budget must be >= 1");
+        if (remapAfterExhaustions < 1)
+            SPIM_FATAL("remap threshold must be >= 1");
     }
 };
 
@@ -235,7 +224,6 @@ class FaultInjector
 
     const FaultConfig &config() const { return cfg_; }
     const ShiftFaultModel &model() const { return model_; }
-    const WriteFaultModel &writeModel() const { return writeModel_; }
     const FaultStats &stats() const { return stats_; }
 
     /** True when pStep > 0; hooks may skip sampling otherwise. */

@@ -78,12 +78,6 @@ struct RmParams
     // --- Shift-fault tolerance (Sec. III-D bound + Sec. VI) ---
     /** Per-domain-step shift-fault probability (0 = fault free). */
     double shiftFaultPStep = 0.0;
-    /** Detection probability of one in-flight guard check. */
-    double guardCoverage = 0.999;
-    /** Guard domains per segment; localizes errors up to this - 1. */
-    unsigned guardDomains = 2;
-    /** Realignment attempts per episode before escalating. */
-    unsigned realignRetryBudget = 4;
 
     // --- Save-track write endurance (rm/endurance.hh) ---
     /** Wear-independent nucleation failure floor (0 = fault free). */
@@ -92,8 +86,6 @@ struct RmParams
     double writeEndurance = 1e6;
     /** Weibull shape parameter (>= 1: wear-out regime). */
     double weibullShape = 2.0;
-    /** Re-deposit attempts per commit before the episode gives up. */
-    unsigned redepositRetryBudget = 3;
     /** Spare save tracks per mat for retiring worn tracks. */
     unsigned spareTracksPerMat = 8;
 
@@ -170,20 +162,12 @@ struct RmParams
             SPIM_FATAL("processor needs at least one duplicator");
         if (shiftFaultPStep < 0.0 || shiftFaultPStep >= 1.0)
             SPIM_FATAL("shiftFaultPStep out of [0, 1)");
-        if (guardCoverage <= 0.0 || guardCoverage > 1.0)
-            SPIM_FATAL("guardCoverage out of (0, 1]");
-        if (guardDomains < 2)
-            SPIM_FATAL("need at least 2 guard domains");
-        if (realignRetryBudget == 0)
-            SPIM_FATAL("realignRetryBudget must be >= 1");
         if (writeFaultP0 < 0.0 || writeFaultP0 >= 1.0)
             SPIM_FATAL("writeFaultP0 out of [0, 1)");
         if (writeEndurance <= 0.0)
             SPIM_FATAL("writeEndurance must be > 0");
         if (weibullShape < 1.0)
             SPIM_FATAL("weibullShape must be >= 1");
-        if (redepositRetryBudget == 0)
-            SPIM_FATAL("redepositRetryBudget must be >= 1");
     }
 };
 

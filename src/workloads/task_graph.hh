@@ -51,20 +51,6 @@ enum class MatOpKind
     Nonlinear //!< host-side op over a's elements (DNN activations)
 };
 
-constexpr const char *
-matOpKindName(MatOpKind k)
-{
-    switch (k) {
-      case MatOpKind::MatMul: return "matmul";
-      case MatOpKind::MatVec: return "matvec";
-      case MatOpKind::MatVecT: return "matvecT";
-      case MatOpKind::MatAdd: return "matadd";
-      case MatOpKind::Scale: return "scale";
-      case MatOpKind::Nonlinear: return "nonlinear";
-    }
-    return "?";
-}
-
 /** One matrix operation over task-graph operands. */
 struct MatrixOp
 {

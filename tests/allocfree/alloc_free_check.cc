@@ -9,7 +9,7 @@
  *
  *  1. BitVec resize churn: shrinking and regrowing within the
  *     largest size ever reached never reallocates.
- *  2. RmProcessor packed fast paths: warm dot-product / smul / add
+ *  2. RmProcessor closed-form fast paths: warm dot-product / smul / add
  *     calls through the Into APIs allocate nothing.
  *  3. StreamPimSystem::processQueueInto: a warm serial (jobs == 1)
  *     drain of a same-shaped VPC batch allocates nothing — across
@@ -188,11 +188,11 @@ checkProcessQueueSteadyState()
 int
 main()
 {
-    // The zero-allocation contract covers the packed fast path only;
-    // the strict gate netlist allocates freely by design. Pin packed
+    // The zero-allocation contract covers the fast paths only; the
+    // strict gate netlist allocates freely by design. Pin the fast
     // mode so the check stays meaningful under a CI-wide
     // STREAMPIM_STRICT_GATES=1 run.
-    ScopedStrictGates packed(false);
+    ScopedStrictGates fast(false);
 
     checkBitVecResizeChurn();
     checkProcessorFastPaths();

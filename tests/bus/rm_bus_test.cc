@@ -129,6 +129,18 @@ TEST_P(BusTimingSweep, FunctionalMatchesClosedForm)
     std::uint64_t waves = (words + 8 - 1) / 8;
     EXPECT_EQ(functional, Cycle(segments - 1 + 2 * (waves - 1)));
     EXPECT_EQ(arrived, payload);
+
+    // One-domain segments and 8 bit-lanes per functional lane make a
+    // timed wave carry the same 8 words over the same segments; the
+    // timed transfer also charges the entry hop from the source port
+    // into segment 0.
+    RmParams rm;
+    rm.busSegmentSize = 1;
+    rm.busLengthDomains = segments;
+    rm.busLanes = 8 * bus.lanes();
+    const RmBusTiming timing(rm);
+    ASSERT_EQ(timing.elementsPerWave(), bus.lanes());
+    EXPECT_EQ(timing.transferCycles(words), functional + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(

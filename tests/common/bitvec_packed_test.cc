@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for the packed-word BitVec store: wide (>64-bit) vectors,
- * the word-level accessors, the bitwise/shift helpers, copyRange,
- * and addPacked — including the invariant that bits above size() in
- * the top word stay zero through every operation.
+ * the word-level accessors, the span accessors setBits()/bits(),
+ * clear() and resize() — including the invariant that bits above
+ * size() in the top word stay zero through every operation.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/bitvec.hh"
 #include "common/rng.hh"
@@ -16,113 +18,40 @@ namespace streampim
 namespace
 {
 
+/** Set every bit of @p v through 64-bit setBits() spans. */
+void
+fillOnes(BitVec &v)
+{
+    for (std::size_t pos = 0; pos < v.size(); pos += 64) {
+        const unsigned len =
+            unsigned(std::min<std::size_t>(64, v.size() - pos));
+        v.setBits(pos, len, ~0ull);
+    }
+}
+
 TEST(BitVecPacked, WordCountAndAccess)
 {
+    // 130 bits span three backing words.
     BitVec v(130);
-    EXPECT_EQ(v.wordCount(), 3u);
     v.set(0, true);
     v.set(64, true);
     v.set(129, true);
     EXPECT_EQ(v.word(0), 1ull);
     EXPECT_EQ(v.word(1), 1ull);
     EXPECT_EQ(v.word(2), 2ull);
-    EXPECT_EQ(v.popcount(), 3u);
 }
 
-TEST(BitVecPacked, SetWordMasksAboveSize)
+TEST(BitVecPacked, SetBitsUnalignedSpans)
 {
-    BitVec v(70);
-    v.setWord(1, ~0ull);
-    // Only bits 64..69 are in range; the rest must be masked off.
-    EXPECT_EQ(v.word(1), 0x3Full);
-    EXPECT_EQ(v.popcount(), 6u);
-}
-
-TEST(BitVecPacked, PushAcrossWordBoundary)
-{
-    BitVec v;
-    for (int i = 0; i < 70; ++i)
-        v.push(i % 3 == 0);
-    EXPECT_EQ(v.size(), 70u);
-    EXPECT_EQ(v.wordCount(), 2u);
-    for (int i = 0; i < 70; ++i)
-        EXPECT_EQ(v.get(i), i % 3 == 0) << "bit " << i;
-}
-
-TEST(BitVecPacked, BitwiseOpsWide)
-{
-    Rng rng(5);
-    BitVec a(100), b(100);
-    for (unsigned i = 0; i < 100; ++i) {
-        a.set(i, rng.next() & 1);
-        b.set(i, rng.next() & 1);
-    }
-    BitVec and_v = a, or_v = a, xor_v = a;
-    and_v &= b;
-    or_v |= b;
-    xor_v ^= b;
-    for (unsigned i = 0; i < 100; ++i) {
-        EXPECT_EQ(and_v.get(i), a.get(i) && b.get(i));
-        EXPECT_EQ(or_v.get(i), a.get(i) || b.get(i));
-        EXPECT_EQ(xor_v.get(i), a.get(i) != b.get(i));
-    }
-}
-
-TEST(BitVecPacked, InvertKeepsTopBitsClear)
-{
-    BitVec v(67);
-    v.set(2, true);
-    v.invert();
-    EXPECT_EQ(v.popcount(), 66u);
-    v.invert();
-    EXPECT_EQ(v.popcount(), 1u);
-    EXPECT_TRUE(v.get(2));
-}
-
-TEST(BitVecPacked, ShiftLeftAcrossWords)
-{
-    BitVec v(130);
-    v.set(0, true);
-    v.set(63, true);
-    v <<= 1;
-    EXPECT_FALSE(v.get(0));
-    EXPECT_TRUE(v.get(1));
-    EXPECT_TRUE(v.get(64));
-    v <<= 64;
-    EXPECT_TRUE(v.get(65));
-    EXPECT_TRUE(v.get(128));
-    EXPECT_EQ(v.popcount(), 2u);
-}
-
-TEST(BitVecPacked, ShiftLeftDropsBitsPastSize)
-{
-    BitVec v = BitVec::fromWord(0b11, 4);
-    v <<= 3;
-    // 0b11 << 3 inside 4 bits keeps only bit 3.
-    EXPECT_EQ(v.toWord(), 0b1000ull);
-    v <<= 10; // far past the width: everything drops
-    EXPECT_EQ(v.popcount(), 0u);
-}
-
-TEST(BitVecPacked, ShiftRightAcrossWords)
-{
-    BitVec v(130);
-    v.set(129, true);
-    v.set(64, true);
-    v >>= 65;
-    EXPECT_TRUE(v.get(64));
-    EXPECT_FALSE(v.get(129));
-    EXPECT_EQ(v.popcount(), 1u);
-}
-
-TEST(BitVecPacked, CopyRangeUnaligned)
-{
+    // Spans that start mid-word and straddle a word boundary, moved
+    // through setBits() and read back through bits().
     Rng rng(9);
     BitVec src(100);
     for (unsigned i = 0; i < 100; ++i)
         src.set(i, rng.next() & 1);
     BitVec dst(200);
-    dst.copyRange(src, 5, 71, 90);
+    for (unsigned done = 0; done < 90; done += 45)
+        dst.setBits(71 + done, 45, src.bits(5 + done, 45));
     for (unsigned i = 0; i < 90; ++i)
         EXPECT_EQ(dst.get(71 + i), src.get(5 + i)) << "bit " << i;
     // Bits outside the destination window stay clear.
@@ -132,85 +61,28 @@ TEST(BitVecPacked, CopyRangeUnaligned)
         EXPECT_FALSE(dst.get(i));
 }
 
-TEST(BitVecPacked, AddPackedMatchesWordArithmetic)
-{
-    Rng rng(13);
-    for (int i = 0; i < 200; ++i) {
-        const std::uint64_t a = rng.next();
-        const std::uint64_t b = rng.next();
-        BitVec sum(64);
-        const bool carry = BitVec::addPacked(
-            sum, BitVec::fromWord(a, 64), BitVec::fromWord(b, 64));
-        EXPECT_EQ(sum.toWord(), a + b);
-        EXPECT_EQ(carry, a + b < a);
-    }
-}
-
-TEST(BitVecPacked, AddPackedCarryChainsAcrossWords)
-{
-    // all-ones + 1 ripples a carry through every word.
-    BitVec a(130);
-    a.invert(); // 130 ones
-    BitVec one(130);
-    one.set(0, true);
-    BitVec sum(130);
-    const bool carry = BitVec::addPacked(sum, a, one);
-    EXPECT_TRUE(carry);
-    EXPECT_EQ(sum.popcount(), 0u);
-}
-
-TEST(BitVecPacked, AddPackedZeroExtendsNarrowOperands)
-{
-    BitVec sum(32);
-    const bool carry =
-        BitVec::addPacked(sum, BitVec::fromWord(0xFF, 8),
-                          BitVec::fromWord(0x1, 4));
-    EXPECT_FALSE(carry);
-    EXPECT_EQ(sum.toWord(), 0x100ull);
-}
-
-TEST(BitVecPacked, AddPackedCarryIn)
-{
-    BitVec sum(8);
-    const bool carry =
-        BitVec::addPacked(sum, BitVec::fromWord(0xFF, 8),
-                          BitVec::fromWord(0x00, 8), true);
-    EXPECT_TRUE(carry);
-    EXPECT_EQ(sum.toWord(), 0ull);
-}
-
 TEST(BitVecPacked, ClearZeroesEverything)
 {
     BitVec v(100);
-    v.invert();
+    fillOnes(v);
     v.clear();
     EXPECT_EQ(v.size(), 100u);
-    EXPECT_EQ(v.popcount(), 0u);
-}
-
-TEST(BitVecPacked, WideEqualityIsWordWise)
-{
-    BitVec a(150), b(150);
-    a.set(149, true);
-    EXPECT_NE(a, b);
-    b.set(149, true);
-    EXPECT_EQ(a, b);
-    // Same prefix, different size: not equal.
-    BitVec c(151);
-    c.set(149, true);
-    EXPECT_NE(a, c);
+    EXPECT_EQ(v.word(0), 0ull);
+    EXPECT_EQ(v.word(1), 0ull);
 }
 
 TEST(BitVecPacked, ResizeAcrossWordBoundaryKeepsInvariant)
 {
     BitVec v(70);
-    v.invert();
+    fillOnes(v);
+    EXPECT_EQ(v.word(1), 0x3Full);
     v.resize(65);
-    EXPECT_EQ(v.popcount(), 65u);
+    EXPECT_EQ(v.word(0), ~0ull);
+    EXPECT_EQ(v.word(1), 1ull);
     v.resize(130);
-    EXPECT_EQ(v.popcount(), 65u);
+    EXPECT_EQ(v.word(1), 1ull);
+    EXPECT_EQ(v.word(2), 0ull);
     v.resize(3);
-    EXPECT_EQ(v.popcount(), 3u);
     EXPECT_EQ(v.toWord(), 0b111ull);
 }
 

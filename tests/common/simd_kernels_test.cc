@@ -1,20 +1,22 @@
 /**
  * @file
  * Edge-case tests of the BitVec word kernels (common/simd.hh):
- * cross-word shifts at sizes straddling the word and inline-storage
- * boundaries and the nanowire image length, non-word-aligned
- * copyRange, the top-word zero invariant, and the equality /
- * popcount / addPacked kernels — each against a bit-serial
- * reference.
+ * non-word-aligned copyBits range copies, and the setBits()/bits()
+ * span accessors built on it (the mat word path), at sizes
+ * straddling the word and inline-storage boundaries and the
+ * nanowire image length — each against a bit-serial reference and
+ * with the top-word zero invariant checked.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "common/bitvec.hh"
 #include "common/rng.hh"
+#include "common/simd.hh"
 
 using namespace streampim;
 
@@ -31,21 +33,11 @@ randomVec(Rng &rng, std::size_t n)
     return v;
 }
 
-/** Bit-serial reference shift (left when @p left, else right). */
-BitVec
-shiftReference(const BitVec &v, std::size_t n, bool left)
+/** Bit @p i of a little-endian word image. */
+bool
+bitOf(const std::vector<std::uint64_t> &w, std::size_t i)
 {
-    BitVec out(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (left) {
-            if (i >= n && v.get(i - n))
-                out.set(i, true);
-        } else {
-            if (i + n < v.size() && v.get(i + n))
-                out.set(i, true);
-        }
-    }
-    return out;
+    return (w[i / 64] >> (i % 64)) & 1u;
 }
 
 /** Every word's bits beyond size() must be zero. */
@@ -54,7 +46,7 @@ expectTopInvariant(const BitVec &v)
 {
     if (v.size() % BitVec::kWordBits == 0)
         return;
-    const std::uint64_t top = v.word(v.wordCount() - 1);
+    const std::uint64_t top = v.word(v.size() / BitVec::kWordBits);
     const std::uint64_t mask =
         (std::uint64_t(1) << (v.size() % BitVec::kWordBits)) - 1;
     EXPECT_EQ(top & ~mask, 0u) << "top-word invariant violated at "
@@ -73,35 +65,14 @@ class SimdKernelsTest : public testing::Test
         63, 64, 65, 127, 128, 129, 255, 256, 257, 4095, 4096, 4097};
 };
 
-TEST_F(SimdKernelsTest, CrossWordShiftsMatchBitSerialReference)
-{
-    Rng rng(0x51D5);
-    for (std::size_t n : kSizes) {
-        BitVec v = randomVec(rng, n);
-        for (std::size_t s :
-             {std::size_t(0), std::size_t(1), std::size_t(7),
-              std::size_t(63), std::size_t(64), std::size_t(65),
-              n - 1, n, n + 3}) {
-            BitVec l = v;
-            l <<= s;
-            EXPECT_EQ(l, shiftReference(v, s, true))
-                << "size " << n << " << " << s;
-            expectTopInvariant(l);
-
-            BitVec r = v;
-            r >>= s;
-            EXPECT_EQ(r, shiftReference(v, s, false))
-                << "size " << n << " >> " << s;
-            expectTopInvariant(r);
-        }
-    }
-}
-
 TEST_F(SimdKernelsTest, NonWordAlignedCopyRange)
 {
     Rng rng(0xC0DE);
     for (std::size_t n : kSizes) {
-        const BitVec src = randomVec(rng, n);
+        const std::size_t nw = (n + 63) / 64;
+        std::vector<std::uint64_t> src(nw);
+        for (auto &w : src)
+            w = rng.next();
         // Misaligned source/destination positions, lengths spanning
         // zero, one and several words.
         for (std::size_t src_pos : {std::size_t(0), std::size_t(1),
@@ -111,110 +82,64 @@ TEST_F(SimdKernelsTest, NonWordAlignedCopyRange)
                   n / 3}) {
                 const std::size_t len = std::min(n - src_pos,
                                                  n - dst_pos);
-                BitVec dst = randomVec(rng, n);
-                const BitVec before = dst;
-                dst.copyRange(src, src_pos, dst_pos, len);
-                for (std::size_t i = 0; i < n; ++i) {
+                std::vector<std::uint64_t> dst(nw);
+                for (auto &w : dst)
+                    w = rng.next();
+                const auto before = dst;
+                simd::copyBits(dst.data(), dst_pos, src.data(),
+                               src_pos, len);
+                // Every bit of the image, including the padding
+                // above n, is either copied or left alone.
+                for (std::size_t i = 0; i < nw * 64; ++i) {
                     const bool expect =
                         i >= dst_pos && i < dst_pos + len
-                            ? src.get(src_pos + (i - dst_pos))
-                            : before.get(i);
-                    ASSERT_EQ(dst.get(i), expect)
+                            ? bitOf(src, src_pos + (i - dst_pos))
+                            : bitOf(before, i);
+                    ASSERT_EQ(bitOf(dst, i), expect)
                         << "size " << n << " src_pos " << src_pos
                         << " dst_pos " << dst_pos << " bit " << i;
                 }
-                expectTopInvariant(dst);
             }
         }
     }
 }
 
-TEST_F(SimdKernelsTest, BitwiseOpsAndInvertKeepTopWordZero)
+TEST_F(SimdKernelsTest, SetBitsAndBitsAtWordBoundaries)
 {
-    Rng rng(0xBEEF);
+    Rng rng(0x5E7B);
     for (std::size_t n : kSizes) {
-        BitVec a = randomVec(rng, n);
-        const BitVec b = randomVec(rng, n);
-
-        BitVec x = a;
-        x &= b;
-        BitVec o = a;
-        o |= b;
-        BitVec e = a;
-        e ^= b;
-        BitVec inv = a;
-        inv.invert();
-        for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(x.get(i), a.get(i) && b.get(i));
-            ASSERT_EQ(o.get(i), a.get(i) || b.get(i));
-            ASSERT_EQ(e.get(i), a.get(i) != b.get(i));
-            ASSERT_EQ(inv.get(i), !a.get(i));
-        }
-        expectTopInvariant(x);
-        expectTopInvariant(o);
-        expectTopInvariant(e);
-        expectTopInvariant(inv);
-    }
-}
-
-TEST_F(SimdKernelsTest, EqualityAndPopcount)
-{
-    Rng rng(0xFACE);
-    for (std::size_t n : kSizes) {
-        BitVec a = randomVec(rng, n);
-        BitVec b = a;
-        EXPECT_EQ(a, b);
-
-        std::size_t ones = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            ones += a.get(i);
-        EXPECT_EQ(a.popcount(), ones) << "size " << n;
-
-        // Flip the last bit: inequality must see the top word.
-        b.set(n - 1, !b.get(n - 1));
-        EXPECT_NE(a, b) << "size " << n;
-    }
-}
-
-TEST_F(SimdKernelsTest, AddPackedMatchesBitSerialRipple)
-{
-    Rng rng(0xADD5);
-    for (std::size_t n : kSizes) {
-        const BitVec a = randomVec(rng, n);
-        const BitVec b = randomVec(rng, n);
-        for (bool cin : {false, true}) {
-            BitVec sum(n);
-            const bool carry = BitVec::addPacked(sum, a, b, cin);
-
-            // Bit-serial ripple reference.
-            BitVec ref(n);
-            bool c = cin;
-            for (std::size_t i = 0; i < n; ++i) {
-                const bool ai = a.get(i);
-                const bool bi = b.get(i);
-                ref.set(i, ai != bi ? !c : c);
-                c = (ai && bi) || (c && (ai != bi));
+        // Spans starting on, just before and just after a word
+        // boundary, and spans ending at or straddling the top word.
+        for (std::size_t pos :
+             {std::size_t(0), std::size_t(1), std::size_t(31),
+              std::size_t(62), std::size_t(63), std::size_t(64),
+              std::size_t(65), n - 64, n - 63, n - 33, n - 1}) {
+            for (unsigned len : {1u, 2u, 31u, 63u, 64u}) {
+                // n - 64 wraps around for n < 64: skip it too.
+                if (pos >= n || len > n - pos)
+                    continue;
+                BitVec v = randomVec(rng, n);
+                const BitVec before = v;
+                const std::uint64_t value = rng.next();
+                const std::uint64_t mask =
+                    len == 64 ? ~0ull : (1ull << len) - 1;
+                v.setBits(pos, len, value);
+                ASSERT_EQ(v.bits(pos, len), value & mask)
+                    << "size " << n << " pos " << pos << " len "
+                    << len;
+                for (std::size_t i = 0; i < n; ++i) {
+                    const bool expect =
+                        i >= pos && i < pos + len
+                            ? ((value >> (i - pos)) & 1u) != 0
+                            : before.get(i);
+                    ASSERT_EQ(v.get(i), expect)
+                        << "size " << n << " pos " << pos << " len "
+                        << len << " bit " << i;
+                }
+                expectTopInvariant(v);
             }
-            EXPECT_EQ(sum, ref) << "size " << n << " cin " << cin;
-            EXPECT_EQ(carry, c) << "size " << n << " cin " << cin;
-            expectTopInvariant(sum);
         }
     }
-}
-
-TEST_F(SimdKernelsTest, NarrowOperandZeroExtensionInAddPacked)
-{
-    // A narrow operand zero-extends into a wider sum; the carry out
-    // of the sum width is reported, not swallowed by the top word.
-    BitVec a = BitVec::fromWord(0xFF, 8);
-    BitVec b = BitVec::fromWord(0x1, 8);
-    BitVec sum(9);
-    EXPECT_FALSE(BitVec::addPacked(sum, a, b));
-    EXPECT_EQ(sum.toWord(), 0x100u);
-
-    BitVec sum8(8);
-    EXPECT_TRUE(BitVec::addPacked(sum8, a, b));
-    EXPECT_EQ(sum8.toWord(), 0x0u);
 }
 
 } // namespace

@@ -1,11 +1,11 @@
 /**
  * @file
  * Fault campaigns must be byte-identical across the two
- * functional-model levels: the packed fast paths (word-parallel
- * BitVec logic + word-packed bus stepping) may not perturb a single
- * RNG draw, status, or destination byte relative to the gate-netlist
- * oracle. The fallible bus pulse always takes the exact per-segment
- * sweep precisely so this holds.
+ * functional-model levels: the closed forms (batched processor
+ * counters, the mat word path) may not perturb a single RNG draw,
+ * status, or destination byte relative to the strict-mode oracles.
+ * A fallible bus transfer always takes the per-segment sweep
+ * precisely so this holds.
  */
 
 #include <gtest/gtest.h>

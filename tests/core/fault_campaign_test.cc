@@ -292,6 +292,14 @@ TEST(FaultCampaignDeath, BadCampaignInputIsFatal)
     cfg.vectorLen = 49;
     EXPECT_EXIT(runFaultCampaign(cfg), testing::ExitedWithCode(1),
                 "destination slice");
+    cfg = FaultCampaignConfig{};
+    cfg.guardDomains = 1;
+    EXPECT_EXIT(runFaultCampaign(cfg), testing::ExitedWithCode(1),
+                "guard domains");
+    cfg = FaultCampaignConfig{};
+    cfg.guardCoverage = 0.0;
+    EXPECT_EXIT(runFaultCampaign(cfg), testing::ExitedWithCode(1),
+                "guard coverage");
     EnduranceCampaignConfig endurance;
     endurance.rounds = 513;
     EXPECT_EXIT(runEnduranceCampaign(endurance),

@@ -276,7 +276,7 @@ expectSameCounters(const Mat &a, const Mat &b, const std::string &at)
 
 /**
  * Differential check of the word path against the per-bit oracle:
- * run @p ops seeded random byte-range ops on @p start (packed) and
+ * run @p ops seeded random byte-range ops on @p start (word path) and
  * on a copy under the strict mode (per bit), comparing the bytes
  * each op returns and both mats' counters after every op. A final
  * whole-mat read compares the contents, and its shiftSteps expose

@@ -77,7 +77,7 @@ TEST(Nanowire, BulkReadWriteRoundTrip)
     BitVec data = BitVec::fromWord(0xDEADBEEF, 32);
     data.resize(64);
     w.writeAll(data);
-    EXPECT_EQ(w.readAll(), data);
+    EXPECT_EQ(w.readAll().toWord(), data.toWord());
 }
 
 TEST(NanowireDeath, OverShiftPanics)
