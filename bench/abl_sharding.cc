@@ -156,8 +156,8 @@ vectorAddCell(unsigned col)
     ShardedSystem sys(smallFunctionalParams(), devices);
     ShardedElementwiseStats st;
     // Budgeted drain (deviceJobs = engineJobs = 0): the split
-    // derives from STREAMPIM_JOBS / STREAMPIM_DEVICE_JOBS — the
-    // identity sweeps vary exactly these knobs.
+    // derives from STREAMPIM_JOBS — the identity sweep varies
+    // exactly this knob.
     const auto c = runShardedVectorAdd(sys, a, b, 0, 0, &st);
 
     for (std::size_t i = 0; i < kAddElements; ++i)

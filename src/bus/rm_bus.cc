@@ -121,14 +121,6 @@ RmBusLane::corrupted(const Flit &flit)
 }
 
 std::optional<std::uint64_t>
-RmBusLane::peekOutput() const
-{
-    if (!occupied(segments_ - 1))
-        return std::nullopt;
-    return flits_[head_].value; // oldest flit = output segment
-}
-
-std::optional<std::uint64_t>
 RmBusLane::takeOutput()
 {
     if (!occupied(segments_ - 1))

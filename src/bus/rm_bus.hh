@@ -82,9 +82,6 @@ class RmBusLane
      */
     void guardRealign(FaultInjector &faults);
 
-    /** Word waiting at the output segment, if any. */
-    std::optional<std::uint64_t> peekOutput() const;
-
     /** Remove and return the word at the output segment. */
     std::optional<std::uint64_t> takeOutput();
 

@@ -23,9 +23,10 @@ class Config
     Config() = delete;
 
     /** Inclusive upper bounds of the integer knobs. */
-    static constexpr std::int64_t kMaxJobs = 1024;   //!< *_JOBS
-    static constexpr std::int64_t kMaxDevices = 64;  //!< DEVICES
+    static constexpr std::int64_t kMaxJobs = 1024;   //!< JOBS
     static constexpr std::int64_t kMaxDim = 65536;   //!< DIM
+    /** Largest fleet a ShardedSystem or fleet campaign accepts. */
+    static constexpr std::int64_t kMaxDevices = 64;
 
     /**
      * Read an integer in [@p lo, @p hi] from environment variable

@@ -1,13 +1,14 @@
 /**
  * @file
- * A minimal JSON value: build, serialize, parse.
+ * A minimal JSON value: build, serialize.
  *
  * The bench report machinery (SweepRunner) emits machine-readable
- * BENCH_*.json files next to the human tables; plotting scripts and
- * the unit tests read them back. The repo deliberately carries no
- * third-party JSON dependency, so this implements the small subset
- * the reports need: null/bool/number/string/array/object, with
- * object keys kept in insertion order so reports diff cleanly.
+ * BENCH_*.json files next to the human tables; tools/report_check.py
+ * and plotting scripts read them back. The program only writes JSON
+ * and carries no third-party JSON dependency, so this implements the
+ * small subset the reports need: null/bool/number/string/array/
+ * object, with object keys kept in insertion order so reports diff
+ * cleanly.
  */
 
 #ifndef STREAMPIM_COMMON_JSON_HH_
@@ -15,7 +16,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -66,36 +66,15 @@ class Json
     }
 
     Kind kind() const { return Kind(v_.index()); }
-    bool isNull() const { return kind() == Kind::Null; }
-    bool isObject() const { return kind() == Kind::Object; }
-
-    /** Value accessors; panic on kind mismatch. */
-    bool asBool() const;
-    double asNumber() const;
-    const std::string &asString() const;
-
-    /**
-     * Number accessor tolerating null: non-finite doubles serialize
-     * as null (JSON has no NaN/Inf tokens), so metric consumers use
-     * this to read round-tripped values without special-casing.
-     * Panics on any kind other than Number or Null.
-     */
-    double asNumberOr(double fallback) const;
 
     /** Array: append an element (converts this to an array). */
     Json &push(Json v);
-    /** Array/object: element count. */
-    std::size_t size() const;
-    /** Array: element access; panics out of range. */
-    const Json &at(std::size_t i) const;
 
     /**
      * Object: fetch-or-insert a member (converts this to an
      * object). Keys keep insertion order.
      */
     Json &operator[](const std::string &key);
-    /** Object: lookup; nullptr when absent. */
-    const Json *find(const std::string &key) const;
     /** Object: members in insertion order (none for a non-object). */
     const std::vector<std::pair<std::string, Json>> &members() const;
 
@@ -104,15 +83,6 @@ class Json
      * per level, 0 emits a single line.
      */
     std::string dump(int indent = 2) const;
-
-    /**
-     * Parse a JSON document. Returns a null value and fills
-     * @p error (when given) on malformed input; a valid document
-     * that is literally `null` parses as a null value with an empty
-     * error.
-     */
-    static Json parse(std::string_view text,
-                      std::string *error = nullptr);
 
   private:
     using Array = std::vector<Json>;

@@ -26,12 +26,6 @@ statusMib(const char *field)
 } // namespace
 
 double
-residentMib()
-{
-    return statusMib("VmRSS");
-}
-
-double
 peakResidentMib()
 {
     return statusMib("VmHWM");

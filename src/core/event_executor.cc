@@ -179,8 +179,8 @@ EventExecutor::run(const VpcSchedule &schedule)
 
             const bool returning = dst_bank >= rm.pimBanks;
             const unsigned bpc = src_bank == dst_bank
-                ? cfg_.bankBusBytesPerCycle
-                : cfg_.deviceBusBytesPerCycle;
+                ? SystemConfig::kBankBusBytesPerCycle
+                : SystemConfig::kDeviceBusBytesPerCycle;
             const Cycle bus_cycles = (bytes + bpc - 1) / bpc;
             int bs = g.addNode(clock.cyclesToTicks(bus_cycles));
             g.addEndEdge(rd, bs);

@@ -114,8 +114,8 @@ Executor::transferCost(const VpcBatch &batch) const
         return clock_.cyclesToTicks(
             (bytes + bytes_per_cycle - 1) / bytes_per_cycle);
     };
-    c.bankBusTime = bus_time(cfg_.bankBusBytesPerCycle);
-    c.deviceBusTime = bus_time(cfg_.deviceBusBytesPerCycle);
+    c.bankBusTime = bus_time(SystemConfig::kBankBusBytesPerCycle);
+    c.deviceBusTime = bus_time(SystemConfig::kDeviceBusBytesPerCycle);
     return c;
 }
 

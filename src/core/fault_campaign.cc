@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "common/config.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "core/sharded_system.hh"
@@ -478,52 +479,6 @@ runProtocol(const EnduranceCampaignConfig &cfg,
     return res;
 }
 
-FaultCampaignConfig &
-baseOf(FaultCampaignConfig &cfg)
-{
-    return cfg;
-}
-
-FaultCampaignConfig &
-baseOf(EnduranceCampaignConfig &cfg)
-{
-    return cfg.base;
-}
-
-/**
- * The fleet fan-out: device d runs @p run on @p cfg reseeded with
- * deviceSeed(seed, d), across the device-level pool; the fleet's
- * tally and stats are the per-device sums.
- */
-template <class CampaignConfig, class Result>
-FleetCampaignResult<Result>
-runFleet(CampaignConfig cfg, unsigned devices, unsigned deviceJobs,
-         Result (*run)(const CampaignConfig &))
-{
-    if (devices < 1 || devices > 64)
-        SPIM_FATAL("sharded campaign device count out of range: ",
-                   devices);
-    FaultCampaignConfig &base = baseOf(cfg);
-    const std::uint64_t seed = base.seed;
-    const ThreadPool::JobSplit split = ShardedSystem::resolveSplit(
-        devices, deviceJobs, base.engineJobs);
-    base.engineJobs = split.inner;
-
-    FleetCampaignResult<Result> res;
-    res.perDevice.resize(devices);
-    parallelFor(devices, split.outer, [&](std::size_t d) {
-        CampaignConfig dev = cfg;
-        baseOf(dev).seed =
-            ShardedSystem::deviceSeed(seed, unsigned(d));
-        res.perDevice[d] = run(dev);
-    });
-    for (const Result &dev : res.perDevice) {
-        res += dev;
-        res.stats.merge(dev.stats);
-    }
-    return res;
-}
-
 } // namespace
 
 void
@@ -594,14 +549,25 @@ ShardedFaultCampaignResult
 runShardedFaultCampaign(const FaultCampaignConfig &cfg,
                         unsigned devices, unsigned deviceJobs)
 {
-    return runFleet(cfg, devices, deviceJobs, &runFaultCampaign);
-}
+    if (devices < 1 || devices > Config::kMaxDevices)
+        SPIM_FATAL("sharded campaign device count out of range: ",
+                   devices);
+    const ThreadPool::JobSplit split = ShardedSystem::resolveSplit(
+        devices, deviceJobs, cfg.engineJobs);
 
-ShardedEnduranceCampaignResult
-runShardedEnduranceCampaign(const EnduranceCampaignConfig &cfg,
-                            unsigned devices, unsigned deviceJobs)
-{
-    return runFleet(cfg, devices, deviceJobs, &runEnduranceCampaign);
+    ShardedFaultCampaignResult res;
+    res.perDevice.resize(devices);
+    parallelFor(devices, split.outer, [&](std::size_t d) {
+        FaultCampaignConfig dev = cfg;
+        dev.seed = ShardedSystem::deviceSeed(cfg.seed, unsigned(d));
+        dev.engineJobs = split.inner;
+        res.perDevice[d] = runFaultCampaign(dev);
+    });
+    for (const FaultCampaignResult &dev : res.perDevice) {
+        res += dev;
+        res.stats.merge(dev.stats);
+    }
+    return res;
 }
 
 } // namespace streampim

@@ -332,43 +332,31 @@ FaultCampaignResult runFaultCampaign(const FaultCampaignConfig &cfg);
  * each a full single-device campaign. The tally and `stats` are the
  * sums over perDevice.
  */
-template <class DeviceResult>
-struct FleetCampaignResult : StatusTally
+struct ShardedFaultCampaignResult : StatusTally
 {
     /** Full per-device campaign results, in device order. */
-    std::vector<DeviceResult> perDevice;
+    std::vector<FaultCampaignResult> perDevice;
     /** Sampled-fault statistics merged over the faulty fleet. */
     FaultStats stats;
 
     unsigned devices() const { return unsigned(perDevice.size()); }
 };
 
-using ShardedFaultCampaignResult =
-    FleetCampaignResult<FaultCampaignResult>;
-using ShardedEnduranceCampaignResult =
-    FleetCampaignResult<EnduranceCampaignResult>;
-
 /**
- * Fleet campaigns: run @p cfg once per device of a @p devices fleet
- * (1..64), fanned across the device-level pool. Device d runs the
- * single-device driver with seed ShardedSystem::deviceSeed(seed, d)
- * — inputs and injectors alike — so perDevice[0] reproduces the
- * single-device run bit-exact and each device's path is invariant
- * under fleet resizing. @p deviceJobs is the device-level fan-out
- * (0 = derive the split; ShardedSystem::resolveSplit) and the
- * config's engineJobs the inner level; results are byte-identical
- * at any (deviceJobs x engineJobs).
- * @{
+ * Fleet campaign: run @p cfg once per device of a @p devices fleet
+ * (1..Config::kMaxDevices), fanned across the device-level pool.
+ * Device d runs runFaultCampaign with seed
+ * ShardedSystem::deviceSeed(seed, d) — inputs and injectors alike —
+ * so perDevice[0] reproduces the single-device run bit-exact and
+ * each device's path is invariant under fleet resizing.
+ * @p deviceJobs is the device-level fan-out and the config's
+ * engineJobs the inner level (both 0 = derive the split;
+ * ShardedSystem::resolveSplit); results are byte-identical at any
+ * (deviceJobs x engineJobs).
  */
 ShardedFaultCampaignResult
 runShardedFaultCampaign(const FaultCampaignConfig &cfg,
                         unsigned devices, unsigned deviceJobs = 0);
-
-ShardedEnduranceCampaignResult
-runShardedEnduranceCampaign(const EnduranceCampaignConfig &cfg,
-                            unsigned devices,
-                            unsigned deviceJobs = 0);
-/** @} */
 
 } // namespace streampim
 

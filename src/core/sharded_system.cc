@@ -34,15 +34,6 @@ ShardedSystem::resolveSplit(unsigned fanout, unsigned deviceJobs,
     ThreadPool::JobSplit split;
     if (deviceJobs == 0 && engineJobs == 0) {
         split = ThreadPool::splitJobs(fanout);
-    } else if (deviceJobs == 0) {
-        const unsigned budget = ThreadPool::resolveJobs(0);
-        split.inner = std::max(engineJobs, 1u);
-        split.outer = std::clamp(budget / split.inner, 1u, fanout);
-    } else if (engineJobs == 0) {
-        const unsigned budget = ThreadPool::resolveJobs(0);
-        split.outer =
-            std::clamp(deviceJobs, 1u, std::min(fanout, budget));
-        split.inner = std::max(budget / split.outer, 1u);
     } else {
         split.outer = std::min(std::max(deviceJobs, 1u), fanout);
         split.inner = std::max(engineJobs, 1u);
@@ -56,24 +47,15 @@ ShardedSystem::ShardedSystem(RmParams params, unsigned devices)
     : params_(params)
 {
     params_.validate();
-    const unsigned count = devices > 0 ? devices : defaultDevices();
-    SPIM_ASSERT(count >= 1 && count <= Config::kMaxDevices,
-                "device count out of range: ", count);
-    devices_.reserve(count);
-    for (unsigned d = 0; d < count; ++d)
+    if (devices < 1 || devices > Config::kMaxDevices)
+        SPIM_FATAL("device count out of range: ", devices);
+    devices_.reserve(devices);
+    for (unsigned d = 0; d < devices; ++d)
         devices_.push_back(
             std::make_unique<StreamPimSystem>(params_));
 }
 
 ShardedSystem::~ShardedSystem() = default;
-
-unsigned
-ShardedSystem::defaultDevices()
-{
-    const auto env = Config::envInt("STREAMPIM_DEVICES", 0, 0,
-                                    Config::kMaxDevices);
-    return env > 0 ? unsigned(env) : 1;
-}
 
 std::uint64_t
 ShardedSystem::deviceSeed(std::uint64_t seed, unsigned device)
@@ -86,12 +68,6 @@ ShardedSystem::deviceSeed(std::uint64_t seed, unsigned device)
     if (device == 0)
         return seed;
     return seed ^ (0xbf58476d1ce4e5b9ULL * device);
-}
-
-std::uint64_t
-ShardedSystem::capacityBytes() const
-{
-    return params_.totalBytes() * devices();
 }
 
 StreamPimSystem &

@@ -5,7 +5,7 @@
  *
  * Production-scale means more than one racetrack device/channel. A
  * ShardedSystem owns N StreamPimSystem instances with identical
- * geometry (STREAMPIM_DEVICES picks the default count) and drains
+ * geometry and drains
  * all their VPC queues concurrently: device-level fan-out on the
  * shared parallel/ThreadPool on top, PR 5's subarray conflict-graph
  * engine inside each device below. The job budget is two-level too
@@ -55,14 +55,12 @@ class ShardedSystem
   public:
     /**
      * @param params  geometry of EVERY device (identical shards).
-     * @param devices device count; 0 resolves defaultDevices().
+     * @param devices device count, 1..Config::kMaxDevices; any
+     *                other count is fatal.
      */
     explicit ShardedSystem(RmParams params = smallFunctionalParams(),
-                           unsigned devices = 0);
+                           unsigned devices = 1);
     ~ShardedSystem();
-
-    /** STREAMPIM_DEVICES when set and positive, else 1. */
-    static unsigned defaultDevices();
 
     /**
      * Seed of device @p device derived from master @p seed (the
@@ -77,10 +75,11 @@ class ShardedSystem
 
     /**
      * Resolve the two-level (device x engine) budget for a fan-out
-     * of @p fanout shards: explicit values win (tests pin exact
-     * combinations), 0 at either level derives its share of the
-     * resolved pool budget (ThreadPool::splitJobs), and inside a
-     * SerialSection both levels collapse to 1.
+     * of @p fanout shards: both levels 0 derives the split of the
+     * resolved pool budget (ThreadPool::splitJobs); otherwise both
+     * are taken as given, 0 reading as 1 and the device level
+     * capped at @p fanout. Inside a SerialSection both levels
+     * collapse to 1.
      */
     static ThreadPool::JobSplit resolveSplit(unsigned fanout,
                                              unsigned deviceJobs,
@@ -88,9 +87,6 @@ class ShardedSystem
 
     unsigned devices() const { return unsigned(devices_.size()); }
     const RmParams &params() const { return params_; }
-
-    /** Per-device capacity summed over the fleet. */
-    std::uint64_t capacityBytes() const;
 
     StreamPimSystem &device(unsigned d);
     const StreamPimSystem &device(unsigned d) const;
@@ -103,12 +99,11 @@ class ShardedSystem
      * up to @p deviceJobs devices run concurrently (device fan-out
      * on the shared ThreadPool), each through its own
      * processQueueInto(@p engineJobs) conflict-graph drain.
-     * 0 for either level derives the budgeted split
-     * (ThreadPool::splitJobs over the resolved STREAMPIM_JOBS /
-     * STREAMPIM_DEVICE_JOBS budget); explicit values are clamped to
-     * 1 inside a ThreadPool::SerialSection. @p records is resized
-     * to one vector per device, each in that device's exact submit
-     * order — results are byte-identical at any
+     * Both levels 0 derives the budgeted split (resolveSplit over
+     * the resolved STREAMPIM_JOBS budget); explicit values are
+     * clamped to 1 inside a ThreadPool::SerialSection. @p records
+     * is resized to one vector per device, each in that device's
+     * exact submit order — results are byte-identical at any
      * (deviceJobs x engineJobs).
      *
      * @p deviceSeconds, when non-null, receives one wall-clock busy

@@ -33,7 +33,7 @@ smallFunctionalParams()
 }
 
 StreamPimSystem::StreamPimSystem(RmParams params)
-    : params_(params), map_(params_), decoder_(params_, map_),
+    : params_(params), map_(params_), decoder_(map_),
       queue_(1024)
 {
     params_.validate();
@@ -139,14 +139,6 @@ StreamPimSystem::wearSummaries() const
     for (const auto &s : subarrays_)
         out.push_back(s->wearSummary());
     return out;
-}
-
-SubarrayWear
-StreamPimSystem::subarrayWear(unsigned global_id) const
-{
-    SPIM_ASSERT(global_id < subarrays_.size(),
-                "subarray ", global_id, " out of range");
-    return subarrays_[global_id]->wearSummary();
 }
 
 std::vector<BankHealth>

@@ -232,7 +232,6 @@ class StreamPimSystem
     void enableFaultInjection(const FaultConfig &cfg);
     void disableFaultInjection();
     void resumeFaultInjection();
-    bool faultInjectionActive() const { return faultsAttached_; }
 
     /** Aggregate sampled-fault statistics across all subarrays. */
     FaultStats totalFaultStats() const;
@@ -243,9 +242,6 @@ class StreamPimSystem
 
     /** Per-subarray wear summaries (planner placement input). */
     std::vector<SubarrayWear> wearSummaries() const;
-
-    /** Wear summary of one subarray. */
-    SubarrayWear subarrayWear(unsigned global_id) const;
 
     /**
      * SMART-style telemetry: one BankHealth per bank, aggregating

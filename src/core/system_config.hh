@@ -47,19 +47,19 @@ struct SystemConfig
     OptLevel optLevel = OptLevel::Unblock;
 
     /** Bank-internal bus bandwidth for inter-subarray copies. */
-    unsigned bankBusBytesPerCycle = 32;
+    static constexpr unsigned kBankBusBytesPerCycle = 32;
 
     /** Shared inter-bank bus bandwidth. */
-    unsigned deviceBusBytesPerCycle = 64;
+    static constexpr unsigned kDeviceBusBytesPerCycle = 64;
+
+    /** Staging subarrays in the memory banks used as vector homes
+     * under unblock (the disjoint result/operand set). */
+    static constexpr unsigned kStagingSubarrays = 64;
 
     /** Host link: ticks to deliver one VPC to the device queue. The
      * asynchronous send-response protocol (Sec. IV-B) lets many VPCs
      * be in flight; this is the per-command serialization cost. */
     Tick vpcIssueTicks = nsToTicks(2.0);
-
-    /** Staging subarrays in the memory banks used as vector homes
-     * under unblock (the disjoint result/operand set). */
-    unsigned stagingSubarrays = 64;
 
     /** Slicing threshold (Sec. IV-C): a VPC whose vector exceeds
      * this is split across subarrays and recombined with adds. */

@@ -52,13 +52,6 @@ DwRippleCarryAdder::add(const BitVec &a, const BitVec &b, bool cin)
     return {sum, carry};
 }
 
-std::uint64_t
-DwRippleCarryAdder::addWords(std::uint64_t a, std::uint64_t b)
-{
-    auto r = add(BitVec::fromWord(a, width_), BitVec::fromWord(b, width_));
-    return r.sum.toWord() | (std::uint64_t(r.carry) << width_);
-}
-
 DwAdderTree::DwAdderTree(unsigned operands, unsigned operand_width,
                          LogicCounters &counters)
     : operands_(operands), operandWidth_(operand_width),
@@ -119,16 +112,6 @@ DwAdderTree::sum(const std::vector<BitVec> &values)
     BitVec result = level.front();
     result.resize(resultWidth());
     return result;
-}
-
-std::uint64_t
-DwAdderTree::sumWords(const std::vector<std::uint64_t> &values)
-{
-    std::vector<BitVec> vecs;
-    vecs.reserve(values.size());
-    for (auto v : values)
-        vecs.push_back(BitVec::fromWord(v, operandWidth_));
-    return sum(vecs).toWord();
 }
 
 } // namespace streampim

@@ -67,9 +67,6 @@ class DwRippleCarryAdder
      */
     Result add(const BitVec &a, const BitVec &b, bool cin = false);
 
-    /** Convenience: integer-in, integer-out (width <= 64). */
-    std::uint64_t addWords(std::uint64_t a, std::uint64_t b);
-
     /**
      * Closed-form counter delta of one add(): the netlist evaluates
      * @p width full adders of kGatesPerBit NANDs, one gate op and
@@ -118,9 +115,6 @@ class DwAdderTree
      * entries, each at most the operand width).
      */
     BitVec sum(const std::vector<BitVec> &values);
-
-    /** Convenience for word inputs. */
-    std::uint64_t sumWords(const std::vector<std::uint64_t> &values);
 
     /**
      * Closed-form counter delta of one sum(): the pairwise

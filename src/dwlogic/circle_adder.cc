@@ -92,12 +92,6 @@ CircleAdder::accumulate(const BitVec &product)
 }
 
 void
-CircleAdder::accumulateWord(std::uint64_t product, unsigned bits)
-{
-    accumulate(BitVec::fromWord(product, bits));
-}
-
-void
 CircleAdder::install(std::uint64_t acc, std::uint64_t accumulations,
                      bool overflowed)
 {

@@ -66,7 +66,6 @@ class CircleAdder
 
     /** Run one full accumulation of @p product (4 steps). */
     void accumulate(const BitVec &product);
-    void accumulateWord(std::uint64_t product, unsigned bits);
 
     /**
      * Scalar-addition mode: both operands stream across the full

@@ -66,9 +66,6 @@ class Duplicator
      */
     void step();
 
-    /** True when a forward replica is waiting to be consumed. */
-    bool outputAvailable() const { return output_.has_value(); }
-
     /** Consume the forward replica. */
     BitVec takeOutput();
 

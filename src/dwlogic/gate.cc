@@ -9,8 +9,6 @@ bool
 DwGate::truth(DwGateType type, bool a, bool b)
 {
     switch (type) {
-      case DwGateType::Not:
-        return !a;
       case DwGateType::Nand:
         return !(a && b);
       case DwGateType::Nor:
@@ -24,19 +22,8 @@ DwGate::truth(DwGateType type, bool a, bool b)
 }
 
 bool
-DwGate::evalNot(bool a)
-{
-    SPIM_ASSERT(type_ == DwGateType::Not,
-                "evalNot on a two-input gate");
-    counters_.gateOps += 1;
-    counters_.shiftSteps += 1; // domain shifts across the inverter
-    return !a;
-}
-
-bool
 DwGate::eval(bool a, bool b)
 {
-    SPIM_ASSERT(type_ != DwGateType::Not, "eval on a NOT gate");
     // Two input domains and the bias domain shift into the DMI
     // coupling region; the output domain shifts out: count one gate
     // op per DMI cell traversed plus the propagation step.
@@ -52,8 +39,6 @@ DwGate::eval(bool a, bool b)
         counters_.gateOps += 2;
         counters_.shiftSteps += 2;
         break;
-      default:
-        SPIM_PANIC("unreachable");
     }
     return truth(type_, a, b);
 }

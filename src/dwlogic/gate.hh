@@ -14,8 +14,7 @@
  * The functional model evaluates boolean values; every evaluation
  * counts the gates traversed and the shift steps that push domains
  * through them, so higher-level components can report exact gate/
- * shift totals for the energy model (0.0008 pJ/gate at 32 nm,
- * Sec. V-F).
+ * shift totals.
  */
 
 #ifndef STREAMPIM_DWLOGIC_GATE_HH_
@@ -29,22 +28,11 @@ namespace streampim
 /** Gate flavors constructible from domain-wall inverters (Fig. 6). */
 enum class DwGateType
 {
-    Not,
     Nand,
     Nor,
     And, //!< NAND + output inverter
     Or,  //!< NOR + output inverter
 };
-
-/** Bias polarity selecting NAND vs NOR behaviour of the DMI cell. */
-enum class DwBias
-{
-    NandBias,
-    NorBias,
-};
-
-/** Per-gate energy at the paper's 32 nm node (Sec. V-F). */
-inline constexpr double kGateEnergyPj = 0.0008;
 
 /** Counters shared by a tree of logic components. */
 struct LogicCounters
@@ -89,10 +77,6 @@ struct LogicCounters
         diodePasses += d.diodePasses * n;
         return *this;
     }
-
-    /** Total picojoules attributable to gate traversals. */
-    double gateEnergyPj() const
-    { return double(gateOps) * kGateEnergyPj; }
 };
 
 /**
@@ -108,10 +92,7 @@ class DwGate
 
     DwGateType type() const { return type_; }
 
-    /** Unary evaluation; only valid for NOT. */
-    bool evalNot(bool a);
-
-    /** Binary evaluation; only valid for the two-input flavors. */
+    /** Binary evaluation. */
     bool eval(bool a, bool b);
 
     /**
@@ -164,9 +145,6 @@ class DwDiode
      * @return true if the domain passed (diode enabled).
      */
     bool passForward(bool &bit_in_transit);
-
-    /** Reverse propagation never passes, enabled or not. */
-    bool passReverse() const { return false; }
 
   private:
     LogicCounters &counters_;

@@ -96,33 +96,6 @@ class AddressMap
         return bank * params_.subarraysPerBank + subarray;
     }
 
-    unsigned
-    bankOfGlobal(unsigned global_subarray) const
-    {
-        return global_subarray / params_.subarraysPerBank;
-    }
-
-    unsigned
-    subarrayOfGlobal(unsigned global_subarray) const
-    {
-        return global_subarray % params_.subarraysPerBank;
-    }
-
-    /** True if the global subarray lives in a PIM-capable bank. */
-    bool
-    isPimSubarray(unsigned global_subarray) const
-    {
-        return bankOfGlobal(global_subarray) < params_.pimBanks;
-    }
-
-    /** Global subarray holding a byte address. */
-    unsigned
-    subarrayOfAddr(Addr addr) const
-    {
-        auto loc = decode(addr);
-        return globalSubarray(loc.bank, loc.subarray);
-    }
-
   private:
     const RmParams &params_;
 };

@@ -31,8 +31,6 @@ struct DramParams
     NanoSec tClNs = 14.16;       //!< column command -> data
     NanoSec tRpNs = 14.16;       //!< precharge
     NanoSec tRcNs = 47.0;        //!< full row cycle (ELP2IM row op)
-    NanoSec tRfcNs = 350.0;      //!< refresh command duration
-    NanoSec tRefiNs = 7800.0;    //!< refresh interval
 
     std::uint64_t rowBytes = 8192;   //!< bytes per DRAM row
     unsigned banksPerChannel = 16;
@@ -61,20 +59,6 @@ struct DramParams
     rowMissLatencyNs() const
     {
         return tRpNs + tRcdNs + tClNs;
-    }
-
-    /** Row-hit access latency. */
-    NanoSec
-    rowHitLatencyNs() const
-    {
-        return tClNs;
-    }
-
-    /** Fraction of time spent refreshing. */
-    double
-    refreshOverhead() const
-    {
-        return tRfcNs / tRefiNs;
     }
 };
 

@@ -269,11 +269,6 @@ SweepRunner::report() const
     // Word-kernel implementation label (common/simd.hh); kept so the
     // report shape stays stable across schema versions.
     perf["simd_backend"] = simd::backendName();
-    // Fleet size this run simulated with (device-count invariance:
-    // non-timing fields must diff byte-identical across
-    // STREAMPIM_DEVICES too).
-    perf["devices"] = Config::envInt("STREAMPIM_DEVICES", 1, 0,
-                                     Config::kMaxDevices);
     perf["functional_ops"] = ops;
     perf["wall_seconds"] = wallSeconds_;
     perf["functional_ops_per_second"] =

@@ -44,8 +44,7 @@ namespace streampim
  * campaigns carry recovered / unrecoverable / first_unrecoverable
  * trajectories and recovery-ladder counters, executor reports carry
  * recovery_ticks and the recovery energy category, and the
- * abl_recovery bench joined the golden set; 6 = sharding: the perf
- * section always carries `devices` (STREAMPIM_DEVICES), benches can
+ * abl_recovery bench joined the golden set; 6 = sharding: benches can
  * merge extra perf objects via perfNote() (abl_sharding records
  * per-device utilization, merge_seconds and speedup_vs_one_device
  * there), and the abl_sharding bench joined the golden set. Fields
@@ -170,10 +169,6 @@ class SweepRunner
 
     /** Sum of the cells' reserved "functional_ops" metric. */
     double functionalOps() const;
-
-    /** True when --json or STREAMPIM_JSON asked for a report. */
-    bool reportRequested() const { return !reportPath_.empty(); }
-    const std::string &reportPath() const { return reportPath_; }
 
     /**
      * Write BENCH_<name>.json when requested; prints the path on

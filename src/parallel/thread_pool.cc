@@ -43,20 +43,11 @@ ThreadPool::resolveJobs(unsigned requested)
 }
 
 ThreadPool::JobSplit
-ThreadPool::splitJobs(unsigned fanout, unsigned requested)
+ThreadPool::splitJobs(unsigned fanout)
 {
-    if (fanout == 0)
-        fanout = 1;
-    const unsigned budget = resolveJobs(requested);
-    unsigned outer = budget;
-    const auto env = Config::envInt("STREAMPIM_DEVICE_JOBS", 0, 0,
-                                    Config::kMaxJobs);
-    if (env > 0)
-        outer = unsigned(env);
-    outer = std::min(outer, fanout);
-    outer = std::min(outer, budget);
+    const unsigned budget = resolveJobs(0);
     JobSplit split;
-    split.outer = std::max(outer, 1u);
+    split.outer = std::clamp(fanout, 1u, budget);
     // Integer share: outer * inner <= budget by construction.
     split.inner = std::max(budget / split.outer, 1u);
     return split;

@@ -74,18 +74,16 @@ class ThreadPool
     };
 
     /**
-     * Split the resolved budget resolveJobs(@p requested) across a
-     * device-level fan-out of @p fanout concurrent shards: outer
-     * devices run at once, each with inner engine jobs, and
-     * outer * inner NEVER exceeds the resolved budget — nested
-     * parallelism cannot oversubscribe the pool. The outer level is
-     * min(fanout, budget), additionally capped by
-     * STREAMPIM_DEVICE_JOBS when set; inner is the integer share
+     * Split the resolved budget resolveJobs(0) across a device-level
+     * fan-out of @p fanout concurrent shards: outer devices run at
+     * once, each with inner engine jobs, and outer * inner NEVER
+     * exceeds the resolved budget — nested parallelism cannot
+     * oversubscribe the pool. The outer level is min(fanout,
+     * budget) (at least 1); inner is the integer share
      * budget / outer (>= 1). Inside a SerialSection both levels
      * collapse to 1.
      */
-    static JobSplit splitJobs(unsigned fanout,
-                              unsigned requested = 0);
+    static JobSplit splitJobs(unsigned fanout);
 
     /** True while a SerialSection is alive on this thread. */
     static bool inSerialSection();

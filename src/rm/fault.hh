@@ -85,31 +85,6 @@ class ShiftFaultModel
             : ShiftOutcome::UnderShift;
     }
 
-    /**
-     * Sample the net displacement error after a transfer of
-     * @p pulses pulses, each of @p steps_per_pulse steps. Positive
-     * values are accumulated over-shift.
-     */
-    long
-    sampleTransferError(Rng &rng, std::uint64_t pulses,
-                        unsigned steps_per_pulse) const
-    {
-        long error = 0;
-        for (std::uint64_t i = 0; i < pulses; ++i) {
-            switch (samplePulse(rng, steps_per_pulse)) {
-              case ShiftOutcome::Exact:
-                break;
-              case ShiftOutcome::OverShift:
-                error += 1;
-                break;
-              case ShiftOutcome::UnderShift:
-                error -= 1;
-                break;
-            }
-        }
-        return error;
-    }
-
   private:
     double pStep_;
     double overFraction_;

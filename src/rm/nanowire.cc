@@ -33,7 +33,6 @@ Nanowire::shift(ShiftDir dir, unsigned steps)
                    ") outside reserved region [-", reserved_, ", ",
                    reserved_, "]");
     offset_ = next;
-    totalShiftSteps_ += steps;
 }
 
 ShiftAttempt
@@ -92,7 +91,6 @@ Nanowire::tryShift(ShiftDir dir, unsigned steps, FaultInjector *faults)
     }
     att.applied = next - offset_;
     offset_ = next;
-    totalShiftSteps_ += std::uint64_t(std::abs(att.applied));
     return att;
 }
 
@@ -143,7 +141,6 @@ Nanowire::alignSweep(unsigned first, unsigned count)
                                std::int64_t(count - 1) +
                                crossings * (p - 2);
     offset_ = -int(last % domainsPerPort_);
-    totalShiftSteps_ += std::uint64_t(steps);
     return std::uint64_t(steps);
 }
 

@@ -63,7 +63,6 @@ class Nanowire
      */
     Nanowire(unsigned data_domains, unsigned domains_per_port);
 
-    unsigned dataDomains() const { return dataDomains_; }
     unsigned domainsPerPort() const { return domainsPerPort_; }
     unsigned ports() const { return dataDomains_ / domainsPerPort_; }
 
@@ -174,9 +173,6 @@ class Nanowire
     }
     /** @} */
 
-    /** Total shift steps performed over the lifetime (for stats). */
-    std::uint64_t totalShiftSteps() const { return totalShiftSteps_; }
-
   private:
     /** Physical position of logical domain @p index. */
     int physicalPos(unsigned index) const;
@@ -193,7 +189,6 @@ class Nanowire
      */
     BitVec bits_;
     int offset_ = 0;
-    std::uint64_t totalShiftSteps_ = 0;
 };
 
 } // namespace streampim

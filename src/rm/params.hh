@@ -127,13 +127,6 @@ struct RmParams
         return unsigned(matBytes * 8 / saveTracksPerMat);
     }
 
-    /** Access ports per save track. */
-    unsigned
-    portsPerTrack() const
-    {
-        return domainsPerTrack() / domainsPerPort;
-    }
-
     Tick readTicks() const { return nsToTicks(readNs); }
     Tick writeTicks() const { return nsToTicks(writeNs); }
     /** Latency of shifting by @p steps domain positions. */

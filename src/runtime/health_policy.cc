@@ -11,8 +11,9 @@ namespace streampim
 void
 HealthPolicyConfig::validate() const
 {
-    SPIM_ASSERT(cadence >= 1,
-                "health policy cadence must be >= 1 round");
+    if (cadence < 1)
+        SPIM_FATAL("health policy cadence must be >= 1 round, got ",
+                   cadence);
 }
 
 HealthPolicy::HealthPolicy(const HealthPolicyConfig &cfg,
@@ -145,7 +146,6 @@ HealthPolicy::evaluate(std::span<const BankHealth> health,
                 continue;
             d.migrations.push_back({r, h, c});
             cur[r] = c;
-            migrations_++;
             break;
         }
     }

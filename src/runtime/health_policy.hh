@@ -191,8 +191,6 @@ class HealthPolicy
 
     /** Evaluations run so far (telemetry). */
     unsigned evaluations() const { return evaluations_; }
-    /** Migrations decided so far (telemetry). */
-    unsigned migrationsPlanned() const { return migrations_; }
 
   private:
     unsigned bankOf(std::uint32_t sub) const;
@@ -209,7 +207,6 @@ class HealthPolicy
     std::vector<std::uint32_t> rank_;
     std::vector<bool> quarantined_;
     unsigned evaluations_ = 0;
-    unsigned migrations_ = 0;
 };
 
 } // namespace streampim

@@ -51,9 +51,6 @@ PimTask::computeOp(const MatrixOp &op, std::uint8_t alpha)
     const std::uint8_t *pa = operands_[op.a].data;
     std::uint8_t *pc = operands_[op.c].data;
 
-    // Pick the bit-accurate path for small problems.
-    const bool bit_accurate =
-        graph_.totalMacs() <= bitLimit_;
     EnergyMeter scratch_meter;
     RmProcessor proc(cfg_.rm, scratch_meter);
     ProcessorResult res;
@@ -68,20 +65,11 @@ PimTask::computeOp(const MatrixOp &op, std::uint8_t alpha)
             for (unsigned k = 0; k < K; ++k)
                 col[k] = pb[std::size_t(k) * J + j];
             for (unsigned i = 0; i < I; ++i) {
-                const std::uint8_t *row = pa + std::size_t(i) * K;
-                std::uint32_t acc;
-                if (bit_accurate) {
-                    proc.dotProductInto(
-                        std::span<const std::uint8_t>(row, K),
-                        std::span<const std::uint8_t>(col.data(), K),
-                        res);
-                    acc = res.values[0];
-                } else {
-                    acc = 0;
-                    for (unsigned k = 0; k < K; ++k)
-                        acc += std::uint32_t(row[k]) * col[k];
-                }
-                pc[std::size_t(i) * J + j] = std::uint8_t(acc);
+                proc.dotProductInto(
+                    std::span<const std::uint8_t>(
+                        pa + std::size_t(i) * K, K),
+                    std::span<const std::uint8_t>(col.data(), K), res);
+                pc[std::size_t(i) * J + j] = std::uint8_t(res.values[0]);
             }
         }
         break;
@@ -99,47 +87,28 @@ PimTask::computeOp(const MatrixOp &op, std::uint8_t alpha)
             for (unsigned x = 0; x < k; ++x)
                 vec[x] = t ? pa[std::size_t(x) * da.cols + i]
                            : pa[std::size_t(i) * da.cols + x];
-            std::uint32_t acc;
-            if (bit_accurate) {
-                proc.dotProductInto(
-                    std::span<const std::uint8_t>(vec.data(), k),
-                    std::span<const std::uint8_t>(pb, k), res);
-                acc = res.values[0];
-            } else {
-                acc = 0;
-                for (unsigned x = 0; x < k; ++x)
-                    acc += std::uint32_t(vec[x]) * pb[x];
-            }
-            pc[i] = std::uint8_t(acc);
+            proc.dotProductInto(
+                std::span<const std::uint8_t>(vec.data(), k),
+                std::span<const std::uint8_t>(pb, k), res);
+            pc[i] = std::uint8_t(res.values[0]);
         }
         break;
       }
       case MatOpKind::MatAdd: {
         const std::uint8_t *pb = operands_[op.b].data;
         const std::uint64_t n = da.elements();
-        if (bit_accurate) {
-            proc.vectorAddInto(std::span<const std::uint8_t>(pa, n),
-                               std::span<const std::uint8_t>(pb, n),
-                               res);
-            for (std::uint64_t i = 0; i < n; ++i)
-                pc[i] = std::uint8_t(res.values[i]);
-        } else {
-            for (std::uint64_t i = 0; i < n; ++i)
-                pc[i] = std::uint8_t(pa[i] + pb[i]);
-        }
+        proc.vectorAddInto(std::span<const std::uint8_t>(pa, n),
+                           std::span<const std::uint8_t>(pb, n), res);
+        for (std::uint64_t i = 0; i < n; ++i)
+            pc[i] = std::uint8_t(res.values[i]);
         break;
       }
       case MatOpKind::Scale: {
         const std::uint64_t n = da.elements();
-        if (bit_accurate) {
-            proc.scalarVectorMulInto(
-                alpha, std::span<const std::uint8_t>(pa, n), res);
-            for (std::uint64_t i = 0; i < n; ++i)
-                pc[i] = std::uint8_t(res.values[i]);
-        } else {
-            for (std::uint64_t i = 0; i < n; ++i)
-                pc[i] = std::uint8_t(std::uint32_t(alpha) * pa[i]);
-        }
+        proc.scalarVectorMulInto(
+            alpha, std::span<const std::uint8_t>(pa, n), res);
+        for (std::uint64_t i = 0; i < n; ++i)
+            pc[i] = std::uint8_t(res.values[i]);
         break;
       }
       case MatOpKind::Nonlinear:

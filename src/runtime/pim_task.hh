@@ -18,9 +18,9 @@
  *   - replays the planned VPC schedule on the timed device model,
  *     returning the ExecutionReport.
  *
- * Small operands are computed through the bit-accurate RmProcessor;
- * larger ones use a host fast path with identical semantics (the
- * equivalence of the two paths is pinned by tests).
+ * Every operation is computed through the RmProcessor: its closed
+ * form, or the domain-wall gate netlist under STREAMPIM_STRICT_GATES
+ * (dwlogic/mode.hh).
  */
 
 #ifndef STREAMPIM_RUNTIME_PIM_TASK_HH_
@@ -74,9 +74,6 @@ class PimTask
     /** The lowered VPC counts (after run()). */
     const PlanStats &planStats() const { return planStats_; }
 
-    /** Threshold below which the bit-accurate processor is used. */
-    void setBitAccurateLimit(std::uint64_t macs) { bitLimit_ = macs; }
-
     const TaskGraph &graph() const { return graph_; }
 
   private:
@@ -101,7 +98,6 @@ class PimTask
     Planner planner_;
     Executor executor_;
     PlanStats planStats_;
-    std::uint64_t bitLimit_ = 1u << 16;
     bool ran_ = false;
 };
 

@@ -46,7 +46,7 @@ Planner::Planner(const SystemConfig &config) : cfg_(config)
     // (that overlap is what distribute fails to avoid).
     if (cfg_.optLevel == OptLevel::Unblock) {
         unsigned staging = std::min<unsigned>(
-            cfg_.stagingSubarrays,
+            SystemConfig::kStagingSubarrays,
             rm.totalSubarrays() - pim);
         SPIM_ASSERT(staging > 0,
                     "no memory-bank subarrays available for staging");

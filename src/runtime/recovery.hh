@@ -90,10 +90,10 @@ struct RecoveryConfig
     {
         // All-zero budgets would make enabled recovery a silent
         // no-op that still pays for snapshots; make that loud.
-        SPIM_ASSERT(!enabled || retryBudget + rehomeBudget +
-                                        replanBudget >
-                                    0,
-                    "recovery enabled with every ladder budget zero");
+        if (enabled && retryBudget + rehomeBudget + replanBudget == 0)
+            SPIM_FATAL("recovery enabled with every ladder budget "
+                       "zero (retry ", retryBudget, ", rehome ",
+                       rehomeBudget, ", replan ", replanBudget, ")");
     }
 };
 

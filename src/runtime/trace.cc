@@ -69,14 +69,6 @@ writeTrace(const VpcTrace &trace, std::ostream &os)
     });
 }
 
-std::string
-traceToString(const VpcTrace &trace)
-{
-    std::ostringstream os;
-    writeTrace(trace, os);
-    return os.str();
-}
-
 VpcTrace
 readTrace(std::istream &is)
 {
@@ -131,13 +123,6 @@ readTrace(std::istream &is)
         SPIM_FATAL("trace declares ", declared, " batches but has ",
                    trace.schedule.batchCount());
     return trace;
-}
-
-VpcTrace
-traceFromString(const std::string &text)
-{
-    std::istringstream is(text);
-    return readTrace(is);
 }
 
 void

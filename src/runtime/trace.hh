@@ -43,15 +43,11 @@ struct VpcTrace
 /** Write a trace in the STPIMTRACE text format. */
 void writeTrace(const VpcTrace &trace, std::ostream &os);
 
-/** Serialize to a string (convenience for tests/tools). */
-std::string traceToString(const VpcTrace &trace);
-
 /**
  * Parse a trace. fatal() on malformed input (bad header, unknown
  * mnemonic, forward dependencies) — trace files are user input.
  */
 VpcTrace readTrace(std::istream &is);
-VpcTrace traceFromString(const std::string &text);
 
 /** Save/load via the filesystem. */
 void saveTraceFile(const VpcTrace &trace, const std::string &path);

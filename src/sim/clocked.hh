@@ -15,7 +15,7 @@
 namespace streampim
 {
 
-/** A clock domain: frequency plus tick conversion helpers. */
+/** A clock domain: frequency plus the cycle-to-tick conversion. */
 class ClockDomain
 {
   public:
@@ -26,32 +26,10 @@ class ClockDomain
         SPIM_ASSERT(period_ > 0, "clock period must be positive");
     }
 
-    Tick period() const { return period_; }
-
     Tick
     cyclesToTicks(Cycle c) const
     {
         return static_cast<Tick>(c) * period_;
-    }
-
-    Cycle
-    ticksToCycles(Tick t) const
-    {
-        return t / period_;
-    }
-
-    /** Cycles needed to cover @p t ticks, rounded up. */
-    Cycle
-    ticksToCyclesCeil(Tick t) const
-    {
-        return (t + period_ - 1) / period_;
-    }
-
-    /** First clock edge at or after @p now. */
-    Tick
-    edgeAtOrAfter(Tick now) const
-    {
-        return ((now + period_ - 1) / period_) * period_;
     }
 
   private:

@@ -50,16 +50,6 @@ class TickResource
         return {start, freeAt_};
     }
 
-    /** When the resource next becomes free. */
-    Tick freeAt() const { return freeAt_; }
-
-    /** Force the free time forward (e.g. blocked by another domain). */
-    void
-    blockUntil(Tick t)
-    {
-        freeAt_ = std::max(freeAt_, t);
-    }
-
     /** Total ticks this resource has been occupied. */
     Tick busyTicks() const { return busyTicks_; }
 

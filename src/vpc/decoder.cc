@@ -5,12 +5,6 @@
 namespace streampim
 {
 
-unsigned
-VpcDecoder::executingBank(const Vpc &vpc) const
-{
-    return map_.decode(vpc.src1).bank;
-}
-
 void
 VpcDecoder::decodeInto(const Vpc &vpc,
                        std::vector<BankCommand> &cmds) const
@@ -60,38 +54,6 @@ VpcDecoder::decodeInto(const Vpc &vpc,
                         dst.subarray, vpc.dst, result_bytes,
                         vpc.kind});
     }
-}
-
-std::vector<SubarrayOp>
-VpcDecoder::expand(const BankCommand &cmd) const
-{
-    std::vector<SubarrayOp> ops;
-    switch (cmd.kind) {
-      case BankCommandKind::ReadBlock:
-        ops.push_back({SubarrayOpKind::PortRead, cmd.bytes,
-                       VpcKind::Tran});
-        break;
-      case BankCommandKind::WriteBlock:
-        ops.push_back({SubarrayOpKind::PortWrite, cmd.bytes,
-                       VpcKind::Tran});
-        break;
-      case BankCommandKind::ExecuteInBank: {
-        // Fig. 13: (1)-(2) operands stream from mats over the RM
-        // bus into the processor, (3) the pipeline computes, (4)-(5)
-        // results stream back to the destination mat.
-        const std::uint32_t n = cmd.bytes;
-        const unsigned operand_streams =
-            cmd.op == VpcKind::Smul ? 1 : 2;
-        ops.push_back({SubarrayOpKind::StreamIn,
-                       n * operand_streams, cmd.op});
-        ops.push_back({SubarrayOpKind::Compute, n, cmd.op});
-        const std::uint32_t out =
-            cmd.op == VpcKind::Mul ? kAccumulatorBits / 8 : n;
-        ops.push_back({SubarrayOpKind::StreamOut, out, cmd.op});
-        break;
-      }
-    }
-    return ops;
 }
 
 } // namespace streampim

@@ -12,10 +12,6 @@
  *  - Otherwise read/write commands are generated to collect the
  *    operands into the executing bank and to store the result to
  *    its destination bank.
- *
- * A bank command in turn decodes into the operation sequence of
- * Sec. IV-B: transfers mats -> processor, the scalar operation
- * stream, and the result transfer back (Fig. 13 steps 1-5).
  */
 
 #ifndef STREAMPIM_VPC_DECODER_HH_
@@ -24,7 +20,6 @@
 #include <vector>
 
 #include "mem/address.hh"
-#include "rm/params.hh"
 #include "vpc/vpc.hh"
 
 namespace streampim
@@ -49,31 +44,11 @@ struct BankCommand
     VpcKind op = VpcKind::Tran; //!< for ExecuteInBank
 };
 
-/** Subarray-level micro-operations a bank command expands into. */
-enum class SubarrayOpKind
-{
-    StreamIn,   //!< mats -> RM bus -> processor (shift domain)
-    Compute,    //!< duplicator/multiplier/adder-tree/circle-adder
-    StreamOut,  //!< processor -> RM bus -> destination mat
-    PortRead,   //!< access-port read (conversion; inter-subarray)
-    PortWrite,  //!< access-port write (conversion; inter-subarray)
-};
-
-/** One micro-operation with its element count. */
-struct SubarrayOp
-{
-    SubarrayOpKind kind;
-    std::uint32_t elements = 0;
-    VpcKind op = VpcKind::Tran; //!< for Compute
-};
-
 /** Decodes VPCs per the Fig. 14 control flow. */
 class VpcDecoder
 {
   public:
-    VpcDecoder(const RmParams &params, const AddressMap &map)
-        : params_(params), map_(map)
-    {}
+    explicit VpcDecoder(const AddressMap &map) : map_(map) {}
 
     /**
      * Decode a VPC into bank commands. The executing bank is the
@@ -84,17 +59,7 @@ class VpcDecoder
     void decodeInto(const Vpc &vpc,
                     std::vector<BankCommand> &cmds) const;
 
-    /**
-     * Expand an ExecuteInBank command into the subarray operation
-     * sequence of Fig. 13.
-     */
-    std::vector<SubarrayOp> expand(const BankCommand &cmd) const;
-
-    /** The bank a VPC executes in. */
-    unsigned executingBank(const Vpc &vpc) const;
-
   private:
-    const RmParams &params_;
     const AddressMap &map_;
 };
 

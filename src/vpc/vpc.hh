@@ -113,7 +113,6 @@ class VpcQueue
             tail -= ring_.size();
         ring_[tail] = vpc;
         count_++;
-        accepted_++;
         return true;
     }
 
@@ -131,15 +130,7 @@ class VpcQueue
     /** Record a completion response back to the host. */
     void respond() { responses_++; }
 
-    std::uint64_t accepted() const { return accepted_; }
     std::uint64_t responses() const { return responses_; }
-
-    /** Commands accepted but not yet responded to. */
-    std::uint64_t
-    inFlight() const
-    {
-        return accepted_ - responses_;
-    }
 
   private:
     /** Double the ring (linearizing the live span), up to capacity. */
@@ -164,7 +155,6 @@ class VpcQueue
     std::vector<Vpc> ring_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
-    std::uint64_t accepted_ = 0;
     std::uint64_t responses_ = 0;
 };
 

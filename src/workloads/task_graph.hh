@@ -36,8 +36,6 @@ struct MatrixDesc
     {
         return std::uint64_t(rows) * cols;
     }
-
-    bool isVector() const { return cols == 1 || rows == 1; }
 };
 
 /** Matrix operation kinds the runtime can lower. */

@@ -26,7 +26,7 @@ TEST(RmBusLane, StartsDrained)
     RmBusLane lane(4);
     EXPECT_TRUE(lane.drained());
     EXPECT_EQ(lane.occupancy(), 0u);
-    EXPECT_FALSE(lane.peekOutput().has_value());
+    EXPECT_FALSE(lane.takeOutput().has_value());
 }
 
 TEST(RmBusLane, InjectNeedsDataAndEmptySegments)
@@ -48,12 +48,11 @@ TEST(RmBusLane, WordTraversesOneSegmentPerCycle)
     RmBusLane lane(5);
     lane.inject(42);
     for (int i = 0; i < 3; ++i) {
-        EXPECT_FALSE(lane.peekOutput().has_value());
+        EXPECT_FALSE(lane.takeOutput().has_value());
         lane.step();
     }
     lane.step();
-    ASSERT_TRUE(lane.peekOutput().has_value());
-    EXPECT_EQ(*lane.peekOutput(), 42u);
+    EXPECT_EQ(lane.takeOutput(), std::optional<std::uint64_t>(42));
 }
 
 TEST(RmBusLane, TakeOutputRemovesWord)
@@ -62,7 +61,7 @@ TEST(RmBusLane, TakeOutputRemovesWord)
     lane.inject(5);
     lane.step();
     EXPECT_EQ(*lane.takeOutput(), 5u);
-    EXPECT_FALSE(lane.peekOutput().has_value());
+    EXPECT_FALSE(lane.takeOutput().has_value());
     EXPECT_TRUE(lane.drained());
 }
 

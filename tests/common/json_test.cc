@@ -32,15 +32,29 @@ TEST(Json, NestedStructure)
 {
     Json doc = Json::object();
     doc["name"] = "fig17";
+    doc["jobs"] = 4;
     Json cells = Json::array();
     Json c = Json::object();
     c["row"] = "atax";
-    c["value"] = 39.1;
+    c["value"] = 1.25;
     cells.push(std::move(c));
+    cells.push(Json::object());
+    cells.push(Json::array());
     doc["cells"] = std::move(cells);
-    const std::string text = doc.dump(2);
-    EXPECT_NE(text.find("\"cells\": ["), std::string::npos);
-    EXPECT_NE(text.find("\"row\": \"atax\""), std::string::npos);
+    EXPECT_EQ(doc.dump(0), R"({"name":"fig17","jobs":4,"cells":)"
+                           R"([{"row":"atax","value":1.25},{},[]]})");
+    EXPECT_EQ(doc.dump(2), "{\n"
+                           "  \"name\": \"fig17\",\n"
+                           "  \"jobs\": 4,\n"
+                           "  \"cells\": [\n"
+                           "    {\n"
+                           "      \"row\": \"atax\",\n"
+                           "      \"value\": 1.25\n"
+                           "    },\n"
+                           "    {},\n"
+                           "    []\n"
+                           "  ]\n"
+                           "}\n");
 }
 
 TEST(Json, StringEscaping)
@@ -49,95 +63,15 @@ TEST(Json, StringEscaping)
               "\"a\\\"b\\\\c\\nd\"");
 }
 
-TEST(Json, ParsesScalars)
-{
-    std::string err;
-    EXPECT_TRUE(Json::parse("null", &err).isNull());
-    EXPECT_TRUE(err.empty());
-    EXPECT_TRUE(Json::parse("true").asBool());
-    EXPECT_DOUBLE_EQ(Json::parse("-12.5e1").asNumber(), -125.0);
-    EXPECT_EQ(Json::parse("\"x\\ny\"").asString(), "x\ny");
-}
-
-TEST(Json, ParsesNested)
-{
-    std::string err;
-    Json doc = Json::parse(
-        R"({"a": [1, 2, {"b": "c"}], "d": {"e": false}})", &err);
-    ASSERT_TRUE(err.empty()) << err;
-    ASSERT_TRUE(doc.isObject());
-    const Json *a = doc.find("a");
-    ASSERT_NE(a, nullptr);
-    ASSERT_EQ(a->size(), 3u);
-    EXPECT_DOUBLE_EQ(a->at(1).asNumber(), 2.0);
-    EXPECT_EQ(a->at(2).find("b")->asString(), "c");
-    EXPECT_FALSE(doc.find("d")->find("e")->asBool());
-    EXPECT_EQ(doc.find("missing"), nullptr);
-}
-
-TEST(Json, RoundTrips)
-{
-    const std::string text =
-        R"({"bench":"fig22","jobs":4,"cells":[{"v":1.25},{"v":3}]})";
-    std::string err;
-    Json doc = Json::parse(text, &err);
-    ASSERT_TRUE(err.empty()) << err;
-    EXPECT_EQ(doc.dump(0), text);
-}
-
-TEST(Json, RejectsMalformedInput)
-{
-    std::string err;
-    Json::parse("{\"a\": }", &err);
-    EXPECT_FALSE(err.empty());
-    Json::parse("[1, 2", &err);
-    EXPECT_FALSE(err.empty());
-    Json::parse("12 34", &err);
-    EXPECT_FALSE(err.empty());
-    Json::parse("\"open", &err);
-    EXPECT_FALSE(err.empty());
-}
-
-TEST(Json, UnicodeEscapeParses)
-{
-    EXPECT_EQ(Json::parse("\"\\u0041\"").asString(), "A");
-}
-
 TEST(Json, NonFiniteNumbersRoundTripAsNull)
 {
     // JSON has no NaN/Inf tokens; non-finite doubles serialize as
-    // null and come back as tolerated nulls, never as bare tokens
-    // that break the parser.
+    // null, never as bare tokens that break a reader.
     Json doc = Json::object();
     doc["nan"] = Json(std::nan(""));
     doc["inf"] = Json(std::numeric_limits<double>::infinity());
     doc["neg_inf"] = Json(-std::numeric_limits<double>::infinity());
     doc["ok"] = Json(2.5);
-    const std::string text = doc.dump(0);
-    EXPECT_EQ(text,
+    EXPECT_EQ(doc.dump(0),
               R"({"nan":null,"inf":null,"neg_inf":null,"ok":2.5})");
-
-    std::string err;
-    Json back = Json::parse(text, &err);
-    ASSERT_TRUE(err.empty()) << err;
-    EXPECT_TRUE(back.find("nan")->isNull());
-    EXPECT_TRUE(back.find("inf")->isNull());
-    EXPECT_TRUE(back.find("neg_inf")->isNull());
-    EXPECT_EQ(back.find("ok")->asNumber(), 2.5);
-    // Second round trip is stable.
-    EXPECT_EQ(back.dump(0), text);
-}
-
-TEST(Json, AsNumberOrToleratesNull)
-{
-    Json n(1.5);
-    EXPECT_EQ(n.asNumberOr(-1.0), 1.5);
-    Json null_value;
-    EXPECT_EQ(null_value.asNumberOr(-1.0), -1.0);
-}
-
-TEST(JsonDeath, AsNumberOrStillRejectsOtherKinds)
-{
-    Json s("text");
-    EXPECT_DEATH(s.asNumberOr(0.0), "not a number or null");
 }

@@ -517,7 +517,8 @@ TEST(AdaptiveEnduranceDeath, RejectsZeroCadence)
 {
     EnduranceCampaignConfig cfg = adaptiveConfig();
     cfg.adaptive.cadence = 0;
-    EXPECT_DEATH(runEnduranceCampaign(cfg), "cadence");
+    EXPECT_EXIT(runEnduranceCampaign(cfg), testing::ExitedWithCode(1),
+                "cadence");
 }
 
 TEST(EnduranceCampaignDeath, RejectsOversizedCampaigns)

@@ -328,8 +328,8 @@ struct Timings
     bankBus(std::uint64_t bytes) const
     {
         return clk.cyclesToTicks(
-            (bytes + cfg.bankBusBytesPerCycle - 1) /
-            cfg.bankBusBytesPerCycle);
+            (bytes + SystemConfig::kBankBusBytesPerCycle - 1) /
+            SystemConfig::kBankBusBytesPerCycle);
     }
 
     SystemConfig cfg;
@@ -989,14 +989,14 @@ TEST(Executor, ComputeChargesRedepositsOnResultWriteback)
 }
 
 /**
- * VmRSS growth in MiB while an executor runs 2^24 logical batches in
- * three descriptors, each batch waiting on work at most 64 batches
- * back: 64 computes, then two long runs of transfers that stream back
- * and forth between two banks. A completion tick per batch would
- * grow the resident set by 128 MiB; the executor keeps a window of
- * them. VmRSS (not the peak) is read while the executor is alive, so
- * its state counts and an earlier peak of the process cannot hide
- * it.
+ * Peak-RSS (VmHWM) growth in MiB while an executor runs 2^24 logical
+ * batches in three descriptors, each batch waiting on work at most
+ * 64 batches back: 64 computes, then two long runs of transfers that
+ * stream back and forth between two banks. A completion tick per
+ * batch would grow the resident set by 128 MiB; the executor keeps
+ * a window of them. ctest runs each test in its own process, so the
+ * peak before the run is the small schedule's, and any state the
+ * run grows, even transiently, raises the peak.
  */
 double
 longRunGrowthMib(const SystemConfig &cfg)
@@ -1024,9 +1024,9 @@ longRunGrowthMib(const SystemConfig &cfg)
     EXPECT_EQ(s.maxDepDistance(), 64u);
 
     Executor ex(cfg);
-    const double before = residentMib();
+    const double before = peakResidentMib();
     const ExecutionReport r = ex.run(s);
-    const double growth = residentMib() - before;
+    const double growth = peakResidentMib() - before;
     EXPECT_EQ(r.batches, s.batchCount());
     EXPECT_EQ(r.pimVpcs, 64u);
     return growth;

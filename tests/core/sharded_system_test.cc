@@ -77,33 +77,9 @@ expectCampaignEq(const FaultCampaignResult &x,
     }
 }
 
-void
-expectEnduranceEq(const EnduranceCampaignResult &x,
-                  const EnduranceCampaignResult &y,
-                  const char *what)
-{
-    EXPECT_EQ(x.clean, y.clean) << what;
-    EXPECT_EQ(x.corrected, y.corrected) << what;
-    EXPECT_EQ(x.retried, y.retried) << what;
-    EXPECT_EQ(x.failed, y.failed) << what;
-    EXPECT_EQ(x.mismatchedRecovered, y.mismatchedRecovered) << what;
-    EXPECT_EQ(x.firstFailedVpc, y.firstFailedVpc) << what;
-    EXPECT_EQ(x.firstFailedRound, y.firstFailedRound) << what;
-    EXPECT_EQ(x.firstFailedDeposits, y.firstFailedDeposits) << what;
-    EXPECT_EQ(x.stats.depositPulses, y.stats.depositPulses) << what;
-    EXPECT_EQ(x.stats.writeFaultsInjected,
-              y.stats.writeFaultsInjected)
-        << what;
-    EXPECT_EQ(x.stats.redeposits, y.stats.redeposits) << what;
-    EXPECT_EQ(x.stats.trackRemaps, y.stats.trackRemaps) << what;
-    EXPECT_EQ(x.finalHomes, y.finalHomes) << what;
-    EXPECT_EQ(x.rounds(), y.rounds()) << what;
-}
-
 /** Every StatusTally field of a fleet is the per-device sum. */
-template <class Fleet>
 void
-expectFleetSums(const Fleet &fleet)
+expectFleetSums(const ShardedFaultCampaignResult &fleet)
 {
     unsigned clean = 0, corrected = 0, retried = 0, failed = 0;
     unsigned recovered = 0, unrecoverable = 0, mismatched = 0;
@@ -146,19 +122,6 @@ faultyBase()
     return base;
 }
 
-/** Write-fault knobs that wear the campaign out in a few rounds. */
-EnduranceCampaignConfig
-wearOutCampaign()
-{
-    EnduranceCampaignConfig cfg;
-    cfg.base.pStep = 0.0;
-    cfg.base.pWrite0 = 1e-4;
-    cfg.base.writeEndurance = 500.0;
-    cfg.base.weibullShape = 6.0;
-    cfg.rounds = 6;
-    return cfg;
-}
-
 } // namespace
 
 TEST(ShardedSystem, DeviceSeedIsPureAndDecorrelated)
@@ -177,19 +140,6 @@ TEST(ShardedSystem, DeviceSeedIsPureAndDecorrelated)
                       ShardedSystem::deviceSeed(seed, e))
                 << d << " vs " << e;
     }
-}
-
-TEST(ShardedSystem, DefaultDevicesReadsEnvironment)
-{
-    unsetenv("STREAMPIM_DEVICES");
-    EXPECT_EQ(ShardedSystem::defaultDevices(), 1u);
-    setenv("STREAMPIM_DEVICES", "3", 1);
-    EXPECT_EQ(ShardedSystem::defaultDevices(), 3u);
-    ShardedSystem sys; // devices = 0 resolves the env default
-    EXPECT_EQ(sys.devices(), 3u);
-    EXPECT_EQ(sys.capacityBytes(),
-              3 * sys.params().totalBytes());
-    unsetenv("STREAMPIM_DEVICES");
 }
 
 TEST(ShardedSystem, MatmulBitExactAtEveryFleetSize)
@@ -423,70 +373,31 @@ TEST(ShardedSystem, CampaignIdenticalAcrossDrainSchedules)
                          parallel.perDevice[d], "drain schedule");
 }
 
-TEST(ShardedSystem, EnduranceDeviceZeroIsTheUnshardedRun)
+TEST(ShardedSystem, FleetSumsEveryTallyFieldUnderFailures)
 {
-    const EnduranceCampaignConfig cfg = wearOutCampaign();
-    const ShardedEnduranceCampaignResult fleet =
-        runShardedEnduranceCampaign(cfg, 2);
-    ASSERT_EQ(fleet.devices(), 2u);
-    EXPECT_TRUE(fleet.invariantHolds());
-
-    const EnduranceCampaignResult single =
-        runEnduranceCampaign(cfg);
-    expectEnduranceEq(fleet.perDevice[0], single, "device 0");
-    expectFleetSums(fleet);
-
-    // And the fan-out schedule does not matter either.
-    const ShardedEnduranceCampaignResult serial =
-        runShardedEnduranceCampaign(cfg, 2, 1);
-    for (unsigned d = 0; d < 2; ++d)
-        expectEnduranceEq(fleet.perDevice[d], serial.perDevice[d],
-                          "endurance fan-out");
-}
-
-TEST(ShardedSystem, EnduranceEveryDeviceIsTheSingleDeviceRun)
-{
-    const EnduranceCampaignConfig cfg = wearOutCampaign();
-    const ShardedEnduranceCampaignResult fleet =
-        runShardedEnduranceCampaign(cfg, 3);
-    for (unsigned d = 1; d < 3; ++d) {
-        EnduranceCampaignConfig dev = cfg;
-        dev.base.seed = ShardedSystem::deviceSeed(cfg.base.seed, d);
-        SCOPED_TRACE(testing::Message() << "device " << d);
-        expectEnduranceEq(fleet.perDevice[d],
-                          runEnduranceCampaign(dev), "fleet device");
-    }
-}
-
-TEST(ShardedSystem, FleetSumsEveryTallyFieldUnderRecovery)
-{
-    // Wear-out with the recovery ladder on, so recovered,
-    // unrecoverable and failedButIntact are all in play.
-    EnduranceCampaignConfig cfg;
-    cfg.base.pStep = 1e-4;
-    cfg.base.pWrite0 = 1e-4;
-    cfg.base.writeEndurance = 500.0;
-    cfg.base.weibullShape = 6.0;
-    cfg.base.spareTracks = 0;
-    cfg.rounds = 16;
-    cfg.recovery.enabled = true;
-    const ShardedEnduranceCampaignResult fleet =
-        runShardedEnduranceCampaign(cfg, 3);
+    // Aggressive shift faults with poor coverage, so Failed VPCs
+    // and their lost/intact split are in play.
+    FaultCampaignConfig base = faultyBase();
+    base.pStep = 1e-2;
+    base.guardCoverage = 0.5;
+    const ShardedFaultCampaignResult fleet =
+        runShardedFaultCampaign(base, 3);
     EXPECT_GT(fleet.failed, 0u);
     expectFleetSums(fleet);
+}
+
+TEST(ShardedSystemDeath, ZeroDevicesIsFatal)
+{
+    EXPECT_EXIT(ShardedSystem(smallFunctionalParams(), 0),
+                testing::ExitedWithCode(1), "device count");
 }
 
 TEST(ShardedSystemDeath, CampaignRejectsDeviceCountOutOfRange)
 {
     const FaultCampaignConfig base;
-    EnduranceCampaignConfig cfg;
-    cfg.rounds = 1;
-    for (unsigned devices : {0u, 65u}) {
+    for (unsigned devices : {0u, 65u})
         EXPECT_EXIT(runShardedFaultCampaign(base, devices),
                     testing::ExitedWithCode(1), "device count");
-        EXPECT_EXIT(runShardedEnduranceCampaign(cfg, devices),
-                    testing::ExitedWithCode(1), "device count");
-    }
 }
 
 } // namespace streampim

@@ -13,6 +13,26 @@ namespace streampim
 namespace
 {
 
+/** One netlist add of two words; the carry lands above the sum. */
+std::uint64_t
+netlistAdd(DwRippleCarryAdder &rca, std::uint64_t a, std::uint64_t b)
+{
+    const unsigned w = rca.width();
+    auto r = rca.add(BitVec::fromWord(a, w), BitVec::fromWord(b, w));
+    return r.sum.toWord() | (std::uint64_t(r.carry) << w);
+}
+
+/** One netlist sum of @p width-bit words. */
+std::uint64_t
+netlistSum(DwAdderTree &tree, unsigned width,
+           const std::vector<std::uint64_t> &values)
+{
+    std::vector<BitVec> vecs;
+    for (auto v : values)
+        vecs.push_back(BitVec::fromWord(v, width));
+    return tree.sum(vecs).toWord();
+}
+
 TEST(DwFullAdder, TruthTable)
 {
     LogicCounters c;
@@ -43,10 +63,10 @@ TEST(DwRippleCarryAdder, SmallSums)
 {
     LogicCounters c;
     DwRippleCarryAdder rca(8, c);
-    EXPECT_EQ(rca.addWords(0, 0), 0u);
-    EXPECT_EQ(rca.addWords(1, 1), 2u);
-    EXPECT_EQ(rca.addWords(100, 155), 255u);
-    EXPECT_EQ(rca.addWords(200, 100), 300u); // carry into bit 8
+    EXPECT_EQ(netlistAdd(rca, 0, 0), 0u);
+    EXPECT_EQ(netlistAdd(rca, 1, 1), 2u);
+    EXPECT_EQ(netlistAdd(rca, 100, 155), 255u);
+    EXPECT_EQ(netlistAdd(rca, 200, 100), 300u); // carry into bit 8
 }
 
 TEST(DwRippleCarryAdder, CarryOutIsExposed)
@@ -80,10 +100,10 @@ TEST(DwRippleCarryAdder, GateCountScalesWithWidth)
 {
     LogicCounters c8;
     DwRippleCarryAdder rca8(8, c8);
-    rca8.addWords(1, 2);
+    netlistAdd(rca8, 1, 2);
     LogicCounters c32;
     DwRippleCarryAdder rca32(32, c32);
-    rca32.addWords(1, 2);
+    netlistAdd(rca32, 1, 2);
     EXPECT_EQ(c8.gateOps, 8u * DwFullAdder::kGatesPerBit);
     EXPECT_EQ(c32.gateOps, 32u * DwFullAdder::kGatesPerBit);
 }
@@ -97,7 +117,7 @@ TEST(DwRippleCarryAdder, MatchesHostArithmetic)
     for (int i = 0; i < 500; ++i) {
         std::uint64_t a = rng.below(1 << 16);
         std::uint64_t b = rng.below(1 << 16);
-        EXPECT_EQ(rca.addWords(a, b), a + b) << a << "+" << b;
+        EXPECT_EQ(netlistAdd(rca, a, b), a + b) << a << "+" << b;
     }
 }
 
@@ -107,7 +127,7 @@ TEST(DwAdderTree, SingleOperandPassesThrough)
     DwAdderTree tree(1, 8, c);
     EXPECT_EQ(tree.levels(), 0u);
     EXPECT_EQ(tree.resultWidth(), 8u);
-    EXPECT_EQ(tree.sumWords({42}), 42u);
+    EXPECT_EQ(netlistSum(tree, 8, {42}), 42u);
 }
 
 TEST(DwAdderTree, TwoOperands)
@@ -116,7 +136,7 @@ TEST(DwAdderTree, TwoOperands)
     DwAdderTree tree(2, 8, c);
     EXPECT_EQ(tree.levels(), 1u);
     EXPECT_EQ(tree.resultWidth(), 9u);
-    EXPECT_EQ(tree.sumWords({255, 255}), 510u);
+    EXPECT_EQ(netlistSum(tree, 8, {255, 255}), 510u);
 }
 
 TEST(DwAdderTree, EightOperandsFullPrecision)
@@ -126,14 +146,14 @@ TEST(DwAdderTree, EightOperandsFullPrecision)
     EXPECT_EQ(tree.levels(), 3u);
     EXPECT_EQ(tree.resultWidth(), 11u);
     std::vector<std::uint64_t> vals(8, 255);
-    EXPECT_EQ(tree.sumWords(vals), 8u * 255u);
+    EXPECT_EQ(netlistSum(tree, 8, vals), 8u * 255u);
 }
 
 TEST(DwAdderTree, OddOperandCount)
 {
     LogicCounters c;
     DwAdderTree tree(5, 8, c);
-    EXPECT_EQ(tree.sumWords({1, 2, 3, 4, 5}), 15u);
+    EXPECT_EQ(netlistSum(tree, 8, {1, 2, 3, 4, 5}), 15u);
 }
 
 /** Property: adder tree equals host sum over random vectors. */
@@ -154,7 +174,7 @@ TEST_P(AdderTreeSweep, MatchesHostSum)
             vals.push_back(rng.below(std::uint64_t(1) << width));
             expect += vals.back();
         }
-        EXPECT_EQ(tree.sumWords(vals), expect);
+        EXPECT_EQ(netlistSum(tree, width, vals), expect);
     }
 }
 

@@ -45,7 +45,7 @@ TEST(CircleAdder, AccumulatesSequence)
     CircleAdder ca(32, c);
     std::uint64_t expect = 0;
     for (std::uint64_t v : {5u, 10u, 200u, 65535u, 1u}) {
-        ca.accumulateWord(v, 16);
+        ca.accumulate(BitVec::fromWord(v, 16));
         expect += v;
         EXPECT_EQ(ca.accumulatorWord(), expect);
     }
@@ -56,10 +56,10 @@ TEST(CircleAdder, ClearResetsAccumulator)
 {
     LogicCounters c;
     CircleAdder ca(32, c);
-    ca.accumulateWord(123, 16);
+    ca.accumulate(BitVec::fromWord(123, 16));
     ca.clear();
     EXPECT_EQ(ca.accumulatorWord(), 0u);
-    ca.accumulateWord(7, 16);
+    ca.accumulate(BitVec::fromWord(7, 16));
     EXPECT_EQ(ca.accumulatorWord(), 7u);
 }
 
@@ -67,9 +67,9 @@ TEST(CircleAdder, OverflowIsFlaggedNotSilent)
 {
     LogicCounters c;
     CircleAdder ca(8, c);
-    ca.accumulateWord(200, 8);
+    ca.accumulate(BitVec::fromWord(200, 8));
     EXPECT_FALSE(ca.overflowed());
-    ca.accumulateWord(100, 8);
+    ca.accumulate(BitVec::fromWord(100, 8));
     EXPECT_TRUE(ca.overflowed());
     // Wrap-around semantics in the register itself.
     EXPECT_EQ(ca.accumulatorWord(), (200u + 100u) & 0xFFu);
@@ -79,7 +79,7 @@ TEST(CircleAdder, ScalarAdditionBypassesAccumulator)
 {
     LogicCounters c;
     CircleAdder ca(16, c);
-    ca.accumulateWord(1000, 16);
+    ca.accumulate(BitVec::fromWord(1000, 16));
     BitVec sum = ca.addScalars(BitVec::fromWord(30, 16),
                                BitVec::fromWord(12, 16));
     EXPECT_EQ(sum.toWord(), 42u);
@@ -94,7 +94,7 @@ TEST(CircleAdder, DotProductOfLength2000FitsIn32Bits)
     LogicCounters c;
     CircleAdder ca(32, c);
     for (int i = 0; i < 2000; ++i)
-        ca.accumulateWord(255 * 255, 16);
+        ca.accumulate(BitVec::fromWord(255 * 255, 16));
     EXPECT_EQ(ca.accumulatorWord(), 2000ull * 255 * 255);
     EXPECT_FALSE(ca.overflowed());
 }
@@ -108,7 +108,7 @@ TEST(CircleAdder, MatchesHostAccumulation)
     std::uint64_t expect = 0;
     for (int i = 0; i < 300; ++i) {
         std::uint64_t v = rng.below(1 << 16);
-        ca.accumulateWord(v, 16);
+        ca.accumulate(BitVec::fromWord(v, 16));
         expect += v;
     }
     EXPECT_EQ(ca.accumulatorWord(), expect);

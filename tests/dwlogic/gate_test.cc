@@ -12,14 +12,6 @@ namespace streampim
 namespace
 {
 
-TEST(DwGate, NotTruthTable)
-{
-    LogicCounters c;
-    DwGate g(DwGateType::Not, c);
-    EXPECT_TRUE(g.evalNot(false));
-    EXPECT_FALSE(g.evalNot(true));
-}
-
 TEST(DwGate, NandTruthTable)
 {
     LogicCounters c;
@@ -80,16 +72,6 @@ TEST(DwGate, TruthMatchesEvalForAllInputs)
     }
 }
 
-TEST(DwGate, GateEnergyMatchesPaperPerGateValue)
-{
-    // Sec. V-F: 0.0008 pJ per gate at the 32 nm node.
-    LogicCounters c;
-    DwGate g(DwGateType::Nand, c);
-    for (int i = 0; i < 10; ++i)
-        g.eval(true, false);
-    EXPECT_DOUBLE_EQ(c.gateEnergyPj(), 10 * 0.0008);
-}
-
 TEST(DwFanOut, SplitsDomainIntoTwoCopies)
 {
     LogicCounters c;
@@ -121,15 +103,6 @@ TEST(DwDiode, PassesForwardWhenEnabled)
     EXPECT_TRUE(d.passForward(bit));
     EXPECT_TRUE(bit); // value unchanged
     EXPECT_EQ(c.diodePasses, 1u);
-}
-
-TEST(DwDiode, NeverPassesReverse)
-{
-    LogicCounters c;
-    DwDiode d(c);
-    EXPECT_FALSE(d.passReverse());
-    d.enable();
-    EXPECT_FALSE(d.passReverse());
 }
 
 TEST(LogicCounters, MergeAccumulates)

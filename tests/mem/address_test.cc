@@ -67,29 +67,8 @@ TEST(AddressMap, GlobalSubarrayFlattening)
     AddressMap map(rm);
     EXPECT_EQ(map.globalSubarray(0, 0), 0u);
     EXPECT_EQ(map.globalSubarray(1, 0), rm.subarraysPerBank);
-    unsigned g = map.globalSubarray(3, 17);
-    EXPECT_EQ(map.bankOfGlobal(g), 3u);
-    EXPECT_EQ(map.subarrayOfGlobal(g), 17u);
-}
-
-TEST(AddressMap, PimSubarrayPredicate)
-{
-    RmParams rm; // 8 PIM banks of 32
-    AddressMap map(rm);
-    EXPECT_TRUE(map.isPimSubarray(0));
-    EXPECT_TRUE(map.isPimSubarray(rm.pimSubarrays() - 1));
-    EXPECT_FALSE(map.isPimSubarray(rm.pimSubarrays()));
-    EXPECT_FALSE(map.isPimSubarray(rm.totalSubarrays() - 1));
-}
-
-TEST(AddressMap, SubarrayOfAddr)
-{
-    RmParams rm;
-    AddressMap map(rm);
-    EXPECT_EQ(map.subarrayOfAddr(0), 0u);
-    EXPECT_EQ(map.subarrayOfAddr(rm.bytesPerSubarray()), 1u);
-    EXPECT_EQ(map.subarrayOfAddr(rm.bytesPerBank()),
-              rm.subarraysPerBank);
+    EXPECT_EQ(map.globalSubarray(3, 17),
+              3 * rm.subarraysPerBank + 17);
 }
 
 TEST(AddressMapDeath, BeyondCapacityPanics)
@@ -108,7 +87,6 @@ TEST(RmParams, TableIIIDerivedQuantities)
     EXPECT_EQ(rm.totalSubarrays(), 2048u);
     // 256 KiB x 8 bits / 512 tracks = 4096 domains per track.
     EXPECT_EQ(rm.domainsPerTrack(), 4096u);
-    EXPECT_EQ(rm.portsPerTrack(), 64u);
     // A PIM subarray is 1/2048 of total capacity (Sec. IV-C).
     EXPECT_EQ(rm.totalBytes() / rm.bytesPerSubarray(), 2048u);
 }

@@ -26,14 +26,6 @@ TEST(DramParams, LatencyComposition)
     DramParams d;
     EXPECT_NEAR(d.rowMissLatencyNs(),
                 d.tRpNs + d.tRcdNs + d.tClNs, 1e-12);
-    EXPECT_LT(d.rowHitLatencyNs(), d.rowMissLatencyNs());
-}
-
-TEST(DramParams, RefreshOverheadIsSmall)
-{
-    DramParams d;
-    EXPECT_GT(d.refreshOverhead(), 0.0);
-    EXPECT_LT(d.refreshOverhead(), 0.1);
 }
 
 TEST(HostMemModel, DramFasterThanRmPerAccess)

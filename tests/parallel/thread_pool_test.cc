@@ -211,7 +211,6 @@ TEST(ThreadPool, SplitJobsSharesTheBudgetAcrossLevels)
     // gtest_discover_tests runs each TEST in its own process, so
     // mutating the environment here cannot leak into other tests.
     setenv("STREAMPIM_JOBS", "8", 1);
-    unsetenv("STREAMPIM_DEVICE_JOBS");
 
     // Fan-out smaller than the budget: every device runs, and the
     // leftover budget becomes engine jobs inside each.
@@ -232,43 +231,23 @@ TEST(ThreadPool, SplitJobsSharesTheBudgetAcrossLevels)
     unsetenv("STREAMPIM_JOBS");
 }
 
-TEST(ThreadPool, SplitJobsHonorsDeviceJobsCap)
-{
-    setenv("STREAMPIM_JOBS", "8", 1);
-    setenv("STREAMPIM_DEVICE_JOBS", "2", 1);
-
-    const ThreadPool::JobSplit s = ThreadPool::splitJobs(4);
-    EXPECT_EQ(s.outer, 2u);
-    EXPECT_EQ(s.inner, 4u);
-
-    unsetenv("STREAMPIM_DEVICE_JOBS");
-    unsetenv("STREAMPIM_JOBS");
-}
-
 TEST(ThreadPool, SplitJobsNeverOversubscribes)
 {
-    // outer * inner <= resolveJobs(requested) at every combination
-    // of fan-out, explicit request and DEVICE_JOBS cap.
-    for (unsigned env_dev : {0u, 1u, 3u, 16u}) {
-        if (env_dev == 0)
-            unsetenv("STREAMPIM_DEVICE_JOBS");
-        else
-            setenv("STREAMPIM_DEVICE_JOBS",
-                   std::to_string(env_dev).c_str(), 1);
-        for (unsigned requested : {1u, 2u, 5u, 8u})
-            for (unsigned fanout : {1u, 2u, 4u, 9u}) {
-                const ThreadPool::JobSplit s =
-                    ThreadPool::splitJobs(fanout, requested);
-                EXPECT_GE(s.outer, 1u);
-                EXPECT_GE(s.inner, 1u);
-                EXPECT_LE(s.outer, std::max(fanout, 1u));
-                EXPECT_LE(s.outer * s.inner,
-                          ThreadPool::resolveJobs(requested))
-                    << "dev=" << env_dev << " req=" << requested
-                    << " fanout=" << fanout;
-            }
+    // outer * inner <= the resolved budget at every combination of
+    // fan-out and STREAMPIM_JOBS.
+    for (unsigned jobs : {1u, 2u, 5u, 8u}) {
+        setenv("STREAMPIM_JOBS", std::to_string(jobs).c_str(), 1);
+        for (unsigned fanout : {0u, 1u, 2u, 4u, 9u}) {
+            const ThreadPool::JobSplit s =
+                ThreadPool::splitJobs(fanout);
+            EXPECT_GE(s.outer, 1u);
+            EXPECT_GE(s.inner, 1u);
+            EXPECT_LE(s.outer, std::max(fanout, 1u));
+            EXPECT_LE(s.outer * s.inner, jobs)
+                << "jobs=" << jobs << " fanout=" << fanout;
+        }
     }
-    unsetenv("STREAMPIM_DEVICE_JOBS");
+    unsetenv("STREAMPIM_JOBS");
 }
 
 TEST(ThreadPool, SplitJobsCollapsesInSerialSection)

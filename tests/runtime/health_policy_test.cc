@@ -91,7 +91,6 @@ TEST(HealthPolicy, NoTriggersMeansNoMigrations)
     EXPECT_TRUE(d.migrations.empty());
     EXPECT_TRUE(d.newlyQuarantined.empty());
     EXPECT_EQ(p.evaluations(), 1u);
-    EXPECT_EQ(p.migrationsPlanned(), 0u);
 }
 
 TEST(HealthPolicy, SpareThresholdMigratesOffDrainedBank)
@@ -265,8 +264,9 @@ TEST(HealthPolicyDeath, RejectsBadConfigAndInputs)
 {
     HealthPolicyConfig cfg = enabledConfig();
     cfg.cadence = 0;
-    EXPECT_DEATH(HealthPolicy(cfg, kSubs, kSubsPerBank),
-                 "cadence");
+    EXPECT_EXIT(HealthPolicy(cfg, kSubs, kSubsPerBank),
+                testing::ExitedWithCode(1),
+                "cadence must be >= 1 round, got 0");
 
     HealthPolicy p(enabledConfig(), kSubs, kSubsPerBank);
     const std::uint32_t homes[] = {0, 1};

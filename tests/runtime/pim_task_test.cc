@@ -81,28 +81,35 @@ TEST(PimTask, MatVecBothOrientations)
 
 TEST(PimTask, BitAccurateAndFastPathsAgree)
 {
-    const unsigned n = 6;
+    // The task computes through the RmProcessor at every size; the
+    // host loop below is the fast-path arithmetic it must match, at
+    // 40 x 48 x 36 = 69,120 MACs (above the 65,536-MAC size where
+    // the task once switched to host arithmetic). Random operands
+    // wrap the 32-bit accumulator's low byte.
+    const unsigned I = 40, K = 48, J = 36;
     Rng rng(4);
-    std::vector<std::uint8_t> a(n * n), b(n * n);
+    std::vector<std::uint8_t> a(I * K), b(K * J), c(I * J, 0);
     for (auto &v : a)
         v = std::uint8_t(rng.below(256));
     for (auto &v : b)
         v = std::uint8_t(rng.below(256));
 
-    auto run_with = [&](std::uint64_t limit) {
-        std::vector<std::uint8_t> aa = a, bb = b, cc(n * n, 0);
-        PimTask task;
-        auto ma = task.addMatrix(aa.data(), n, n);
-        auto mb = task.addMatrix(bb.data(), n, n);
-        auto mc = task.addMatrix(cc.data(), n, n);
-        task.addOperation(MatOpKind::MatMul, ma, mb, mc);
-        task.setBitAccurateLimit(limit);
-        task.run();
-        return cc;
-    };
-    auto bit_accurate = run_with(~0ull); // always gate-level
-    auto fast = run_with(0);             // always host fast path
-    EXPECT_EQ(bit_accurate, fast);
+    PimTask task;
+    auto ma = task.addMatrix(a.data(), I, K);
+    auto mb = task.addMatrix(b.data(), K, J);
+    auto mc = task.addMatrix(c.data(), I, J);
+    task.addOperation(MatOpKind::MatMul, ma, mb, mc);
+    task.run();
+    ASSERT_GT(task.graph().totalMacs(), std::uint64_t(1) << 16);
+
+    for (unsigned i = 0; i < I; ++i)
+        for (unsigned j = 0; j < J; ++j) {
+            std::uint32_t acc = 0;
+            for (unsigned k = 0; k < K; ++k)
+                acc += std::uint32_t(a[i * K + k]) * b[k * J + j];
+            EXPECT_EQ(c[i * J + j], std::uint8_t(acc))
+                << i << "," << j;
+        }
 }
 
 TEST(PimTask, ChainedOperationsSeeIntermediateResults)

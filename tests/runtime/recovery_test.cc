@@ -362,7 +362,9 @@ TEST(RecoveryConfigDeath, AllZeroBudgetsAreRejected)
     rc.retryBudget = 0;
     rc.rehomeBudget = 0;
     rc.replanBudget = 0;
-    EXPECT_DEATH(rc.validate(), "ladder budget");
+    EXPECT_EXIT(rc.validate(), testing::ExitedWithCode(1),
+                "every ladder budget zero \\(retry 0, rehome 0, "
+                "replan 0\\)");
 }
 
 } // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/executor.hh"
 #include "runtime/planner.hh"
 #include "runtime/trace.hh"
@@ -15,6 +17,21 @@ namespace streampim
 {
 namespace
 {
+
+std::string
+written(const VpcTrace &trace)
+{
+    std::stringstream os;
+    writeTrace(trace, os);
+    return os.str();
+}
+
+VpcTrace
+parsed(const std::string &text)
+{
+    std::stringstream is(text);
+    return readTrace(is);
+}
 
 VpcTrace
 sampleTrace()
@@ -30,7 +47,7 @@ sampleTrace()
 TEST(Trace, RoundTripPreservesEveryBatch)
 {
     VpcTrace t = sampleTrace();
-    VpcTrace back = traceFromString(traceToString(t));
+    VpcTrace back = parsed(written(t));
     EXPECT_EQ(back.workload, "atax");
     const std::vector<VpcBatch> want = expandedBatches(t.schedule);
     const std::vector<VpcBatch> got = expandedBatches(back.schedule);
@@ -55,7 +72,7 @@ TEST(Trace, ReplayedTraceProducesIdenticalTiming)
     SystemConfig cfg = SystemConfig::paperDefault();
     Executor ex(cfg);
     Tick direct = ex.run(t.schedule).makespan;
-    VpcTrace loaded = traceFromString(traceToString(t));
+    VpcTrace loaded = parsed(written(t));
     Tick replayed = ex.run(loaded.schedule).makespan;
     EXPECT_EQ(direct, replayed);
 }
@@ -80,17 +97,17 @@ TEST(Trace, CommentsAndBlankLinesIgnored)
     b.vpcCount = 2;
     b.vectorLen = 7;
     t.schedule.push(b);
-    std::string text = traceToString(t);
+    std::string text = written(t);
     text = "# a comment\n\n" + text + "# trailing\n";
-    VpcTrace back = traceFromString(text);
+    VpcTrace back = parsed(text);
     ASSERT_EQ(back.schedule.batchCount(), 1u);
     EXPECT_EQ(expandedBatches(back.schedule)[0].vectorLen, 7u);
 }
 
 TEST(TraceDeath, RejectsBadHeader)
 {
-    EXPECT_DEATH(traceFromString("NOTATRACE 1\n"), "STPIMTRACE");
-    EXPECT_DEATH(traceFromString(""), "empty trace");
+    EXPECT_DEATH(parsed("NOTATRACE 1\n"), "STPIMTRACE");
+    EXPECT_DEATH(parsed(""), "empty trace");
 }
 
 TEST(TraceDeath, RejectsForwardDependencies)
@@ -98,7 +115,7 @@ TEST(TraceDeath, RejectsForwardDependencies)
     std::string text =
         "STPIMTRACE 1\nworkload x\nbatches 1\n"
         "B MUL 0 0 1 4 7 - 0\n"; // dep 7 does not exist
-    EXPECT_DEATH(traceFromString(text), "forward");
+    EXPECT_DEATH(parsed(text), "forward");
 }
 
 TEST(TraceDeath, RejectsCountMismatch)
@@ -106,7 +123,7 @@ TEST(TraceDeath, RejectsCountMismatch)
     std::string text =
         "STPIMTRACE 1\nworkload x\nbatches 2\n"
         "B MUL 0 0 1 4 - - 0\n";
-    EXPECT_DEATH(traceFromString(text), "declares");
+    EXPECT_DEATH(parsed(text), "declares");
 }
 
 TEST(TraceDeath, RejectsUnknownMnemonic)
@@ -114,7 +131,7 @@ TEST(TraceDeath, RejectsUnknownMnemonic)
     std::string text =
         "STPIMTRACE 1\nworkload x\nbatches 1\n"
         "B FROB 0 0 1 4 - - 0\n";
-    EXPECT_DEATH(traceFromString(text), "mnemonic");
+    EXPECT_DEATH(parsed(text), "mnemonic");
 }
 
 } // namespace

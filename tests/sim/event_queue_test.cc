@@ -104,19 +104,8 @@ TEST(ClockDomain, HundredMegahertzPeriod)
 {
     // The paper's 100 MHz core clock = 10 ns = 10'000 ticks.
     ClockDomain clk(100e6);
-    EXPECT_EQ(clk.period(), 10000u);
+    EXPECT_EQ(clk.cyclesToTicks(1), 10000u);
     EXPECT_EQ(clk.cyclesToTicks(3), 30000u);
-    EXPECT_EQ(clk.ticksToCycles(25000), 2u);
-    EXPECT_EQ(clk.ticksToCyclesCeil(25000), 3u);
-}
-
-TEST(ClockDomain, EdgeAlignment)
-{
-    ClockDomain clk(100e6);
-    EXPECT_EQ(clk.edgeAtOrAfter(0), 0u);
-    EXPECT_EQ(clk.edgeAtOrAfter(1), 10000u);
-    EXPECT_EQ(clk.edgeAtOrAfter(10000), 10000u);
-    EXPECT_EQ(clk.edgeAtOrAfter(10001), 20000u);
 }
 
 } // namespace

@@ -39,16 +39,5 @@ TEST(TickResource, BusyTicksAccumulate)
     EXPECT_EQ(r.busyTicks(), 40u);
 }
 
-TEST(TickResource, BlockUntilPushesFreeTime)
-{
-    TickResource r;
-    r.blockUntil(200);
-    auto s = r.acquire(0, 10);
-    EXPECT_EQ(s.start, 200u);
-    // blockUntil never moves time backwards.
-    r.blockUntil(50);
-    EXPECT_EQ(r.freeAt(), 210u);
-}
-
 } // namespace
 } // namespace streampim

@@ -16,7 +16,7 @@ struct Fixture
 {
     RmParams rm;
     AddressMap map{rm};
-    VpcDecoder decoder{rm, map};
+    VpcDecoder decoder{map};
 
     std::vector<BankCommand>
     decode(const Vpc &vpc) const
@@ -88,46 +88,10 @@ TEST(VpcDecoder, ExecutingBankFollowsSrc1)
 {
     Fixture f;
     Vpc vpc{VpcKind::Mul, 5 * f.rm.bytesPerBank(), 0, 0, 8};
-    EXPECT_EQ(f.decoder.executingBank(vpc), 5u);
-}
-
-TEST(VpcDecoder, ExpandExecuteFollowsFig13)
-{
-    Fixture f;
-    BankCommand cmd{BankCommandKind::ExecuteInBank, 0, 0, 0, 50,
-                    VpcKind::Mul};
-    auto ops = f.decoder.expand(cmd);
-    ASSERT_EQ(ops.size(), 3u);
-    EXPECT_EQ(ops[0].kind, SubarrayOpKind::StreamIn);
-    EXPECT_EQ(ops[0].elements, 100u); // two operand streams
-    EXPECT_EQ(ops[1].kind, SubarrayOpKind::Compute);
-    EXPECT_EQ(ops[1].elements, 50u);
-    EXPECT_EQ(ops[2].kind, SubarrayOpKind::StreamOut);
-    EXPECT_EQ(ops[2].elements, 4u); // one 32-bit scalar out
-}
-
-TEST(VpcDecoder, ExpandSmulStreamsOneOperand)
-{
-    Fixture f;
-    BankCommand cmd{BankCommandKind::ExecuteInBank, 0, 0, 0, 50,
-                    VpcKind::Smul};
-    auto ops = f.decoder.expand(cmd);
-    EXPECT_EQ(ops[0].elements, 50u);
-    EXPECT_EQ(ops[2].elements, 50u);
-}
-
-TEST(VpcDecoder, ExpandReadWriteArePortOps)
-{
-    Fixture f;
-    BankCommand rd{BankCommandKind::ReadBlock, 0, 0, 0, 64,
-                   VpcKind::Tran};
-    auto ops = f.decoder.expand(rd);
-    ASSERT_EQ(ops.size(), 1u);
-    EXPECT_EQ(ops[0].kind, SubarrayOpKind::PortRead);
-    BankCommand wr{BankCommandKind::WriteBlock, 0, 0, 0, 64,
-                   VpcKind::Tran};
-    EXPECT_EQ(f.decoder.expand(wr)[0].kind,
-              SubarrayOpKind::PortWrite);
+    auto cmds = f.decode(vpc);
+    ASSERT_EQ(cmds.size(), 3u);
+    EXPECT_EQ(cmds[1].kind, BankCommandKind::ExecuteInBank);
+    EXPECT_EQ(cmds[1].bank, 5u);
 }
 
 TEST(VpcDecoderDeath, ZeroSizePanics)

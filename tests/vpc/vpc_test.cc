@@ -65,7 +65,7 @@ TEST(VpcQueue, RefusesWhenFull)
     EXPECT_TRUE(q.push({VpcKind::Mul, 0, 0, 0, 1}));
     EXPECT_TRUE(q.full());
     EXPECT_FALSE(q.push({VpcKind::Mul, 0, 0, 0, 1}));
-    EXPECT_EQ(q.accepted(), 2u);
+    EXPECT_EQ(q.depth(), 2u);
 }
 
 TEST(VpcQueue, AsynchronousSendResponseBookkeeping)
@@ -73,14 +73,14 @@ TEST(VpcQueue, AsynchronousSendResponseBookkeeping)
     VpcQueue q(8);
     q.push({VpcKind::Mul, 0, 0, 0, 1});
     q.push({VpcKind::Add, 0, 0, 0, 1});
-    EXPECT_EQ(q.inFlight(), 2u);
+    EXPECT_EQ(q.responses(), 0u);
     q.pop();
     q.respond();
-    EXPECT_EQ(q.inFlight(), 1u);
+    EXPECT_EQ(q.responses(), 1u);
     q.pop();
     q.respond();
-    EXPECT_EQ(q.inFlight(), 0u);
     EXPECT_EQ(q.responses(), 2u);
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(VpcQueueDeath, PopFromEmptyPanics)

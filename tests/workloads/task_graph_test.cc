@@ -18,9 +18,6 @@ TEST(TaskGraph, AddMatrixReturnsSequentialIds)
     EXPECT_EQ(g.addMatrix("A", 2, 3), 0u);
     EXPECT_EQ(g.addMatrix("B", 3, 4), 1u);
     EXPECT_EQ(g.matrices[0].elements(), 6u);
-    EXPECT_FALSE(g.matrices[0].isVector());
-    MatrixDesc vec{"v", 5, 1};
-    EXPECT_TRUE(vec.isVector());
 }
 
 TEST(TaskGraph, MacCounting)
