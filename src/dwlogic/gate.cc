@@ -11,12 +11,8 @@ DwGate::truth(DwGateType type, bool a, bool b)
     switch (type) {
       case DwGateType::Nand:
         return !(a && b);
-      case DwGateType::Nor:
-        return !(a || b);
       case DwGateType::And:
         return a && b;
-      case DwGateType::Or:
-        return a || b;
     }
     SPIM_PANIC("unreachable gate type");
 }
@@ -29,12 +25,10 @@ DwGate::eval(bool a, bool b)
     // op per DMI cell traversed plus the propagation step.
     switch (type_) {
       case DwGateType::Nand:
-      case DwGateType::Nor:
         counters_.gateOps += 1;
         counters_.shiftSteps += 1;
         break;
       case DwGateType::And:
-      case DwGateType::Or:
         // Composite: DMI cell + output inverter.
         counters_.gateOps += 2;
         counters_.shiftSteps += 2;

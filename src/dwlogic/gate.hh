@@ -9,7 +9,8 @@
  * interaction (a NOT gate). Two inputs, one bias and one output
  * domain couple into a NAND or NOR gate depending on the bias
  * (Fig. 6). AND/OR are a NAND/NOR followed by an inverter on the
- * output branch.
+ * output branch. The adder and multiplier netlists use NAND and AND
+ * only, so those are the two gate types modelled.
  *
  * The functional model evaluates boolean values; every evaluation
  * counts the gates traversed and the shift steps that push domains
@@ -29,9 +30,7 @@ namespace streampim
 enum class DwGateType
 {
     Nand,
-    Nor,
     And, //!< NAND + output inverter
-    Or,  //!< NOR + output inverter
 };
 
 /** Counters shared by a tree of logic components. */

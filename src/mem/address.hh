@@ -33,14 +33,6 @@ struct RmLocation
     unsigned mat;        //!< within the subarray
     unsigned trackGroup; //!< first of the 8 tracks holding the byte
     unsigned domain;     //!< domain position along those tracks
-
-    bool
-    operator==(const RmLocation &o) const
-    {
-        return bank == o.bank && subarray == o.subarray &&
-               mat == o.mat && trackGroup == o.trackGroup &&
-               domain == o.domain;
-    }
 };
 
 /** Address mapping helpers bound to one device geometry. */
@@ -72,28 +64,6 @@ class AddressMap
         loc.domain = unsigned(r / bytesPerRow());
         loc.trackGroup = unsigned(r % bytesPerRow()) * 8;
         return loc;
-    }
-
-    /** Re-encode a location into a byte address (inverse of decode). */
-    Addr
-    encode(const RmLocation &loc) const
-    {
-        Addr addr = Addr(loc.bank) * params_.bytesPerBank();
-        addr += Addr(loc.subarray) * params_.bytesPerSubarray();
-        addr += Addr(loc.mat) * params_.matBytes;
-        addr += Addr(loc.domain) * bytesPerRow();
-        addr += loc.trackGroup / 8;
-        return addr;
-    }
-
-    /** Flatten (bank, subarray) into a device-global subarray id. */
-    unsigned
-    globalSubarray(unsigned bank, unsigned subarray) const
-    {
-        SPIM_ASSERT(bank < params_.banks, "bank out of range");
-        SPIM_ASSERT(subarray < params_.subarraysPerBank,
-                    "subarray out of range");
-        return bank * params_.subarraysPerBank + subarray;
     }
 
   private:

@@ -1,7 +1,6 @@
 #include "runtime/planner.hh"
 
 #include <algorithm>
-#include <map>
 #include <tuple>
 #include <utility>
 
@@ -22,6 +21,24 @@ namespace
  */
 constexpr std::uint32_t kSlotsPerTile = 64;
 
+/**
+ * Walk the slots owning rows of a @p rows-row matrix distributed
+ * round-robin over @p slots slots as runs of equal row counts:
+ * fn(first_slot, run_slots, rows_each). Slots below rows % slots own
+ * one row more, so there are at most two runs, and the owning slots
+ * are the prefix [0, min(rows, slots)).
+ */
+template <typename Fn>
+void
+forEachSlotRun(std::uint32_t rows, std::uint32_t slots, Fn &&fn)
+{
+    const std::uint32_t each = rows / slots, extra = rows % slots;
+    if (extra > 0)
+        fn(0u, extra, each + 1);
+    if (each > 0)
+        fn(extra, slots - extra, each);
+}
+
 } // namespace
 
 Planner::Planner(const SystemConfig &config) : cfg_(config)
@@ -40,6 +57,11 @@ Planner::Planner(const SystemConfig &config) : cfg_(config)
         for (unsigned i = 0; i < pim; ++i)
             computeSet_[i] = i;
     }
+    // Slot i is subarray i: the run emitters (emitBroadcast,
+    // emitPhasedRuns) step through slots by stepping subarrays.
+    SPIM_ASSERT(computeSet_.front() == 0 &&
+                    computeSet_.back() + 1 == computeSet_.size(),
+                "compute set is not [0, n)");
 
     // Staging set: disjoint subarrays in the memory banks under
     // unblock; deliberately overlapping the compute set otherwise
@@ -99,54 +121,94 @@ Planner::streamHome(std::uint32_t j) const
     return stagingSet_[j % stagingSet_.size()];
 }
 
-void
+std::uint32_t
 Planner::emitBroadcast(LowerCtx &ctx, std::uint32_t home,
-                       const std::vector<std::uint32_t> &dsts,
+                       std::uint32_t first, std::uint32_t count,
                        std::uint32_t len, std::uint32_t dep,
-                       bool &barrier,
-                       std::vector<std::uint32_t> &out_idx) const
+                       bool &barrier) const
 {
-    // Group destinations by bank; the vector crosses the shared
-    // device bus once per bank (to a relay subarray), then fans out
-    // over that bank's internal bus. This keeps broadcast bandwidth
-    // scaling with the bank count instead of saturating the device
-    // bus (cf. the Fig. 21 discussion).
+    // The vector crosses the shared device bus once per destination
+    // bank (to a relay subarray, the bank's first destination), then
+    // fans out over that bank's internal bus. This keeps broadcast
+    // bandwidth scaling with the bank count instead of saturating
+    // the device bus (cf. the Fig. 21 discussion).
+    SPIM_ASSERT(count > 0, "broadcast to no subarray");
     const unsigned spb = cfg_.rm.subarraysPerBank;
-    out_idx.assign(dsts.size(), kNoBatch);
-
-    std::map<std::uint32_t, std::vector<std::size_t>> by_bank;
-    for (std::size_t i = 0; i < dsts.size(); ++i)
-        if (dsts[i] != kNoBatch)
-            by_bank[dsts[i] / spb].push_back(i);
-
-    for (auto &[bank, members] : by_bank) {
-        // Inter-bank hop to the first member (the relay).
-        std::size_t relay = members.front();
+    const std::uint32_t end = first + count;
+    const auto first_hop = std::uint32_t(ctx.sched->batchCount());
+    for (std::uint32_t relay = first; relay < end;) {
+        const std::uint32_t bank_end =
+            std::min<std::uint32_t>(end, (relay / spb + 1) * spb);
         VpcBatch hop;
         hop.kind = VpcKind::Tran;
         hop.subarray = home;
-        hop.dstSubarray = dsts[relay];
+        hop.dstSubarray = relay;
         hop.vpcCount = 1;
         hop.vectorLen = len;
         hop.depA = dep;
         hop.barrier = barrier;
         barrier = false;
-        std::uint32_t relay_idx = ctx.sched->push(hop);
-        out_idx[relay] = relay_idx;
+        const std::uint32_t hop_idx = ctx.sched->push(hop);
 
-        // Bank-local fan-out from the relay.
-        for (std::size_t m = 1; m < members.size(); ++m) {
-            std::size_t i = members[m];
+        // Bank-local fan-out from the relay, one copy per remaining
+        // subarray of the bank.
+        if (bank_end - relay > 1) {
             VpcBatch fan;
             fan.kind = VpcKind::Tran;
-            fan.subarray = dsts[relay];
-            fan.dstSubarray = dsts[i];
+            fan.subarray = relay;
+            fan.dstSubarray = relay + 1;
             fan.vpcCount = 1;
             fan.vectorLen = len;
-            fan.depA = relay_idx;
-            out_idx[i] = ctx.sched->push(fan);
+            fan.depA = hop_idx;
+            fan.repeat = bank_end - relay - 1;
+            fan.dstSubarrayStep = 1;
+            ctx.sched->pushRun(fan);
         }
+        relay = bank_end;
     }
+    return first_hop;
+}
+
+std::uint32_t
+Planner::emitPhasedRuns(LowerCtx &ctx, std::uint32_t first,
+                        std::uint32_t slots, std::uint32_t rows,
+                        std::uint32_t k, std::uint32_t copy0,
+                        std::uint32_t dst) const
+{
+    SPIM_ASSERT(k > 0 && k <= cfg_.maxVpcElements,
+                "a phased run needs unsliced dot products");
+    std::uint32_t comp0 = kNoBatch;
+    forEachSlotRun(rows, slots, [&](std::uint32_t t0, std::uint32_t n,
+                                    std::uint32_t each) {
+        VpcBatch c;
+        c.kind = VpcKind::Mul;
+        c.subarray = first + t0;
+        c.vpcCount = each;
+        c.vectorLen = k;
+        c.depA = copy0 + t0;
+        c.repeat = n;
+        c.subarrayStep = 1;
+        c.depAStep = 1;
+        const std::uint32_t idx = ctx.sched->pushRun(c);
+        if (t0 == 0)
+            comp0 = idx;
+    });
+    std::uint32_t last_collect = kNoBatch;
+    forEachSlotRun(rows, slots, [&](std::uint32_t t0, std::uint32_t n,
+                                    std::uint32_t each) {
+        VpcBatch col;
+        col.kind = VpcKind::Tran;
+        col.subarray = first + t0;
+        col.dstSubarray = dst;
+        col.vpcCount = each;
+        col.vectorLen = 1;
+        col.depA = comp0 + t0;
+        col.repeat = n;
+        col.subarrayStep = 1;
+        col.depAStep = 1;
+        last_collect = ctx.sched->pushRun(col) + (n - 1);
+    });
+    return last_collect;
 }
 
 std::uint32_t
@@ -230,50 +292,47 @@ Planner::lowerMatVec(LowerCtx &ctx, const TaskGraph &g,
     bool barrier = ctx.written[op.a] || ctx.written[op.b];
 
     // Phase 1: broadcast the operand vector to every compute slot
-    // that owns output rows (hierarchical per-bank fan-out).
-    std::vector<std::uint32_t> copy_dsts(slots, kNoBatch);
-    for (std::uint32_t i = 0; i < slots; ++i)
-        if (rowsOnSlot(out_rows, i) > 0)
-            copy_dsts[i] = computeSet_[i];
-    // Every bank hop of the broadcast — not only the barrier-
-    // carrying first one — must wait until the producing op's final
-    // collect has landed the vector at x_home.
-    std::vector<std::uint32_t> copy_idx;
-    emitBroadcast(ctx, x_home, copy_dsts, k, ctx.lastWriter[op.b],
-                  barrier, copy_idx);
+    // that owns output rows (hierarchical per-bank fan-out). Every
+    // bank hop of the broadcast — not only the barrier-carrying
+    // first one — must wait until the producing op's final collect
+    // has landed the vector at x_home.
+    const std::uint32_t owners = std::min(out_rows, slots);
+    SPIM_ASSERT(rowsOnSlot(out_rows, owners - 1) > 0 &&
+                    (owners == slots || rowsOnSlot(out_rows, owners) == 0),
+                "row-owning slots are not a prefix");
+    const std::uint32_t copy0 =
+        emitBroadcast(ctx, x_home, computeSet_.front(), owners, k,
+                      ctx.lastWriter[op.b], barrier);
 
     // Phases 2-3: dot products and per-element result collection.
     // distribute pairs each compute with its collect (the naive
     // order that triggers head-of-line serialization); unblock
     // separates the phases.
-    std::vector<std::uint32_t> comp_idx(slots, kNoBatch);
+    if (cfg_.optLevel == OptLevel::Unblock && k <= cfg_.maxVpcElements) {
+        ctx.lastWriter[op.c] = emitPhasedRuns(
+            ctx, computeSet_.front(), slots, out_rows, k, copy0, y_home);
+        ctx.written[op.c] = true;
+        return;
+    }
+    std::vector<std::uint32_t> comp_idx(owners, kNoBatch);
     auto emit_comp = [&](std::uint32_t i) {
         std::uint32_t rows = rowsOnSlot(out_rows, i);
         comp_idx[i] = emitCompute(ctx, VpcKind::Mul, computeSet_[i],
-                                  rows, k, copy_idx[i]);
+                                  rows, k, copy0 + i);
     };
     auto emit_collect = [&](std::uint32_t i) {
-        VpcBatch t;
-        t.kind = VpcKind::Tran;
-        t.subarray = computeSet_[i];
-        t.dstSubarray = y_home;
-        t.vpcCount = rowsOnSlot(out_rows, i);
-        t.vectorLen = 1;
-        t.depA = comp_idx[i];
-        ctx.lastWriter[op.c] = ctx.sched->push(t);
+        ctx.lastWriter[op.c] =
+            pushCollect(ctx, computeSet_[i], y_home,
+                        rowsOnSlot(out_rows, i), comp_idx[i]);
     };
 
     if (cfg_.optLevel == OptLevel::Unblock) {
-        for (std::uint32_t i = 0; i < slots; ++i)
-            if (rowsOnSlot(out_rows, i) > 0)
-                emit_comp(i);
-        for (std::uint32_t i = 0; i < slots; ++i)
-            if (rowsOnSlot(out_rows, i) > 0)
-                emit_collect(i);
+        for (std::uint32_t i = 0; i < owners; ++i)
+            emit_comp(i);
+        for (std::uint32_t i = 0; i < owners; ++i)
+            emit_collect(i);
     } else {
-        for (std::uint32_t i = 0; i < slots; ++i) {
-            if (rowsOnSlot(out_rows, i) == 0)
-                continue;
+        for (std::uint32_t i = 0; i < owners; ++i) {
             emit_comp(i);
             emit_collect(i);
         }
@@ -341,9 +400,15 @@ Planner::lowerMatMul(LowerCtx &ctx, const TaskGraph &g,
     }
 
     const bool unblock = cfg_.optLevel == OptLevel::Unblock;
+    const bool phased_runs = unblock && k <= cfg_.maxVpcElements;
     const std::uint32_t c_home = vectorHome(op.c);
+    const std::uint32_t owners = std::min(rows_i, g_slots);
+    SPIM_ASSERT(rows_on(owners - 1) > 0 &&
+                    (owners == g_slots || rows_on(owners) == 0),
+                "row-owning slots are not a prefix");
     std::uint32_t last_comp = kNoBatch;
     std::uint32_t last_collect = kNoBatch;
+    std::vector<std::uint32_t> comp_idx(owners, kNoBatch);
 
     for (std::uint32_t j = 0; j < cols_j; ++j) {
         const std::uint32_t home = streamHome(j);
@@ -356,37 +421,31 @@ Planner::lowerMatMul(LowerCtx &ctx, const TaskGraph &g,
             // produced B is published by its op's final collect —
             // every gather must wait for it, not just the one
             // carrying the inter-op barrier.
-            for (std::uint32_t t = 0; t < g_slots; ++t) {
-                std::uint32_t src_rows =
-                    k / g_slots + (t < k % g_slots ? 1 : 0);
-                if (src_rows == 0)
-                    continue;
+            forEachSlotRun(k, g_slots, [&](std::uint32_t t0,
+                                           std::uint32_t n,
+                                           std::uint32_t src_rows) {
                 VpcBatch gather;
                 gather.kind = VpcKind::Tran;
-                gather.subarray = group_slot(0, t);
+                gather.subarray = group_slot(0, t0);
                 gather.dstSubarray = home;
                 gather.vpcCount = src_rows;
                 gather.vectorLen = 1;
                 gather.depA = ctx.lastWriter[op.b];
                 gather.barrier = barrier;
                 barrier = false;
-                asm_idx = ctx.sched->push(gather);
-            }
+                gather.repeat = n;
+                gather.subarrayStep = 1;
+                asm_idx = ctx.sched->pushRun(gather) + (n - 1);
+            });
         }
 
         // Broadcast column j to every slot of its group owning rows
         // (hierarchical: one device-bus hop per bank, then bank-
         // local fan-out). A pre-laid column still depends on the
         // batch that published B.
-        std::vector<std::uint32_t> bcast_dsts(g_slots, kNoBatch);
-        for (std::uint32_t t = 0; t < g_slots; ++t)
-            if (rows_on(t) > 0)
-                bcast_dsts[t] = group_slot(grp, t);
-        std::vector<std::uint32_t> bcast_idx;
-        emitBroadcast(ctx, home, bcast_dsts, k,
-                      need_assembly ? asm_idx
-                                    : ctx.lastWriter[op.b],
-                      barrier, bcast_idx);
+        const std::uint32_t copy0 = emitBroadcast(
+            ctx, home, group_slot(grp, 0), owners, k,
+            need_assembly ? asm_idx : ctx.lastWriter[op.b], barrier);
 
         // Dot products, then collection of the column's results to
         // C's home. Under unblock the collects go to the disjoint
@@ -394,25 +453,27 @@ Planner::lowerMatMul(LowerCtx &ctx, const TaskGraph &g,
         // results are naively collected right after its compute —
         // exactly the compute/collect pairing that head-of-line
         // blocking serializes per bank.
-        std::vector<std::uint32_t> comp_idx(g_slots, kNoBatch);
-        for (std::uint32_t t = 0; t < g_slots; ++t) {
-            std::uint32_t rows = rows_on(t);
-            if (rows == 0)
-                continue;
+        if (phased_runs) {
+            last_collect = emitPhasedRuns(ctx, group_slot(grp, 0),
+                                          g_slots, rows_i, k, copy0,
+                                          c_home);
+            continue;
+        }
+        for (std::uint32_t t = 0; t < owners; ++t) {
             last_comp = emitCompute(ctx, VpcKind::Mul,
-                                    group_slot(grp, t), rows, k,
-                                    bcast_idx[t]);
+                                    group_slot(grp, t), rows_on(t), k,
+                                    copy0 + t);
             comp_idx[t] = last_comp;
             if (!unblock)
                 last_collect = pushCollect(ctx, group_slot(grp, t),
-                                           c_home, rows, last_comp);
+                                           c_home, rows_on(t),
+                                           last_comp);
         }
         if (unblock) {
-            for (std::uint32_t t = 0; t < g_slots; ++t)
-                if (comp_idx[t] != kNoBatch)
-                    last_collect = pushCollect(
-                        ctx, group_slot(grp, t), c_home, rows_on(t),
-                        comp_idx[t]);
+            for (std::uint32_t t = 0; t < owners; ++t)
+                last_collect = pushCollect(ctx, group_slot(grp, t),
+                                           c_home, rows_on(t),
+                                           comp_idx[t]);
         }
     }
     ctx.written[op.c] = true;

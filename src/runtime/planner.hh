@@ -152,17 +152,31 @@ class Planner
 
     /**
      * Emit a hierarchical broadcast of a length-@p len vector from
-     * @p home to every subarray in @p dsts: one inter-bank hop to a
-     * relay subarray per destination bank, then bank-local fan-out.
-     * Fills @p out_idx (parallel to dsts) with the batch index each
-     * destination's copy completes at; entries for skipped dsts stay
-     * kNoBatch.
+     * @p home to subarrays [first, first + count): one inter-bank hop
+     * to a relay subarray (the bank's first destination) per
+     * destination bank, then one bank-local fan-out run. Copies
+     * complete in destination order, so destination t's copy is the
+     * returned index + t.
+     * @return index of the first hop.
      */
-    void emitBroadcast(LowerCtx &ctx, std::uint32_t home,
-                       const std::vector<std::uint32_t> &dsts,
-                       std::uint32_t len, std::uint32_t dep,
-                       bool &barrier,
-                       std::vector<std::uint32_t> &out_idx) const;
+    std::uint32_t emitBroadcast(LowerCtx &ctx, std::uint32_t home,
+                                std::uint32_t first,
+                                std::uint32_t count, std::uint32_t len,
+                                std::uint32_t dep, bool &barrier) const;
+
+    /**
+     * Unblock's separated compute and collect phases over the slots
+     * [first, first + slots) owning rows of a @p rows-row operand:
+     * each slot's dot products (length @p k, unsliced) read its copy
+     * at @p copy0 + t, then every slot's results go to @p dst. At
+     * most two runs per phase (emitBroadcast's copy order).
+     * @return index of the last collect, the result's publication
+     *         point.
+     */
+    std::uint32_t emitPhasedRuns(LowerCtx &ctx, std::uint32_t first,
+                                 std::uint32_t slots, std::uint32_t rows,
+                                 std::uint32_t k, std::uint32_t copy0,
+                                 std::uint32_t dst) const;
 
     /**
      * Emit one compute batch, applying the slicing rule (Sec. IV-C)

@@ -19,7 +19,8 @@
  * run-length descriptors: one VpcBatch with `repeat` > 1 stands for
  * `repeat` consecutive logical batches whose subarray, destination
  * and dependencies each advance by a constant step. push() coalesces
- * as batches arrive; every index (push's return value, depA/depB,
+ * as batches arrive, and pushRun() appends a whole run at once to the
+ * same effect; every index (their return values, depA/depB,
  * opResultBatch) is a logical batch index, and forEachBatch() is the
  * one way to walk the logical batches.
  */
@@ -118,8 +119,9 @@ struct VpcBatch
 struct VpcSchedule
 {
     /**
-     * Run descriptors in issue order, appended by push(). Each
-     * descriptor's @c first is the sum of the repeats before it.
+     * Run descriptors in issue order, appended by push() and
+     * pushRun(). Each descriptor's @c first is the sum of the
+     * repeats before it.
      */
     std::vector<VpcBatch> batches;
 
@@ -257,6 +259,68 @@ struct VpcSchedule
         if (batches.empty() || !extend(batches.back(), batch)) {
             batches.push_back(batch);
             batches.back().first = std::uint32_t(index);
+        }
+        return std::uint32_t(index);
+    }
+
+    /**
+     * Append the @c run.repeat logical batches of @p run (its
+     * @c first is ignored), with exactly the effect of that many
+     * push() calls, in O(1); returns the first batch's index. The
+     * first min(repeat, 3) batches go through push(): whatever they
+     * extended or opened, the last descriptor then ends in two
+     * batches of the run, so it holds the run's steps and every
+     * later batch would extend it. The rest are added to its repeat.
+     */
+    std::uint32_t
+    pushRun(const VpcBatch &run)
+    {
+        SPIM_ASSERT(run.repeat > 0, "empty run");
+        SPIM_ASSERT((run.depA != kNoBatch || run.depAStep == 0) &&
+                        (run.depB != kNoBatch || run.depBStep == 0),
+                    "a kNoBatch dependency has step 0");
+        const std::uint64_t index = batchCount();
+        const std::uint64_t last = index + run.repeat - 1;
+        if (last >= kNoBatch)
+            SPIM_FATAL("schedule holds ", index, " batches; a run of ",
+                       run.repeat, " passes the most a 32-bit batch "
+                       "index can address");
+        // Each dependency's distance back is affine in the repeat
+        // index, so both ends of the run bound it.
+        const std::pair<std::uint32_t, std::int32_t> deps[] = {
+            {run.depA, run.depAStep}, {run.depB, run.depBStep}};
+        for (const auto &[dep, step] : deps) {
+            if (dep == kNoBatch)
+                continue;
+            const std::int64_t dep_last =
+                dep + std::int64_t(run.repeat - 1) * step;
+            SPIM_ASSERT(dep < index && dep_last >= 0 &&
+                            std::uint64_t(dep_last) < last,
+                        "dependency on a future batch");
+        }
+
+        VpcBatch b = run;
+        b.repeat = 1;
+        b.subarrayStep = b.dstSubarrayStep = 0;
+        b.depAStep = b.depBStep = 0;
+        const std::uint32_t head = std::min<std::uint32_t>(run.repeat, 3);
+        for (std::uint32_t r = 0; r < head; ++r) {
+            push(b);
+            b.barrier = false;
+            b.subarray += std::uint32_t(run.subarrayStep);
+            b.dstSubarray += std::uint32_t(run.dstSubarrayStep);
+            b.depA += std::uint32_t(run.depAStep);
+            b.depB += std::uint32_t(run.depBStep);
+        }
+        if (run.repeat > head) {
+            VpcBatch &tail = batches.back();
+            SPIM_ASSERT(tail.repeat >= 2 &&
+                            tail.subarrayStep == run.subarrayStep &&
+                            tail.dstSubarrayStep == run.dstSubarrayStep &&
+                            tail.depAStep == run.depAStep &&
+                            tail.depBStep == run.depBStep,
+                        "run's head left no descriptor with its steps");
+            tail.repeat += run.repeat - head;
         }
         return std::uint32_t(index);
     }

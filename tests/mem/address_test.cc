@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hh"
 #include "mem/address.hh"
 
 namespace streampim
@@ -48,27 +47,6 @@ TEST(AddressMap, BankBoundaries)
     Addr last_of_bank0 = rm.bytesPerBank() - 1;
     EXPECT_EQ(map.decode(last_of_bank0).bank, 0u);
     EXPECT_EQ(map.decode(last_of_bank0 + 1).bank, 1u);
-}
-
-TEST(AddressMap, EncodeIsInverseOfDecode)
-{
-    RmParams rm;
-    AddressMap map(rm);
-    Rng rng(5);
-    for (int i = 0; i < 200; ++i) {
-        Addr addr = rng.below(rm.totalBytes());
-        EXPECT_EQ(map.encode(map.decode(addr)), addr);
-    }
-}
-
-TEST(AddressMap, GlobalSubarrayFlattening)
-{
-    RmParams rm;
-    AddressMap map(rm);
-    EXPECT_EQ(map.globalSubarray(0, 0), 0u);
-    EXPECT_EQ(map.globalSubarray(1, 0), rm.subarraysPerBank);
-    EXPECT_EQ(map.globalSubarray(3, 17),
-              3 * rm.subarraysPerBank + 17);
 }
 
 TEST(AddressMapDeath, BeyondCapacityPanics)
